@@ -59,8 +59,8 @@ class ExperimentConfig:
                 f"box dimension {self.box.dim} does not match n = {self.n}"
             )
         grid = tuple(float(s) for s in self.sigma_grid)
-        if not grid or any(s <= 0.0 for s in grid):
-            raise InvalidConfigError("sigma_grid must hold positive values")
+        if not grid or not all(math.isfinite(s) and s > 0.0 for s in grid):
+            raise InvalidConfigError("sigma_grid must hold positive finite values")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise InvalidConfigError("sigma_grid must be strictly increasing")
         object.__setattr__(self, "sigma_grid", grid)

@@ -10,11 +10,21 @@ Three interchangeable backends:
 * ``MONTE_CARLO`` -- draw vtilde ~ N(0, sigma^2 I) and set xi = R^{-1} vtilde,
   which has exactly the target law; count membership.  Unbiased, binomial
   standard error.  Default, for robustness.
-* ``SEQ_QMC`` -- sequential conditioning with randomized Sobol points.  The
-  covariance factor sigma * R^{-1} is upper triangular, so reversing the
-  coordinate order makes it a lower-triangular Cholesky factor and the
-  standard one-dimensional conditional sweep applies.  Standard error from
-  independent scramblings.
+* ``SEQ_QMC`` -- sequential conditioning with randomized Sobol points
+  (Genz 1992).  The covariance factor sigma * R^{-1} is upper triangular,
+  so reversing the coordinate order makes it a lower-triangular Cholesky
+  factor and the standard one-dimensional conditional sweep applies.  The
+  sweep is vectorized over a batch of interval products of one (R, sigma):
+  each of the 16 randomizations builds one scrambled Sobol base (scipy's
+  linear matrix scramble plus digital shift), and every (product,
+  randomization) pair XORs the base's integer digits with a random
+  digital shift of its own.  The shifted base has the law of a freshly
+  scrambled one, and whatever the base, an estimate's mean over its shift
+  is the exact integral, so the products' errors are uncorrelated: each
+  gets the error of an independent integral for the cost of one shared
+  base.
+  Standard error from the spread over the randomizations.  A single
+  integral is a batch of one.
 * ``QUADRATURE`` -- deterministic tensor Gauss-Legendre, dimension <= 4.
   Every axis is clipped to ``truncation`` per-axis standard deviations of
   the target Gaussian (default 10), which truncates infinite ends and
@@ -44,12 +54,14 @@ from .errors import (
     QuadratureDimensionError,
 )
 from .linalg import validate_upper_triangular
-from .model import BoundaryTag
+from .model import BoundaryTag, validate_sigma
 from .rng import RngStream, standard_normal
 
 QUADRATURE_MAX_DIM = 4
 _MC_BLOCK = 1 << 16
 _QMC_RANDOMIZATIONS = 16
+_QMC_BITS = 30  # binary digits per Sobol coordinate
+_QMC_CHUNK = 1 << 14  # product-points per array of the batched sweep
 
 
 class Interval(NamedTuple):
@@ -127,21 +139,21 @@ class McEstimate:
             raise ValueError("samples must be nonnegative")
 
 
-def _validate(r, sigma, intervals):
+def _validate(r, sigma, products):
+    """Checked (R, sigma, lo, hi); lo and hi hold one row per interval
+    product."""
     r = validate_upper_triangular(r)
     n = r.shape[0]
-    if len(intervals) != n:
-        raise DimensionMismatchError(
-            f"{len(intervals)} intervals given for dimension {n}"
-        )
-    lo = np.array([iv[0] for iv in intervals], dtype=float)
-    hi = np.array([iv[1] for iv in intervals], dtype=float)
-    if np.any(lo >= hi) or np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
+    for intervals in products:
+        if len(intervals) != n:
+            raise DimensionMismatchError(
+                f"{len(intervals)} intervals given for dimension {n}"
+            )
+    bounds = np.array(products, dtype=float).reshape(len(products), n, 2)
+    lo, hi = bounds[..., 0], bounds[..., 1]
+    if not np.all(lo < hi):
         raise ValueError("each interval needs lo < hi")
-    sigma = float(sigma)
-    if not sigma > 0.0:
-        raise ValueError("sigma must be positive")
-    return r, sigma, lo, hi
+    return r, validate_sigma(sigma), lo, hi
 
 
 def _mc_probability(r, sigma, lo, hi, samples, stream):
@@ -169,41 +181,57 @@ def _mc_probability(r, sigma, lo, hi, samples, stream):
 
 
 def _qmc_probability(r, sigma, lo, hi, samples, stream):
-    n = r.shape[0]
+    """SEQ_QMC estimates for a batch of interval products (one row of lo
+    and hi each), returned in row order."""
+    boxes, n = lo.shape
     chol = sigma * scipy.linalg.solve_triangular(r, np.eye(n), lower=False)
     # Reversing coordinates turns the upper-triangular factor into a
     # lower-triangular Cholesky factor for the standard conditional sweep.
     chol = chol[::-1, ::-1]
-    lo_r, hi_r = lo[::-1], hi[::-1]
+    lo_r, hi_r = lo[:, ::-1], hi[:, ::-1]
 
     if n == 1:
-        p = float(ndtr(hi_r[0] / chol[0, 0]) - ndtr(lo_r[0] / chol[0, 0]))
-        return McEstimate(p, 0.0, 0, stream.label())
+        p = ndtr(hi_r[:, 0] / chol[0, 0]) - ndtr(lo_r[:, 0] / chol[0, 0])
+        return [McEstimate(float(v), 0.0, 0, stream.label()) for v in p]
 
     log2_pts = max(6, math.ceil(math.log2(max(1, samples // _QMC_RANDOMIZATIONS))))
     npts = 1 << log2_pts
+    per_chunk = max(1, _QMC_CHUNK // npts)
     u_top = np.nextafter(1.0, 0.0)
+    scale = 2.0 ** -_QMC_BITS
 
     def sweep(k):
-        sob = qmc.Sobol(d=n - 1, scramble=True, seed=stream.child(k).generator())
-        w = sob.random_base2(log2_pts)
-        d = np.full(npts, ndtr(lo_r[0] / chol[0, 0]))
-        e = np.full(npts, ndtr(hi_r[0] / chol[0, 0]))
-        prob = e - d
-        y = np.empty((npts, n - 1))
-        for i in range(1, n):
-            u = np.clip(d + w[:, i - 1] * (e - d), 1e-300, u_top)
-            y[:, i - 1] = ndtri(u)
-            shift = y[:, :i] @ chol[i, :i]
-            d = ndtr((lo_r[i] - shift) / chol[i, i])
-            e = ndtr((hi_r[i] - shift) / chol[i, i])
-            prob *= np.maximum(e - d, 0.0)
-        return float(prob.mean())
+        gen = stream.child(k).generator()
+        sobol = qmc.Sobol(d=n - 1, scramble=True, bits=_QMC_BITS, seed=gen)
+        base = sobol.random_base2(log2_pts)
+        base *= 2.0 ** _QMC_BITS  # the points are exact multiples of 2^-bits
+        digits = base.astype(np.uint32)
+        shifts = gen.integers(0, 1 << _QMC_BITS, size=(boxes, n - 1), dtype=np.uint32)
+        means = np.empty(boxes)
+        for start in range(0, boxes, per_chunk):
+            rows = slice(start, start + per_chunk)
+            lo_c, hi_c = lo_r[rows, :, None], hi_r[rows, :, None]
+            d = ndtr(lo_c[:, 0] / chol[0, 0])
+            e = ndtr(hi_c[:, 0] / chol[0, 0])
+            prob = e - d
+            y = np.empty((len(prob), npts, n - 1))
+            for i in range(1, n):
+                w = (digits[:, i - 1] ^ shifts[rows, i - 1, None]) * scale
+                u = np.clip(d + w * (e - d), 1e-300, u_top)
+                y[:, :, i - 1] = ndtri(u)
+                shift = y[:, :, :i] @ chol[i, :i]
+                d = ndtr((lo_c[:, i] - shift) / chol[i, i])
+                e = ndtr((hi_c[:, i] - shift) / chol[i, i])
+                prob = prob * np.maximum(e - d, 0.0)
+            means[rows] = prob.mean(axis=1)
+        return means
 
-    means = np.array(ordered_map(sweep, range(_QMC_RANDOMIZATIONS)))
-    value = float(np.clip(means.mean(), 0.0, 1.0))
-    stderr = float(means.std(ddof=1) / math.sqrt(_QMC_RANDOMIZATIONS))
-    return McEstimate(value, stderr, npts * _QMC_RANDOMIZATIONS, stream.label())
+    # One row per product, so each row reduces alike whatever the batch.
+    means = np.array(ordered_map(sweep, range(_QMC_RANDOMIZATIONS))).T.copy()
+    values = np.clip(means.mean(axis=1), 0.0, 1.0)
+    stderrs = means.std(axis=1, ddof=1) / math.sqrt(_QMC_RANDOMIZATIONS)
+    return [McEstimate(float(v), float(se), npts * _QMC_RANDOMIZATIONS, stream.label())
+            for v, se in zip(values, stderrs)]
 
 
 def _quadrature_probability(r, sigma, lo, hi, quad_points, truncation):
@@ -212,8 +240,11 @@ def _quadrature_probability(r, sigma, lo, hi, quad_points, truncation):
         raise QuadratureDimensionError(
             f"quadrature supports dimension <= {QUADRATURE_MAX_DIM}, got {n}"
         )
+    # Integrate over t = xi / sigma, whose law N(0, (R^T R)^{-1}) does not
+    # depend on sigma, so no power of sigma can underflow or overflow.
+    lo, hi = lo / sigma, hi / sigma
     rinv = scipy.linalg.solve_triangular(r, np.eye(n), lower=False)
-    marg_std = sigma * np.sqrt(np.sum(rinv ** 2, axis=1))
+    marg_std = np.sqrt(np.sum(rinv ** 2, axis=1))
     # Clip every axis to +-truncation marginal standard deviations.  This
     # both truncates infinite ends and shrinks finite intervals that are
     # much wider than the density, so the fixed node count keeps resolving
@@ -233,10 +264,9 @@ def _quadrature_probability(r, sigma, lo, hi, quad_points, truncation):
         nodes.append(mid + half * base_nodes)
         weights.append(half * base_weights)
 
-    inv_two_var = 1.0 / (2.0 * sigma * sigma)
     if n == 1:
         z = nodes[0] * r[0, 0]
-        total = float(np.exp(-inv_two_var * z * z) @ weights[0])
+        total = float(np.exp(-0.5 * z * z) @ weights[0])
     else:
         grids = np.meshgrid(*nodes[1:], indexing="ij")
         pts = np.stack([g.reshape(-1) for g in grids], axis=1)
@@ -249,9 +279,9 @@ def _quadrature_probability(r, sigma, lo, hi, quad_points, truncation):
         for x1, w1 in zip(nodes[0], weights[0]):
             z = inner + x1 * r[:, 0]
             q = np.sum(z * z, axis=1)
-            total += w1 * float(np.exp(-inv_two_var * q) @ w_inner)
+            total += w1 * float(np.exp(-0.5 * q) @ w_inner)
 
-    norm = float(np.prod(np.diag(r))) / (2.0 * math.pi * sigma * sigma) ** (n / 2.0)
+    norm = float(np.prod(np.diag(r))) / (2.0 * math.pi) ** (n / 2.0)
     value = float(np.clip(norm * total, 0.0, 1.0))
     return McEstimate(value, 0.0, quad_points ** n, "deterministic")
 
@@ -264,14 +294,25 @@ def box_probability(r, sigma, intervals, cfg: IntegratorConfig,
     ``stream`` is required for the stochastic backends and ignored by
     quadrature.
     """
-    r, sigma, lo, hi = _validate(r, sigma, intervals)
+    r, sigma, lo, hi = _validate(r, sigma, (tuple(intervals),))
     if cfg.method is IntegratorMethod.QUADRATURE:
-        return _quadrature_probability(r, sigma, lo, hi, cfg.quad_points, cfg.truncation)
+        return _quadrature_probability(r, sigma, lo[0], hi[0], cfg.quad_points,
+                                       cfg.truncation)
     if stream is None:
         raise InvalidConfigError("stochastic backends need an RngStream")
     if cfg.method is IntegratorMethod.MONTE_CARLO:
-        return _mc_probability(r, sigma, lo, hi, cfg.samples, stream)
-    return _qmc_probability(r, sigma, lo, hi, cfg.samples, stream)
+        return _mc_probability(r, sigma, lo[0], hi[0], cfg.samples, stream)
+    return _qmc_probability(r, sigma, lo, hi, cfg.samples, stream)[0]
+
+
+def qmc_box_probabilities(r, sigma, products, samples: int,
+                          stream: RngStream) -> list:
+    """SEQ_QMC probabilities of many interval products under one
+    (R, sigma), each with ``samples`` samples, in one batched sweep per
+    randomization; the estimates come back in the order of ``products``
+    and their errors are uncorrelated."""
+    r, sigma, lo, hi = _validate(r, sigma, tuple(tuple(p) for p in products))
+    return _qmc_probability(r, sigma, lo, hi, samples, stream)
 
 
 def check_product_bound(r, sigma, a, tail_intervals, cfg: IntegratorConfig,
@@ -297,9 +338,7 @@ def check_product_bound(r, sigma, a, tail_intervals, cfg: IntegratorConfig,
         raise DimensionMismatchError(
             f"need {n - 1} tail intervals, got {len(tail_intervals)}"
         )
-    sigma = float(sigma)
-    if not sigma > 0.0:
-        raise ValueError("sigma must be positive")
+    sigma = validate_sigma(sigma)
     sub = stream if stream is not None else RngStream(0)
 
     full = box_probability(r, sigma, (symmetric(a),) + tail_intervals, cfg, sub.child(0))

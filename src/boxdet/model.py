@@ -9,6 +9,7 @@ bound, strictly inside, or on a single-point coordinate (lower == upper).
 """
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +17,14 @@ import numpy as np
 from . import rng as _rng
 from .errors import DimensionMismatchError, OutOfBoxError
 from .linalg import as_matrix, as_vector, qr_positive
+
+
+def validate_sigma(sigma) -> float:
+    """sigma as a float; it must be positive and finite."""
+    sigma = float(sigma)
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    return sigma
 
 
 class BoundaryTag(enum.Enum):
@@ -81,9 +90,7 @@ class LinearModel:
 
     def __init__(self, a, sigma: float):
         a = as_matrix(a)
-        sigma = float(sigma)
-        if not sigma > 0.0:
-            raise ValueError("sigma must be positive")
+        sigma = validate_sigma(sigma)
         q1, r = qr_positive(a)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "sigma", sigma)
@@ -117,9 +124,7 @@ class ReducedModel:
             raise DimensionMismatchError(
                 f"r has shape {r.shape} but ytilde has length {ytilde.size}"
             )
-        sigma = float(sigma)
-        if not sigma > 0.0:
-            raise ValueError("sigma must be positive")
+        sigma = validate_sigma(sigma)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "ytilde", ytilde)
         object.__setattr__(self, "sigma", sigma)
@@ -197,9 +202,7 @@ def sample_noise(sigma: float, length: int, stream: _rng.RngStream, count: int |
     Deviates scale linearly in sigma for a fixed stream:
     draws(2 * sigma) == 2 * draws(sigma) elementwise.
     """
-    sigma = float(sigma)
-    if not sigma > 0.0:
-        raise ValueError("sigma must be positive")
+    sigma = validate_sigma(sigma)
     n = 1 if count is None else int(count)
     z = _rng.standard_normal(stream, (n, int(length)))
     v = sigma * z

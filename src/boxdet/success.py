@@ -12,12 +12,13 @@ success probability is a Gaussian box probability whose intervals are read
 off the boundary pattern, and the uniform-vector probability is the
 average over all box points.  Because the integral depends on the true
 vector only through its pattern, that average collapses from
-prod(u_i - l_i + 1) terms to at most 3^n weighted pattern integrals.
+prod(u_i - l_i + 1) terms to at most 3^n weighted pattern integrals, and
+folding each pattern with its L <-> U mirror halves those.
 """
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import erf
@@ -26,12 +27,14 @@ from ._parallel import ordered_map
 from .errors import DimensionMismatchError, PatternBudgetError
 from .gaussbox import (
     IntegratorConfig,
+    IntegratorMethod,
     McEstimate,
     box_probability,
     intervals_from_pattern,
+    qmc_box_probabilities,
 )
 from .linalg import validate_upper_triangular
-from .model import BoundaryTag, BoxConstraint
+from .model import BoundaryTag, BoxConstraint, validate_sigma
 from .rng import RngStream
 
 DEFAULT_PATTERN_BUDGET = 3 ** 10
@@ -45,8 +48,7 @@ def phi(zeta: float, sigma: float) -> float:
     """
     if zeta < 0.0:
         raise ValueError("zeta must be nonnegative")
-    if not sigma > 0.0:
-        raise ValueError("sigma must be positive")
+    sigma = validate_sigma(sigma)
     return float(erf(zeta / (2.0 * math.sqrt(2.0) * sigma)))
 
 
@@ -139,6 +141,24 @@ def _pattern_choices(box: BoxConstraint) -> list:
     return options
 
 
+def _folded_patterns(options) -> list:
+    """(pattern, weight) pairs in enumeration order, one per L <-> U mirror
+    pair.  xi and -xi have the same law, so a pattern and its mirror have
+    equal integrals: the pair is integrated once, at double weight, as the
+    member whose first bound tag is LOWER.  The weight counts the box points
+    with the pattern (and with its mirror, if folded in)."""
+    folded = []
+    for combo in itertools.product(*options):
+        pattern = tuple(tag for tag, _ in combo)
+        weight = math.prod(count for _, count in combo)
+        bounds = [tag for tag in pattern if tag in (BoundaryTag.LOWER, BoundaryTag.UPPER)]
+        if not bounds:
+            folded.append((pattern, weight))
+        elif bounds[0] is BoundaryTag.LOWER:
+            folded.append((pattern, 2 * weight))
+    return folded
+
+
 def p_br_uniform(r, sigma: float, box: BoxConstraint, cfg: IntegratorConfig,
                  stream: RngStream | None = None,
                  max_patterns: int = DEFAULT_PATTERN_BUDGET) -> McEstimate:
@@ -147,8 +167,12 @@ def p_br_uniform(r, sigma: float, box: BoxConstraint, cfg: IntegratorConfig,
 
     The sum over all box points is grouped by boundary pattern: each
     pattern's integral is weighted by the number of box points sharing it
-    and the total is divided by the box size.  Pattern integrals use
-    independent substreams and are combined in enumeration order; stderrs
+    and the total is divided by the box size.  Mirror patterns are folded
+    (see ``_folded_patterns``), which about halves the integrals, and each
+    one gets twice ``cfg.samples`` so the samples per cell stay about the
+    same.  QMC integrates all patterns in one batched sweep per
+    randomization; the other backends integrate them one by one on
+    substreams.  The pattern errors are uncorrelated, so their stderrs
     combine in quadrature.
 
     Raises
@@ -162,30 +186,30 @@ def p_br_uniform(r, sigma: float, box: BoxConstraint, cfg: IntegratorConfig,
             f"box dimension {box.dim} does not match matrix dimension {r.shape[0]}"
         )
     options = _pattern_choices(box)
-    budget = 1
-    for opts in options:
-        budget *= len(opts)
+    budget = math.prod(len(opts) for opts in options)
     if budget > max_patterns:
         raise PatternBudgetError(
             f"{budget} boundary patterns exceed the cap of {max_patterns}"
         )
+    folded = _folded_patterns(options)
+    if len(folded) < budget:
+        cfg = replace(cfg, samples=2 * cfg.samples)
     sub = stream if stream is not None else RngStream(0)
-    jobs = list(enumerate(itertools.product(*options)))
 
-    def integrate(job):
-        index, combo = job
-        pattern = tuple(tag for tag, _ in combo)
-        weight = 1
-        for _, count in combo:
-            weight *= count
-        est = p_br_deterministic(r, sigma, pattern, cfg, sub.child(index))
-        return weight, est
+    if cfg.method is IntegratorMethod.SEQ_QMC:
+        products = [intervals_from_pattern(pattern) for pattern, _ in folded]
+        ests = qmc_box_probabilities(r, sigma, products, cfg.samples, sub)
+    else:
+        def integrate(job):
+            index, (pattern, _) = job
+            return p_br_deterministic(r, sigma, pattern, cfg, sub.child(index))
 
-    results = ordered_map(integrate, jobs)
+        ests = ordered_map(integrate, enumerate(folded))
+    weights = [weight for _, weight in folded]
     total_points = box.num_points()
-    value = sum(w * est.value for w, est in results) / total_points
-    var = sum((w * est.stderr) ** 2 for w, est in results) / total_points ** 2
-    samples = sum(est.samples for _, est in results)
+    value = sum(w * est.value for w, est in zip(weights, ests)) / total_points
+    var = sum((w * est.stderr) ** 2 for w, est in zip(weights, ests)) / total_points ** 2
+    samples = sum(est.samples for est in ests)
     return McEstimate(float(np.clip(value, 0.0, 1.0)), math.sqrt(var), samples,
                       sub.label())
 

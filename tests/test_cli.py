@@ -139,6 +139,12 @@ class TestExactSp:
         assert main(["exact-sp", ex1, "--sigma", "1", "--box", "0..3",
                      "--pattern", "LLL"]) == 2
 
+    def test_infinite_sigma_exits_2(self, ex1, capsys):
+        assert main(["exact-sp", ex1, "--sigma", "inf", "--box", "0..3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sigma must be positive and finite" in captured.err
+
     def test_pattern_inconsistent_with_box_exits_2(self, ex1):
         assert main(["exact-sp", ex1, "--sigma", "1", "--box", "0..3",
                      "--pattern", "SS"]) == 2
@@ -174,6 +180,20 @@ class TestMcSp:
         bb_line = capsys.readouterr().out.splitlines()[0]
         bb = float(bb_line.split("=")[1])
         assert br == pytest.approx(bb, abs=1e-6)
+
+    def test_nan_sigma_exits_2(self, ex1, capsys):
+        assert main(["mc-sp", ex1, "--sigma", "nan", "--box", "0..3",
+                     "--method", "quad"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sigma must be positive and finite" in captured.err
+
+    def test_tiny_sigma_quadrature(self, ex1, capsys):
+        # sigma^2 underflows; quadrature integrates in units of sigma, so
+        # the answer (certain detection) still comes out.
+        assert main(["mc-sp", ex1, "--sigma", "1e-300", "--box", "0..3",
+                     "--pattern", "LL", "--method", "quad"]) == 0
+        assert capsys.readouterr().out.startswith("P_D^BR = 1.000000 +/- 0.000000")
 
     def test_pattern_budget_exits_3(self, tmp_path):
         n = 11

@@ -42,6 +42,11 @@ class TestConfig:
         with pytest.raises(InvalidConfigError):
             _config(sigma_grid=(0.2, 0.2))
 
+    def test_grid_must_be_positive_and_finite(self):
+        for bad in ((0.0, 0.5), (0.2, math.inf), (math.nan,), (-math.inf, 0.2)):
+            with pytest.raises(InvalidConfigError):
+                _config(sigma_grid=bad)
+
     def test_counts_positive(self):
         with pytest.raises(InvalidConfigError):
             _config(num_matrices=0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
+from boxdet import gaussbox
 from boxdet.errors import (
     DimensionMismatchError,
     InvalidConfigError,
@@ -21,6 +22,7 @@ from boxdet.gaussbox import (
     box_probability,
     check_product_bound,
     intervals_from_pattern,
+    qmc_box_probabilities,
     symmetric,
 )
 from boxdet.model import parse_pattern
@@ -72,6 +74,13 @@ class TestConfig:
         with pytest.raises(InvalidConfigError):
             box_probability(np.eye(1), 1.0, (FINITE,), MC, None)
 
+    def test_sigma_must_be_finite(self):
+        for sigma in (math.inf, math.nan, 0.0):
+            with pytest.raises(ValueError, match="sigma"):
+                box_probability(EX1, sigma, (FINITE, FINITE), QUAD)
+            with pytest.raises(ValueError, match="sigma"):
+                check_product_bound(EX1, sigma, 0.5, (FINITE,), QUAD)
+
     def test_quadrature_dimension_cap(self):
         with pytest.raises(QuadratureDimensionError):
             box_probability(np.eye(5), 1.0, (FINITE,) * 5, QUAD)
@@ -115,6 +124,18 @@ class TestBoxProbability:
                 box_probability(EX1, 0.7, ivs, QUAD).value for ivs in chain
             ]
             assert values[0] <= values[1] <= values[2]
+
+    def test_quadrature_at_extreme_sigma(self):
+        # sigma^2 and sigma^n leave the float range here; the quadrature
+        # works in units of sigma and still gets the limits 1 and 0.  32
+        # nodes resolve a clipped full line to about 4e-8.
+        quad = IntegratorConfig(method=IntegratorMethod.QUADRATURE, quad_points=32)
+        r = np.diag([0.7, 1.3, 2.1, 1.0])
+        assert box_probability(r, 1e-100, (FINITE,) * 4, quad).value == pytest.approx(
+            1.0, abs=1e-6)
+        assert box_probability(EX1, 1e-300, (LEFT_INFINITE,) * 2, quad).value == pytest.approx(
+            1.0, abs=1e-6)
+        assert box_probability(r, 1e300, (FINITE,) * 4, quad).value == 0.0
 
     def test_mc_stderr_is_binomial(self):
         est = box_probability(np.eye(1), 1.0, (FINITE,), MC, RngStream(3))
@@ -173,6 +194,35 @@ class TestBackendAgreement:
                     gap = abs(ests[i].value - ests[j].value)
                     tol = 3 * math.hypot(ests[i].stderr, ests[j].stderr) + 1e-6
                     assert gap <= tol
+
+
+class TestQmcBatch:
+    PRODUCTS = [intervals_from_pattern(parse_pattern(p))
+                for p in ("LLI", "III", "LUI", "ILU", "UIL")]
+
+    def _r(self):
+        return _random_triangular(np.random.default_rng(51), 3)
+
+    def test_first_product_is_a_batch_of_one(self):
+        batch = qmc_box_probabilities(self._r(), 0.7, self.PRODUCTS, QMC.samples,
+                                      RngStream(5))
+        single = box_probability(self._r(), 0.7, self.PRODUCTS[0], QMC, RngStream(5))
+        assert batch[0] == single
+        assert len(batch) == len(self.PRODUCTS)
+
+    def test_chunk_size_does_not_change_results(self, monkeypatch):
+        args = (self._r(), 0.7, self.PRODUCTS, QMC.samples, RngStream(5))
+        whole = qmc_box_probabilities(*args)
+        monkeypatch.setattr(gaussbox, "_QMC_CHUNK", 1)
+        assert qmc_box_probabilities(*args) == whole
+
+    def test_matches_scipy(self):
+        r = self._r()
+        batch = qmc_box_probabilities(r, 0.7, self.PRODUCTS, QMC.samples, RngStream(6))
+        for ivs, est in zip(self.PRODUCTS, batch):
+            lo = np.array([iv.lo for iv in ivs])
+            hi = np.array([iv.hi for iv in ivs])
+            assert abs(est.value - _mvn_oracle(r, 0.7, lo, hi)) <= 4 * est.stderr + 1e-5
 
 
 class TestProductBoundCheck:

@@ -185,5 +185,13 @@ class TestSampling:
         np.testing.assert_array_equal(doubled, 2.0 * a)
 
     def test_noise_rejects_bad_sigma(self):
-        with pytest.raises(ValueError):
-            sample_noise(0.0, 10, RngStream(0))
+        for sigma in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                sample_noise(sigma, 10, RngStream(0))
+
+    def test_models_reject_nonfinite_sigma(self):
+        for sigma in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                LinearModel(np.eye(2), sigma)
+            with pytest.raises(ValueError, match="finite"):
+                ReducedModel(np.eye(2), np.zeros(2), sigma)
