@@ -3,13 +3,11 @@ Monte Carlo success probabilities, and a reproducible simulation harness.
 """
 
 from .detectors import (
-    DetectorOutput,
     bils_brute_force,
     box_babai,
     box_rounding,
     ordinary_babai,
     ordinary_rounding,
-    round_scalar,
 )
 from .errors import (
     BoxdetError,
@@ -21,7 +19,7 @@ from .errors import (
     QuadratureDimensionError,
     RankDeficientError,
 )
-from .experiment import ExperimentConfig, ExperimentRow, run_experiment, run_trial
+from .experiment import ExperimentConfig, ExperimentRow, run_experiment
 from .gaussbox import (
     FINITE,
     FULL_LINE,
@@ -50,7 +48,6 @@ from .model import (
 )
 from .rng import RngStream
 from .success import (
-    SuccessReport,
     p_bb_bounds,
     p_bb_deterministic,
     p_bb_uniform,

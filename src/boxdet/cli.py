@@ -120,14 +120,14 @@ def cmd_detect(args) -> int:
     rm = _reduced_from_files(args.matrix, args.y)
     box = parse_box(args.box, rm.dim)
     if args.mode == "rounding":
-        print(_format_vec(box_rounding(rm, box).x))
+        print(_format_vec(box_rounding(rm, box)))
     elif args.mode == "babai":
-        print(_format_vec(box_babai(rm, box).x))
+        print(_format_vec(box_babai(rm, box)))
     elif args.mode == "bils":
         print(_format_vec(bils_brute_force(rm, box)))
     else:
-        print(f"BR: {_format_vec(box_rounding(rm, box).x)}")
-        print(f"BB: {_format_vec(box_babai(rm, box).x)}")
+        print(f"BR: {_format_vec(box_rounding(rm, box))}")
+        print(f"BB: {_format_vec(box_babai(rm, box))}")
     return 0
 
 

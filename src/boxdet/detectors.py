@@ -1,11 +1,15 @@
 """Suboptimal detectors for the reduced model, plus a brute-force oracle.
 
-Two fast detectors are provided, each in a box-clamped and an ordinary
-(unclamped) variant:
+Each detector has one implementation, a batch kernel over many
+observations that share one R and one box, returning the detected x:
 
-* rounding: componentwise rounding of d = R^{-1} ytilde, then clamping;
-* Babai: back-substitution from the last coordinate with per-coordinate
-  rounding (and clamping) before moving on.
+* ``rounding_batch``: componentwise rounding of d = R^{-1} ytilde, then
+  clamping;
+* ``babai_batch``: back-substitution from the last coordinate with
+  per-coordinate rounding (and clamping) before moving on.
+
+The single-instance detectors are batch-of-one calls; their ordinary
+(unclamped) variants pass bounds of +-inf.
 
 Rounding uses the smaller-magnitude tie rule: exact half-integers round
 toward zero.  Round-then-clamp is literally equivalent to the three-way
@@ -14,7 +18,6 @@ assert the equivalence explicitly.
 """
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,26 +28,36 @@ from .model import BoxConstraint, ReducedModel
 BRUTE_FORCE_MAX_POINTS = 10 ** 6
 
 
-@dataclass(frozen=True)
-class DetectorOutput:
-    """Detected integer vector plus, optionally, the unclamped statistics
-    (d for rounding, c for Babai) kept for debugging and MC cross-checks."""
-
-    x: np.ndarray
-    trace: np.ndarray | None = None
-
-
-def round_scalar(t: float) -> int:
-    """Nearest integer with half-integer ties rounded toward zero."""
-    if not np.isfinite(t):
-        raise ValueError("cannot round a non-finite value")
-    if t >= 0.0:
-        return int(np.ceil(t - 0.5))
-    return int(np.floor(t + 0.5))
-
-
 def _round_half_toward_zero(t: np.ndarray) -> np.ndarray:
     return np.where(t >= 0.0, np.ceil(t - 0.5), np.floor(t + 0.5))
+
+
+def rounding_batch(r, ytilde_batch, lower, upper) -> np.ndarray:
+    """Clamped rounding detector on a (count, n) batch of observations
+    sharing one R and box; returns the (count, n) detected vectors."""
+    d = back_substitute(r, ytilde_batch.T).T
+    return np.clip(_round_half_toward_zero(d), lower, upper)
+
+
+def babai_batch(r, ytilde_batch, lower, upper) -> np.ndarray:
+    """Clamped Babai detector on a batch: for i = n..1 round and clamp
+    c_i = (ytilde_i - sum_{j>i} r_ij x_j) / r_ii."""
+    n = r.shape[0]
+    x = np.zeros((ytilde_batch.shape[0], n))
+    for i in range(n - 1, -1, -1):
+        ci = (ytilde_batch[:, i] - x[:, i + 1:] @ r[i, i + 1:]) / r[i, i]
+        x[:, i] = np.clip(_round_half_toward_zero(ci), lower[i], upper[i])
+    return x
+
+
+def rounding_success_batch(r, ytilde_batch, xhat_batch, lower, upper) -> np.ndarray:
+    """Per-trial success flags of the clamped rounding detector."""
+    return np.all(rounding_batch(r, ytilde_batch, lower, upper) == xhat_batch, axis=1)
+
+
+def babai_success_batch(r, ytilde_batch, xhat_batch, lower, upper) -> np.ndarray:
+    """Per-trial success flags of the clamped Babai detector."""
+    return np.all(babai_batch(r, ytilde_batch, lower, upper) == xhat_batch, axis=1)
 
 
 def _check_box(rm: ReducedModel, box: BoxConstraint) -> None:
@@ -54,47 +67,35 @@ def _check_box(rm: ReducedModel, box: BoxConstraint) -> None:
         )
 
 
-def box_rounding(rm: ReducedModel, box: BoxConstraint, trace: bool = False) -> DetectorOutput:
+def _detect_one(kernel, rm: ReducedModel, box: BoxConstraint | None) -> np.ndarray:
+    """Run a batch kernel on one observation; no box means bounds of +-inf."""
+    if box is None:
+        upper = np.full(rm.dim, np.inf)
+        lower = -upper
+    else:
+        _check_box(rm, box)
+        lower, upper = box.lower, box.upper
+    return kernel(rm.r, rm.ytilde[None, :], lower, upper)[0].astype(np.int64)
+
+
+def box_rounding(rm: ReducedModel, box: BoxConstraint) -> np.ndarray:
     """Round d = R^{-1} ytilde componentwise and clamp into the box."""
-    _check_box(rm, box)
-    d = back_substitute(rm.r, rm.ytilde)
-    x = np.clip(_round_half_toward_zero(d), box.lower, box.upper).astype(np.int64)
-    return DetectorOutput(x, d if trace else None)
+    return _detect_one(rounding_batch, rm, box)
 
 
-def ordinary_rounding(rm: ReducedModel, trace: bool = False) -> DetectorOutput:
+def ordinary_rounding(rm: ReducedModel) -> np.ndarray:
     """Rounding detector with the clamp disabled (box = all of Z^n)."""
-    d = back_substitute(rm.r, rm.ytilde)
-    x = _round_half_toward_zero(d).astype(np.int64)
-    return DetectorOutput(x, d if trace else None)
+    return _detect_one(rounding_batch, rm, None)
 
 
-def _babai(rm: ReducedModel, lower, upper, trace: bool):
-    r = rm.r
-    n = rm.dim
-    x = np.zeros(n, dtype=np.int64)
-    c = np.zeros(n) if trace else None
-    for i in range(n - 1, -1, -1):
-        ci = (rm.ytilde[i] - r[i, i + 1:] @ x[i + 1:]) / r[i, i]
-        if trace:
-            c[i] = ci
-        xi = round_scalar(ci)
-        if lower is not None:
-            xi = min(max(xi, int(lower[i])), int(upper[i]))
-        x[i] = xi
-    return DetectorOutput(x, c)
+def box_babai(rm: ReducedModel, box: BoxConstraint) -> np.ndarray:
+    """Babai detector with each coordinate clamped into the box."""
+    return _detect_one(babai_batch, rm, box)
 
 
-def box_babai(rm: ReducedModel, box: BoxConstraint, trace: bool = False) -> DetectorOutput:
-    """Sequential detector: for i = n..1 round and clamp
-    c_i = (ytilde_i - sum_{j>i} r_ij x_j) / r_ii."""
-    _check_box(rm, box)
-    return _babai(rm, box.lower, box.upper, trace)
-
-
-def ordinary_babai(rm: ReducedModel, trace: bool = False) -> DetectorOutput:
+def ordinary_babai(rm: ReducedModel) -> np.ndarray:
     """Babai detector with the clamp disabled."""
-    return _babai(rm, None, None, trace)
+    return _detect_one(babai_batch, rm, None)
 
 
 def bils_brute_force(rm: ReducedModel, box: BoxConstraint) -> np.ndarray:
@@ -118,25 +119,3 @@ def bils_brute_force(rm: ReducedModel, box: BoxConstraint) -> np.ndarray:
             best_cost = cost
             best_x = cand
     return np.asarray(best_x, dtype=np.int64)
-
-
-def rounding_success_batch(r, ytilde_batch, xhat_batch, lower, upper) -> np.ndarray:
-    """Vectorized success flags of the clamped rounding detector.
-
-    ``ytilde_batch`` and ``xhat_batch`` are (count, n) arrays sharing one R
-    and box; returns a boolean vector of elementwise-equality successes.
-    """
-    d = back_substitute(r, ytilde_batch.T).T
-    x = np.clip(_round_half_toward_zero(d), lower, upper)
-    return np.all(x == xhat_batch, axis=1)
-
-
-def babai_success_batch(r, ytilde_batch, xhat_batch, lower, upper) -> np.ndarray:
-    """Vectorized success flags of the clamped Babai detector."""
-    n = r.shape[0]
-    count = ytilde_batch.shape[0]
-    x = np.zeros((count, n))
-    for i in range(n - 1, -1, -1):
-        ci = (ytilde_batch[:, i] - x[:, i + 1:] @ r[i, i + 1:]) / r[i, i]
-        x[:, i] = np.clip(_round_half_toward_zero(ci), lower[i], upper[i])
-    return np.all(x == xhat_batch, axis=1)

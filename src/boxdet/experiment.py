@@ -20,7 +20,7 @@ across repeat runs and worker counts.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .detectors import babai_success_batch, rounding_success_batch
 from .errors import InvalidConfigError, RankDeficientError
 from .gaussbox import IntegratorConfig, IntegratorMethod, McEstimate
 from .linalg import qr_positive
-from .model import BoxConstraint, LinearModel, observe, reduce, sample_noise, sample_uniform_x
+from .model import BoxConstraint, sample_noise, sample_uniform_x
 from .success import p_bb_uniform, p_br_uniform
 
 _TRIAL_BLOCK = 4096
@@ -38,6 +38,15 @@ _TRIAL_BLOCK = 4096
 DEFAULT_EXPERIMENT_INTEGRATOR = IntegratorConfig(
     method=IntegratorMethod.SEQ_QMC, samples=2048
 )
+
+
+def _reject_unknown_keys(doc, schema, where: str) -> None:
+    """A config section may only name the fields of its dataclass."""
+    if not isinstance(doc, dict):
+        raise InvalidConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(doc) - {f.name for f in fields(schema)})
+    if unknown:
+        raise InvalidConfigError(f"unknown {where} key(s): {', '.join(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -70,17 +79,19 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         try:
+            _reject_unknown_keys(doc, cls, "config")
             n = int(doc["n"])
             box_doc = doc["box"]
+            _reject_unknown_keys(box_doc, BoxConstraint, "box")
             lower, upper = box_doc["lower"], box_doc["upper"]
             lower = np.full(n, lower) if np.isscalar(lower) else np.asarray(lower)
             upper = np.full(n, upper) if np.isscalar(upper) else np.asarray(upper)
             integ = doc.get("integrator", {})
+            _reject_unknown_keys(integ, IntegratorConfig, "integrator")
             integrator = IntegratorConfig(
                 method=IntegratorMethod(integ.get("method", "qmc")),
                 samples=int(integ.get("samples", DEFAULT_EXPERIMENT_INTEGRATOR.samples)),
                 quad_points=int(integ.get("quad_points", 64)),
-                truncation=float(integ.get("truncation", 10.0)),
             )
             return cls(
                 n=n,
@@ -114,19 +125,6 @@ class ExperimentRow:
     emp_p_br: McEstimate
 
 
-def run_trial(model: LinearModel, box: BoxConstraint, stream: _rng.RngStream):
-    """One detection trial: uniform true vector, fresh noise, both
-    detectors; returns (rounding_success, babai_success)."""
-    xhat = sample_uniform_x(box, stream.child(0))
-    v = sample_noise(model.sigma, model.rows, stream.child(1))
-    rm = reduce(model, observe(model, xhat, v))
-    br = rounding_success_batch(rm.r, rm.ytilde[None, :], xhat[None, :],
-                                box.lower, box.upper)
-    bb = babai_success_batch(rm.r, rm.ytilde[None, :], xhat[None, :],
-                             box.lower, box.upper)
-    return bool(br[0]), bool(bb[0])
-
-
 def _draw_full_rank_matrix(n: int, stream: _rng.RngStream):
     """i.i.d. standard normal square matrix, redrawn on the (measure-zero)
     event that it is rank deficient at working precision."""
@@ -140,18 +138,6 @@ def _draw_full_rank_matrix(n: int, stream: _rng.RngStream):
     raise RankDeficientError("could not draw a full-rank matrix in 64 attempts")
 
 
-def _trial_blocks(total: int):
-    blocks = []
-    start = 0
-    index = 0
-    while start < total:
-        size = min(_TRIAL_BLOCK, total - start)
-        blocks.append((index, size))
-        start += size
-        index += 1
-    return blocks
-
-
 def _count_successes(a, q1, r, box, sigma, stream, trials):
     def run_block(block):
         index, size = block
@@ -163,7 +149,9 @@ def _count_successes(a, q1, r, box, sigma, stream, trials):
         bb = babai_success_batch(r, ytilde, x, box.lower, box.upper)
         return int(br.sum()), int(bb.sum())
 
-    counts = ordered_map(run_block, _trial_blocks(trials))
+    blocks = [(index, min(_TRIAL_BLOCK, trials - start))
+              for index, start in enumerate(range(0, trials, _TRIAL_BLOCK))]
+    counts = ordered_map(run_block, blocks)
     return sum(c[0] for c in counts), sum(c[1] for c in counts)
 
 

@@ -26,10 +26,11 @@ Three interchangeable backends:
   Standard error from the spread over the randomizations.  A single
   integral is a batch of one.
 * ``QUADRATURE`` -- deterministic tensor Gauss-Legendre, dimension <= 4.
-  Every axis is clipped to ``truncation`` per-axis standard deviations of
-  the target Gaussian (default 10), which truncates infinite ends and
-  concentrates nodes where the density lives; the neglected mass is below
-  erfc(10 / sqrt(2)) / 2 < 1e-23 per clipped end.  Reported stderr is 0.
+  Every axis is clipped to the constant ``QUADRATURE_TRUNCATION`` = 10
+  per-axis standard deviations of the target Gaussian, which truncates
+  infinite ends and concentrates nodes where the density lives; the
+  neglected mass is below erfc(10 / sqrt(2)) / 2 < 1e-23 per clipped end.
+  Reported stderr is 0.
 
 The canonical per-coordinate intervals are [-1/2, 1/2], (-inf, 1/2],
 [-1/2, inf) and (-inf, inf); the last one arises only for single-point box
@@ -58,6 +59,7 @@ from .model import BoundaryTag, validate_sigma
 from .rng import RngStream, standard_normal
 
 QUADRATURE_MAX_DIM = 4
+QUADRATURE_TRUNCATION = 10.0  # per-axis standard deviations kept
 _MC_BLOCK = 1 << 16
 _QMC_RANDOMIZATIONS = 16
 _QMC_BITS = 30  # binary digits per Sobol coordinate
@@ -106,7 +108,6 @@ class IntegratorConfig:
     method: IntegratorMethod = IntegratorMethod.MONTE_CARLO
     samples: int = 100_000
     quad_points: int = 64
-    truncation: float = 10.0
 
     def __post_init__(self):
         if not isinstance(self.method, IntegratorMethod):
@@ -115,8 +116,6 @@ class IntegratorConfig:
             raise InvalidConfigError("stochastic methods need samples >= 1000")
         if self.quad_points < 2:
             raise InvalidConfigError("quadrature needs at least 2 points per axis")
-        if not self.truncation > 0.0:
-            raise InvalidConfigError("truncation must be positive")
 
 
 @dataclass(frozen=True)
@@ -158,14 +157,8 @@ def _validate(r, sigma, products):
 
 def _mc_probability(r, sigma, lo, hi, samples, stream):
     n = r.shape[0]
-    blocks = []
-    start = 0
-    index = 0
-    while start < samples:
-        size = min(_MC_BLOCK, samples - start)
-        blocks.append((index, size))
-        start += size
-        index += 1
+    blocks = [(index, min(_MC_BLOCK, samples - start))
+              for index, start in enumerate(range(0, samples, _MC_BLOCK))]
 
     def count_block(block):
         idx, size = block
@@ -234,7 +227,7 @@ def _qmc_probability(r, sigma, lo, hi, samples, stream):
             for v, se in zip(values, stderrs)]
 
 
-def _quadrature_probability(r, sigma, lo, hi, quad_points, truncation):
+def _quadrature_probability(r, sigma, lo, hi, quad_points):
     n = r.shape[0]
     if n > QUADRATURE_MAX_DIM:
         raise QuadratureDimensionError(
@@ -245,12 +238,12 @@ def _quadrature_probability(r, sigma, lo, hi, quad_points, truncation):
     lo, hi = lo / sigma, hi / sigma
     rinv = scipy.linalg.solve_triangular(r, np.eye(n), lower=False)
     marg_std = np.sqrt(np.sum(rinv ** 2, axis=1))
-    # Clip every axis to +-truncation marginal standard deviations.  This
-    # both truncates infinite ends and shrinks finite intervals that are
-    # much wider than the density, so the fixed node count keeps resolving
-    # the integrand; the discarded mass per clipped end is below
-    # erfc(truncation / sqrt(2)) / 2.
-    cut = truncation * marg_std
+    # Clip every axis to +-QUADRATURE_TRUNCATION marginal standard
+    # deviations.  This both truncates infinite ends and shrinks finite
+    # intervals that are much wider than the density, so the fixed node
+    # count keeps resolving the integrand; the discarded mass per clipped
+    # end is below erfc(QUADRATURE_TRUNCATION / sqrt(2)) / 2.
+    cut = QUADRATURE_TRUNCATION * marg_std
     lo_t = np.maximum(lo, -cut)
     hi_t = np.minimum(hi, cut)
     if np.any(lo_t >= hi_t):
@@ -296,8 +289,7 @@ def box_probability(r, sigma, intervals, cfg: IntegratorConfig,
     """
     r, sigma, lo, hi = _validate(r, sigma, (tuple(intervals),))
     if cfg.method is IntegratorMethod.QUADRATURE:
-        return _quadrature_probability(r, sigma, lo[0], hi[0], cfg.quad_points,
-                                       cfg.truncation)
+        return _quadrature_probability(r, sigma, lo[0], hi[0], cfg.quad_points)
     if stream is None:
         raise InvalidConfigError("stochastic backends need an RngStream")
     if cfg.method is IntegratorMethod.MONTE_CARLO:

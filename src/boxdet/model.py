@@ -16,7 +16,7 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import DimensionMismatchError, OutOfBoxError
-from .linalg import as_matrix, as_vector, qr_positive
+from .linalg import as_matrix, as_vector, qr_positive, validate_upper_triangular
 
 
 def validate_sigma(sigma) -> float:
@@ -111,19 +111,19 @@ class LinearModel:
 
 @dataclass(frozen=True)
 class ReducedModel:
-    """Upper-triangular observation model ytilde = R x + vtilde."""
+    """Upper-triangular observation model ytilde = R x + vtilde.
+
+    R must be square, exactly zero below the diagonal, finite and positive
+    on the diagonal (``validate_upper_triangular``); ytilde must match it.
+    """
 
     r: np.ndarray
     ytilde: np.ndarray
     sigma: float
 
     def __init__(self, r, ytilde, sigma: float):
-        r = np.asarray(r, dtype=float)
-        ytilde = as_vector(ytilde)
-        if r.ndim != 2 or r.shape[0] != r.shape[1] or r.shape[0] != ytilde.size:
-            raise DimensionMismatchError(
-                f"r has shape {r.shape} but ytilde has length {ytilde.size}"
-            )
+        r = validate_upper_triangular(r)
+        ytilde = as_vector(ytilde, r.shape[0])
         sigma = validate_sigma(sigma)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "ytilde", ytilde)

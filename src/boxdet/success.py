@@ -18,7 +18,7 @@ folding each pattern with its L <-> U mirror halves those.
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 from scipy.special import erf
@@ -212,22 +212,3 @@ def p_br_uniform(r, sigma: float, box: BoxConstraint, cfg: IntegratorConfig,
     samples = sum(est.samples for est in ests)
     return McEstimate(float(np.clip(value, 0.0, 1.0)), math.sqrt(var), samples,
                       sub.label())
-
-
-@dataclass(frozen=True)
-class SuccessReport:
-    """Bundle of success probabilities for one (R, sigma, box) instance."""
-
-    inputs_digest: str
-    p_bb_det: float | None = None
-    p_br_det: McEstimate | None = None
-    p_bb_unif: float | None = None
-    p_br_unif: McEstimate | None = None
-    bounds: tuple | None = None
-
-    def __post_init__(self):
-        for p in (self.p_bb_det, self.p_bb_unif):
-            if p is not None and not 0.0 <= p <= 1.0:
-                raise ValueError(f"probability {p} outside [0, 1]")
-        if self.bounds is not None and self.bounds[0] > self.bounds[1]:
-            raise ValueError("bounds must satisfy lower <= upper")

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from boxdet.chart import render_chart
 from boxdet.experiment import ExperimentConfig, run_experiment
 
 EX1_TEXT = "2 -1\n0 1\n"
+REDUCED_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "figure1_reduced.json"
 
 
 @pytest.fixture
@@ -251,6 +254,26 @@ class TestExperimentCommand:
         path.write_text(json.dumps({"n": 2}))
         assert main(["experiment", "--config", str(path), "--out",
                      str(tmp_path / "x.csv")]) == 2
+
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
+        cfg = _config_file(tmp_path, sead=7)
+        assert main(["experiment", "--config", cfg, "--out",
+                     str(tmp_path / "x.csv")]) == 2
+        assert "sead" in capsys.readouterr().err
+
+    def test_removed_truncation_key_exits_2(self, tmp_path, capsys):
+        cfg = _config_file(tmp_path, integrator={"method": "quad", "truncation": 10.0})
+        assert main(["experiment", "--config", cfg, "--out",
+                     str(tmp_path / "x.csv")]) == 2
+        assert "truncation" in capsys.readouterr().err
+
+    def test_reduced_sweep_digest(self, tmp_path):
+        # Pins the sampling and both detector kernels: any change to their
+        # numbers moves this digest of configs/figure1_reduced.json's CSV.
+        out = tmp_path / "reduced.csv"
+        assert main(["experiment", "--config", str(REDUCED_CONFIG), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "75a02d4e16ad1fb1dfa414be9a4d6d3fcecb45892c473ec34149a55d8fd307bb")
 
     def test_csv_round_trip(self, tmp_path):
         cfg = ExperimentConfig.from_json_file(_config_file(tmp_path))

@@ -7,9 +7,9 @@ from boxdet.detectors import (
     box_rounding,
     ordinary_babai,
     ordinary_rounding,
-    round_scalar,
 )
 from boxdet.errors import BoxTooLargeError, DimensionMismatchError
+from boxdet.linalg import back_substitute
 from boxdet.model import BoxConstraint, ReducedModel
 
 EX1 = np.array([[2.0, -1.0], [0.0, 1.0]])
@@ -27,43 +27,58 @@ def _random_instance(rng, n, lo=-2, hi=4):
     return r, box
 
 
+def _round(t):
+    """The detectors' tie rule on one value: ordinary rounding at R = [[1]]."""
+    return int(ordinary_rounding(_rm([[1.0]], [t]))[0])
+
+
+def _babai_statistics(rm, x):
+    """c_i = (ytilde_i - sum_{j>i} r_ij x_j) / r_ii, read off a Babai output."""
+    return np.array([
+        (rm.ytilde[i] - rm.r[i, i + 1:] @ x[i + 1:]) / rm.r[i, i]
+        for i in range(rm.dim)
+    ])
+
+
 class TestRoundScalar:
+    """The half-toward-zero tie rule, through ordinary rounding of a scalar."""
+
     def test_half_ties_toward_zero(self):
-        assert round_scalar(0.5) == 0
-        assert round_scalar(-0.5) == 0
-        assert round_scalar(1.5) == 1
-        assert round_scalar(-1.5) == -1
+        assert _round(0.5) == 0
+        assert _round(-0.5) == 0
+        assert _round(1.5) == 1
+        assert _round(-1.5) == -1
 
     def test_ordinary_rounding(self):
-        assert round_scalar(2.3) == 2
-        assert round_scalar(-2.7) == -3
-        assert round_scalar(0.0) == 0
+        assert _round(2.3) == 2
+        assert _round(-2.7) == -3
+        assert _round(0.0) == 0
 
     def test_tie_rule_over_grid(self):
         for k in range(0, 50):
-            assert round_scalar(k + 0.5) == k
+            assert _round(k + 0.5) == k
         for k in range(-50, 0):
-            assert round_scalar(k + 0.5) == k + 1
+            assert _round(k + 0.5) == k + 1
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            round_scalar(float("nan"))
+            _round(float("nan"))
 
 
 class TestBoxRounding:
     def test_noiseless_recovery(self):
         xhat = np.array([2, 1])
         out = box_rounding(_rm(EX1, EX1 @ xhat), BOX03)
-        np.testing.assert_array_equal(out.x, xhat)
+        np.testing.assert_array_equal(out, xhat)
 
     def test_hand_instance_with_clamp(self):
-        out = box_rounding(_rm(EX1, [-1.2, -0.4]), BOX03, trace=True)
-        np.testing.assert_allclose(out.trace, [-0.8, -0.4])
-        np.testing.assert_array_equal(out.x, [0, 0])
+        rm = _rm(EX1, [-1.2, -0.4])
+        np.testing.assert_allclose(back_substitute(rm.r, rm.ytilde), [-0.8, -0.4])
+        np.testing.assert_array_equal(box_rounding(rm, BOX03), [0, 0])
 
     def test_upper_clamp(self):
         out = box_rounding(_rm(np.eye(2), [10.0, 10.0]), BOX03)
-        np.testing.assert_array_equal(out.x, [3, 3])
+        np.testing.assert_array_equal(out, [3, 3])
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -73,14 +88,16 @@ class TestBoxRounding:
 class TestBoxBabai:
     def test_noiseless_recovery_with_trace(self):
         xhat = np.array([2, 1])
-        out = box_babai(_rm(EX1, EX1 @ xhat), BOX03, trace=True)
-        np.testing.assert_array_equal(out.x, xhat)
-        np.testing.assert_allclose(out.trace, xhat.astype(float))
+        rm = _rm(EX1, EX1 @ xhat)
+        out = box_babai(rm, BOX03)
+        np.testing.assert_array_equal(out, xhat)
+        np.testing.assert_allclose(_babai_statistics(rm, out), xhat.astype(float))
 
     def test_hand_recursion(self):
-        out = box_babai(_rm(EX1, [-0.2, 0.6]), BOX03, trace=True)
-        np.testing.assert_allclose(out.trace, [0.4, 0.6])
-        np.testing.assert_array_equal(out.x, [0, 1])
+        rm = _rm(EX1, [-0.2, 0.6])
+        out = box_babai(rm, BOX03)
+        np.testing.assert_allclose(_babai_statistics(rm, out), [0.4, 0.6])
+        np.testing.assert_array_equal(out, [0, 1])
 
     def test_diagonal_r_coincides_with_rounding(self):
         rng = np.random.default_rng(9)
@@ -90,19 +107,19 @@ class TestBoxBabai:
             box = BoxConstraint(np.full(n, -1), np.full(n, 4))
             rm = _rm(r, rng.standard_normal(n) * 3)
             np.testing.assert_array_equal(
-                box_babai(rm, box).x, box_rounding(rm, box).x
+                box_babai(rm, box), box_rounding(rm, box)
             )
 
 
 class TestOrdinaryDetectors:
     def test_pure_rounding(self):
         rm = _rm(np.eye(2), [7.6, -9.2])
-        np.testing.assert_array_equal(ordinary_rounding(rm).x, [8, -9])
-        np.testing.assert_array_equal(ordinary_babai(rm).x, [8, -9])
+        np.testing.assert_array_equal(ordinary_rounding(rm), [8, -9])
+        np.testing.assert_array_equal(ordinary_babai(rm), [8, -9])
 
     def test_hand_instance_unclamped(self):
         out = ordinary_rounding(_rm(EX1, [-1.2, -0.4]))
-        np.testing.assert_array_equal(out.x, [-1, 0])
+        np.testing.assert_array_equal(out, [-1, 0])
 
     def test_equal_to_box_versions_when_clamp_inactive(self):
         rng = np.random.default_rng(21)
@@ -111,10 +128,10 @@ class TestOrdinaryDetectors:
             r, _ = _random_instance(rng, 3)
             rm = _rm(r, rng.standard_normal(3) * 2)
             np.testing.assert_array_equal(
-                ordinary_rounding(rm).x, box_rounding(rm, wide).x
+                ordinary_rounding(rm), box_rounding(rm, wide)
             )
             np.testing.assert_array_equal(
-                ordinary_babai(rm).x, box_babai(rm, wide).x
+                ordinary_babai(rm), box_babai(rm, wide)
             )
 
 
@@ -140,8 +157,8 @@ class TestBruteForce:
             rm = _rm(r, rng.standard_normal(n) * 2)
             best = bils_brute_force(rm, box)
             cost = lambda x: np.sum((rm.ytilde - rm.r @ x) ** 2)
-            assert cost(best) <= cost(box_babai(rm, box).x) + 1e-12
-            assert cost(best) <= cost(box_rounding(rm, box).x) + 1e-12
+            assert cost(best) <= cost(box_babai(rm, box)) + 1e-12
+            assert cost(best) <= cost(box_rounding(rm, box)) + 1e-12
 
     def test_box_guard(self):
         rm = _rm(np.eye(3), [0.0, 0.0, 0.0])
@@ -157,8 +174,8 @@ class TestDetectorProperties:
             r, box = _random_instance(rng, n, lo=0, hi=3)
             xhat = rng.integers(0, 4, n)
             rm = _rm(r, r @ xhat)
-            np.testing.assert_array_equal(box_rounding(rm, box).x, xhat)
-            np.testing.assert_array_equal(box_babai(rm, box).x, xhat)
+            np.testing.assert_array_equal(box_rounding(rm, box), xhat)
+            np.testing.assert_array_equal(box_babai(rm, box), xhat)
 
     def test_outputs_always_in_box(self):
         rng = np.random.default_rng(2)
@@ -167,13 +184,13 @@ class TestDetectorProperties:
             r, box = _random_instance(rng, n)
             rm = _rm(r, rng.standard_normal(n) * 10)
             for out in (box_rounding(rm, box), box_babai(rm, box)):
-                assert box.contains(out.x)
+                assert box.contains(out)
 
     def test_round_then_clamp_matches_three_case_split(self):
         # reference: apply the explicit case split (clamp low / keep / clamp
         # high on the rounded statistic) instead of round-then-clamp
         def three_case(value, lo, hi):
-            rounded = round_scalar(value)
+            rounded = _round(value)
             if rounded <= lo:
                 return lo
             if rounded >= hi:
@@ -185,15 +202,15 @@ class TestDetectorProperties:
             n = int(rng.integers(1, 6))
             r, box = _random_instance(rng, n)
             rm = _rm(r, rng.standard_normal(n) * 4)
-            out = box_rounding(rm, box, trace=True)
+            d = back_substitute(rm.r, rm.ytilde)
             expected = [
-                three_case(d, lo, hi)
-                for d, lo, hi in zip(out.trace, box.lower, box.upper)
+                three_case(di, lo, hi)
+                for di, lo, hi in zip(d, box.lower, box.upper)
             ]
-            np.testing.assert_array_equal(out.x, expected)
-            out_b = box_babai(rm, box, trace=True)
+            np.testing.assert_array_equal(box_rounding(rm, box), expected)
+            out_b = box_babai(rm, box)
             expected_b = [
                 three_case(c, lo, hi)
-                for c, lo, hi in zip(out_b.trace, box.lower, box.upper)
+                for c, lo, hi in zip(_babai_statistics(rm, out_b), box.lower, box.upper)
             ]
-            np.testing.assert_array_equal(out_b.x, expected_b)
+            np.testing.assert_array_equal(out_b, expected_b)

@@ -4,15 +4,10 @@ import numpy as np
 import pytest
 
 from boxdet.errors import InvalidConfigError
-from boxdet.experiment import (
-    ExperimentConfig,
-    _count_successes,
-    run_experiment,
-    run_trial,
-)
+from boxdet.experiment import ExperimentConfig, _count_successes, run_experiment
 from boxdet.gaussbox import IntegratorConfig, IntegratorMethod
 from boxdet.linalg import qr_positive
-from boxdet.model import BoxConstraint, LinearModel
+from boxdet.model import BoxConstraint
 from boxdet.rng import RngStream
 from boxdet.success import p_bb_uniform
 
@@ -74,6 +69,21 @@ class TestConfig:
         assert cfg.integrator.method is IntegratorMethod.SEQ_QMC
         assert not cfg.compute_exact_br
 
+    def test_from_dict_rejects_unknown_keys(self):
+        doc = {
+            "n": 2, "box": {"lower": 0, "upper": 3}, "sigma_grid": [0.1],
+            "num_matrices": 1, "trials_per_matrix": 10,
+        }
+        ExperimentConfig.from_dict(doc)
+        for bad, key in (
+            ({**doc, "box": {"lower": 0, "upper": 3, "uper": 4}}, "uper"),
+            ({**doc, "integrator": {"sampels": 99999}}, "sampels"),
+        ):
+            with pytest.raises(InvalidConfigError, match=key):
+                ExperimentConfig.from_dict(bad)
+        with pytest.raises(InvalidConfigError, match="JSON object"):
+            ExperimentConfig.from_dict({**doc, "integrator": "qmc"})
+
     def test_from_dict_rejects_garbage(self):
         with pytest.raises(InvalidConfigError):
             ExperimentConfig.from_dict({"n": 2})
@@ -84,21 +94,21 @@ class TestConfig:
             })
 
 
-class TestRunTrial:
+def _counts(a, sigma, stream, trials):
+    q1, r = qr_positive(a)
+    return _count_successes(a, q1, r, BOX3, sigma, stream, trials)
+
+
+class TestCountSuccesses:
     def test_tiny_noise_always_succeeds(self):
-        rng = np.random.default_rng(0)
-        model = LinearModel(rng.standard_normal((3, 3)), 1e-9)
-        for k in range(20):
-            br, bb = run_trial(model, BOX3, RngStream(3, (k,)))
-            assert br and bb
+        a = np.random.default_rng(0).standard_normal((3, 3))
+        assert _counts(a, 1e-9, RngStream(3), 5000) == (5000, 5000)
 
     def test_deterministic(self):
-        rng = np.random.default_rng(1)
-        model = LinearModel(rng.standard_normal((3, 3)), 0.3)
-        flags = [run_trial(model, BOX3, RngStream(4, (k,))) for k in range(50)]
-        again = [run_trial(model, BOX3, RngStream(4, (k,))) for k in range(50)]
-        assert flags == again
-        assert any(f != (True, True) for f in flags)  # noise actually bites
+        a = np.random.default_rng(1).standard_normal((3, 3))
+        counts = _counts(a, 0.3, RngStream(4), 5000)
+        assert counts == _counts(a, 0.3, RngStream(4), 5000)
+        assert min(counts) < 5000  # noise actually bites
 
     def test_identity_model_matches_closed_form(self):
         # at A = I the empirical Babai rate must track the closed form

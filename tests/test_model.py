@@ -108,6 +108,13 @@ class TestModels:
         with pytest.raises(ValueError):
             ReducedModel(np.eye(2), [1.0, 2.0], -1.0)
 
+    def test_reduced_model_validates_r(self):
+        for r in ([[1.0, 1.0], [1.0, 1.0]],  # not upper triangular
+                  [[0.0, 1.0], [0.0, 1.0]],  # zero on the diagonal
+                  [[1.0, np.nan], [0.0, 1.0]]):
+            with pytest.raises(ValueError):
+                ReducedModel(r, [1.0, 1.0], 1.0)
+
     def test_reduce_identity(self):
         rm = reduce(LinearModel(np.eye(2), 1.0), [0.3, -0.7])
         np.testing.assert_array_equal(rm.r, np.eye(2))

@@ -1,6 +1,8 @@
-"""Property tests (hypothesis) of the rounding success probabilities:
-the L <-> U mirror symmetry that pattern folding rests on, folding against
-the unfolded pattern sum, and independence from the worker count."""
+"""Property tests (hypothesis): the L <-> U mirror symmetry of the rounding
+success probability that pattern folding rests on, folding against the
+unfolded pattern sum, independence from the worker count, the pattern-free
+Babai bounds, and the two detector kernels (output in the box, and equal
+to the ordinary detector when the clamp never acts)."""
 
 import itertools
 
@@ -9,10 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxdet.detectors import babai_batch, ordinary_babai, ordinary_rounding, rounding_batch
 from boxdet.gaussbox import IntegratorConfig, IntegratorMethod
-from boxdet.model import BoundaryTag, BoxConstraint
+from boxdet.model import BoundaryTag, BoxConstraint, ReducedModel
 from boxdet.rng import RngStream
-from boxdet.success import _pattern_choices, p_br_deterministic, p_br_uniform
+from boxdet.success import (
+    _pattern_choices,
+    p_bb_bounds,
+    p_bb_deterministic,
+    p_br_deterministic,
+    p_br_uniform,
+)
 
 # Quadrature nodes per axis: the properties below are exact identities of
 # the quadrature rule, so a coarse rule tests them as well as a fine one.
@@ -80,3 +89,56 @@ def test_uniform_identical_across_thread_counts(seed, sigma, widths):
             patch.setenv("BOXDET_THREADS", threads)
             outputs.append(repr(p_br_uniform(r, sigma, box, QMC, RngStream(seed))))
     assert outputs[0] == outputs[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=well_conditioned(), sigma=st.floats(0.05, 5.0))
+def test_babai_bounds_sandwich_every_pattern(r, sigma):
+    lower, upper = p_bb_bounds(r, sigma)
+    tags = (BoundaryTag.LOWER, BoundaryTag.INTERIOR, BoundaryTag.UPPER)
+    for pattern in itertools.product(tags, repeat=r.shape[0]):
+        p = p_bb_deterministic(r, sigma, pattern)
+        assert lower * (1 - 1e-12) <= p <= upper * (1 + 1e-12)
+
+
+@st.composite
+def detector_batches(draw):
+    """(R, ytilde batch, box): R of dimension <= 5 with arbitrary
+    off-diagonal entries; a third of the batches put the rounding statistic
+    d = R^{-1} ytilde on exact half-integers, where the tie rule acts."""
+    n = draw(st.integers(1, 5))
+    count = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    r = np.triu(rng.uniform(-2.0, 2.0, (n, n)))
+    r[np.diag_indices(n)] = rng.uniform(0.3, 2.5, n)
+    if draw(st.integers(0, 2)) == 0:
+        r = np.diag(rng.integers(1, 4, n).astype(float))
+        ytilde = (rng.integers(-8, 8, (count, n)) + 0.5) @ r.T
+    else:
+        ytilde = rng.normal(0.0, draw(st.floats(0.1, 20.0)), (count, n))
+    lower = rng.integers(-4, 3, n)
+    box = BoxConstraint(lower, lower + rng.integers(0, 5, n))
+    return r, ytilde, box
+
+
+@pytest.mark.parametrize("kernel", [rounding_batch, babai_batch])
+@settings(max_examples=60, deadline=None)
+@given(instance=detector_batches())
+def test_detector_output_in_box(kernel, instance):
+    r, ytilde, box = instance
+    x = kernel(r, ytilde, box.lower, box.upper)
+    assert x.shape == ytilde.shape
+    assert np.all(x == np.round(x))
+    assert np.all((x >= box.lower) & (x <= box.upper))
+
+
+@pytest.mark.parametrize("kernel, ordinary", [(rounding_batch, ordinary_rounding),
+                                              (babai_batch, ordinary_babai)])
+@settings(max_examples=60, deadline=None)
+@given(instance=detector_batches(), margin=st.integers(0, 2))
+def test_wide_box_equals_ordinary_detector(kernel, ordinary, instance, margin):
+    r, ytilde, _ = instance
+    free = np.array([ordinary(ReducedModel(r, y, 1.0)) for y in ytilde])
+    # Every unclamped output lies inside, so the clamp never acts.
+    lower, upper = free.min(axis=0) - margin, free.max(axis=0) + margin
+    np.testing.assert_array_equal(kernel(r, ytilde, lower, upper), free)

@@ -16,7 +16,6 @@ from boxdet.gaussbox import (
 from boxdet.model import BoundaryTag, BoxConstraint, classify, parse_pattern
 from boxdet.rng import RngStream
 from boxdet.success import (
-    SuccessReport,
     _folded_patterns,
     _pattern_choices,
     p_bb_bounds,
@@ -318,11 +317,3 @@ class TestStderrCalibration:
                                p_br_uniform(r, sigma, box, cfg, stream))
         assert 0.87 <= share <= 0.99
 
-
-class TestSuccessReport:
-    def test_validation(self):
-        SuccessReport("demo", p_bb_det=0.5, bounds=(0.1, 0.9))
-        with pytest.raises(ValueError):
-            SuccessReport("demo", p_bb_det=1.5)
-        with pytest.raises(ValueError):
-            SuccessReport("demo", bounds=(0.9, 0.1))
