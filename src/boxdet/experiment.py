@@ -49,6 +49,13 @@ def _reject_unknown_keys(doc, schema, where: str) -> None:
         raise InvalidConfigError(f"unknown {where} key(s): {', '.join(unknown)}")
 
 
+def _json_int(value, key: str) -> int:
+    """A config value that must be a JSON integer (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidConfigError(f"{key} must be a JSON integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     n: int
@@ -80,28 +87,38 @@ class ExperimentConfig:
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         try:
             _reject_unknown_keys(doc, cls, "config")
-            n = int(doc["n"])
+            n = _json_int(doc["n"], "n")
             box_doc = doc["box"]
             _reject_unknown_keys(box_doc, BoxConstraint, "box")
-            lower, upper = box_doc["lower"], box_doc["upper"]
-            lower = np.full(n, lower) if np.isscalar(lower) else np.asarray(lower)
-            upper = np.full(n, upper) if np.isscalar(upper) else np.asarray(upper)
+            bounds = [[_json_int(v, f"box {key}") for v in box_doc[key]]
+                      if isinstance(box_doc[key], list)
+                      else np.full(n, _json_int(box_doc[key], f"box {key}"))
+                      for key in ("lower", "upper")]
             integ = doc.get("integrator", {})
             _reject_unknown_keys(integ, IntegratorConfig, "integrator")
             integrator = IntegratorConfig(
                 method=IntegratorMethod(integ.get("method", "qmc")),
-                samples=int(integ.get("samples", DEFAULT_EXPERIMENT_INTEGRATOR.samples)),
-                quad_points=int(integ.get("quad_points", 64)),
+                samples=_json_int(integ.get("samples", DEFAULT_EXPERIMENT_INTEGRATOR.samples),
+                                  "samples"),
+                quad_points=_json_int(integ.get("quad_points", 64), "quad_points"),
             )
+            grid = doc["sigma_grid"]
+            if not isinstance(grid, list) or any(
+                    isinstance(s, bool) or not isinstance(s, (int, float)) for s in grid):
+                raise InvalidConfigError(f"sigma_grid must be a JSON list of numbers, got {grid!r}")
+            exact = doc.get("compute_exact_br", True)
+            if not isinstance(exact, bool):
+                raise InvalidConfigError(
+                    f"compute_exact_br must be a JSON boolean, got {exact!r}")
             return cls(
                 n=n,
-                box=BoxConstraint(lower, upper),
-                sigma_grid=tuple(doc["sigma_grid"]),
-                num_matrices=int(doc["num_matrices"]),
-                trials_per_matrix=int(doc["trials_per_matrix"]),
-                seed=int(doc.get("seed", 0)),
+                box=BoxConstraint(*bounds),
+                sigma_grid=tuple(grid),
+                num_matrices=_json_int(doc["num_matrices"], "num_matrices"),
+                trials_per_matrix=_json_int(doc["trials_per_matrix"], "trials_per_matrix"),
+                seed=_json_int(doc.get("seed", 0), "seed"),
                 integrator=integrator,
-                compute_exact_br=bool(doc.get("compute_exact_br", True)),
+                compute_exact_br=exact,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidConfigError(f"bad experiment config: {exc}") from exc

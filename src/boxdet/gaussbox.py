@@ -25,11 +25,12 @@ Three interchangeable backends:
   base.
   Standard error from the spread over the randomizations.  A single
   integral is a batch of one.
-* ``QUADRATURE`` -- deterministic tensor Gauss-Legendre, dimension <= 4.
-  Every axis is clipped to the constant ``QUADRATURE_TRUNCATION`` = 10
-  per-axis standard deviations of the target Gaussian, which truncates
-  infinite ends and concentrates nodes where the density lives; the
-  neglected mass is below erfc(10 / sqrt(2)) / 2 < 1e-23 per clipped end.
+* ``QUADRATURE`` -- the same sweep in units of sigma, dimension <= 4, with
+  m Gauss-Legendre nodes in place of Sobol points on each of the first
+  n - 1 standardized conditional intervals.  These have unit variance
+  whatever R is, so each is clipped to +-``QUADRATURE_TRUNCATION`` = 10;
+  the neglected mass is below erfc(10 / sqrt(2)) / 2 < 1e-23 per clipped
+  end.  The last coordinate is closed form, so ``samples`` = m^(n-1).
   Reported stderr is 0.
 
 The canonical per-coordinate intervals are [-1/2, 1/2], (-inf, 1/2],
@@ -59,11 +60,11 @@ from .model import BoundaryTag, validate_sigma
 from .rng import RngStream, standard_normal
 
 QUADRATURE_MAX_DIM = 4
-QUADRATURE_TRUNCATION = 10.0  # per-axis standard deviations kept
+QUADRATURE_TRUNCATION = 10.0  # standardized conditional limits kept
 _MC_BLOCK = 1 << 16
 _QMC_RANDOMIZATIONS = 16
 _QMC_BITS = 30  # binary digits per Sobol coordinate
-_QMC_CHUNK = 1 << 14  # product-points per array of the batched sweep
+_SWEEP_CHUNK = 1 << 14  # product-points (or -nodes) per array of a batched sweep
 
 
 class Interval(NamedTuple):
@@ -123,7 +124,7 @@ class McEstimate:
     """An estimated quantity with its standard error and seed provenance.
 
     ``stderr`` is 0 for deterministic backends; ``samples`` counts the
-    stochastic draws (or integrand evaluations for quadrature).
+    stochastic draws (or the product-nodes of quadrature).
     """
 
     value: float
@@ -138,21 +139,22 @@ class McEstimate:
             raise ValueError("samples must be nonnegative")
 
 
-def _validate(r, sigma, products):
+def _validate(r, sigma, products, cfg, stream):
     """Checked (R, sigma, lo, hi); lo and hi hold one row per interval
-    product."""
+    product.  The stochastic backends also need a stream."""
     r = validate_upper_triangular(r)
     n = r.shape[0]
     for intervals in products:
         if len(intervals) != n:
-            raise DimensionMismatchError(
-                f"{len(intervals)} intervals given for dimension {n}"
-            )
+            raise DimensionMismatchError(f"{len(intervals)} intervals given for dimension {n}")
     bounds = np.array(products, dtype=float).reshape(len(products), n, 2)
     lo, hi = bounds[..., 0], bounds[..., 1]
     if not np.all(lo < hi):
         raise ValueError("each interval needs lo < hi")
-    return r, validate_sigma(sigma), lo, hi
+    sigma = validate_sigma(sigma)
+    if cfg.method is not IntegratorMethod.QUADRATURE and stream is None:
+        raise InvalidConfigError("stochastic backends need an RngStream")
+    return r, sigma, lo, hi
 
 
 def _mc_probability(r, sigma, lo, hi, samples, stream):
@@ -189,7 +191,7 @@ def _qmc_probability(r, sigma, lo, hi, samples, stream):
 
     log2_pts = max(6, math.ceil(math.log2(max(1, samples // _QMC_RANDOMIZATIONS))))
     npts = 1 << log2_pts
-    per_chunk = max(1, _QMC_CHUNK // npts)
+    per_chunk = max(1, _SWEEP_CHUNK // npts)
     u_top = np.nextafter(1.0, 0.0)
     scale = 2.0 ** -_QMC_BITS
 
@@ -228,83 +230,72 @@ def _qmc_probability(r, sigma, lo, hi, samples, stream):
 
 
 def _quadrature_probability(r, sigma, lo, hi, quad_points):
-    n = r.shape[0]
+    """QUADRATURE values for a batch of interval products (one row of lo
+    and hi each), returned in row order."""
+    boxes, n = lo.shape
     if n > QUADRATURE_MAX_DIM:
         raise QuadratureDimensionError(
-            f"quadrature supports dimension <= {QUADRATURE_MAX_DIM}, got {n}"
-        )
-    # Integrate over t = xi / sigma, whose law N(0, (R^T R)^{-1}) does not
-    # depend on sigma, so no power of sigma can underflow or overflow.
-    lo, hi = lo / sigma, hi / sigma
-    rinv = scipy.linalg.solve_triangular(r, np.eye(n), lower=False)
-    marg_std = np.sqrt(np.sum(rinv ** 2, axis=1))
-    # Clip every axis to +-QUADRATURE_TRUNCATION marginal standard
-    # deviations.  This both truncates infinite ends and shrinks finite
-    # intervals that are much wider than the density, so the fixed node
-    # count keeps resolving the integrand; the discarded mass per clipped
-    # end is below erfc(QUADRATURE_TRUNCATION / sqrt(2)) / 2.
-    cut = QUADRATURE_TRUNCATION * marg_std
-    lo_t = np.maximum(lo, -cut)
-    hi_t = np.minimum(hi, cut)
-    if np.any(lo_t >= hi_t):
-        return McEstimate(0.0, 0.0, 0, "deterministic")
-
+            f"quadrature supports dimension <= {QUADRATURE_MAX_DIM}, got {n}")
+    # The sweep of _qmc_probability in units of sigma: t = xi / sigma has
+    # the law N(0, (R^T R)^{-1}), so no power of sigma can underflow.
+    chol = scipy.linalg.solve_triangular(r, np.eye(n), lower=False)[::-1, ::-1]
+    lo_r, hi_r = lo[:, ::-1] / sigma, hi[:, ::-1] / sigma
     base_nodes, base_weights = np.polynomial.legendre.leggauss(quad_points)
-    nodes, weights = [], []
-    for i in range(n):
-        half = 0.5 * (hi_t[i] - lo_t[i])
-        mid = 0.5 * (hi_t[i] + lo_t[i])
-        nodes.append(mid + half * base_nodes)
-        weights.append(half * base_weights)
+    nodes = quad_points ** (n - 1)
+    per_chunk = max(1, _SWEEP_CHUNK // nodes)
+    values = np.empty(boxes)
+    for start in range(0, boxes, per_chunk):
+        rows = slice(start, start + per_chunk)
+        lo_c, hi_c = lo_r[rows, :, None], hi_r[rows, :, None]
+        count = len(lo_c)
+        weight, z = np.ones((count, 1)), np.empty((count, 1, 0))
+        for i in range(n):
+            shift = z @ chol[i, :i]
+            a = (lo_c[:, i] - shift) / chol[i, i]
+            b = (hi_c[:, i] - shift) / chol[i, i]
+            if i == n - 1:
+                break  # the last coordinate is closed form
+            a = np.clip(a, -QUADRATURE_TRUNCATION, QUADRATURE_TRUNCATION)
+            b = np.clip(b, -QUADRATURE_TRUNCATION, QUADRATURE_TRUNCATION)
+            half = 0.5 * np.maximum(b - a, 0.0)
+            zi = (0.5 * (a + b))[..., None] + half[..., None] * base_nodes
+            weight = (weight * half)[..., None] * base_weights * np.exp(-0.5 * zi * zi)
+            weight = weight.reshape(count, -1) / math.sqrt(2.0 * math.pi)
+            z = np.concatenate((np.repeat(z, quad_points, axis=1),
+                                zi.reshape(count, -1, 1)), axis=2)
+        values[rows] = np.sum(weight * (ndtr(b) - ndtr(a)), axis=1)
+    return [McEstimate(float(v), 0.0, nodes, "deterministic")
+            for v in np.clip(values, 0.0, 1.0)]
 
-    if n == 1:
-        z = nodes[0] * r[0, 0]
-        total = float(np.exp(-0.5 * z * z) @ weights[0])
-    else:
-        grids = np.meshgrid(*nodes[1:], indexing="ij")
-        pts = np.stack([g.reshape(-1) for g in grids], axis=1)
-        inner = pts @ r[:, 1:].T
-        wgrids = np.meshgrid(*weights[1:], indexing="ij")
-        w_inner = np.ones(pts.shape[0])
-        for g in wgrids:
-            w_inner = w_inner * g.reshape(-1)
-        total = 0.0
-        for x1, w1 in zip(nodes[0], weights[0]):
-            z = inner + x1 * r[:, 0]
-            q = np.sum(z * z, axis=1)
-            total += w1 * float(np.exp(-0.5 * q) @ w_inner)
 
-    norm = float(np.prod(np.diag(r))) / (2.0 * math.pi) ** (n / 2.0)
-    value = float(np.clip(norm * total, 0.0, 1.0))
-    return McEstimate(value, 0.0, quad_points ** n, "deterministic")
+def box_probabilities(r, sigma, products, cfg: IntegratorConfig,
+                      stream: RngStream | None = None) -> list:
+    """Probabilities of many interval products under one (R, sigma), in
+    the order of ``products``, with uncorrelated errors.
+
+    QMC and quadrature integrate the whole batch in one sweep; MC
+    integrates product j on ``stream.child(j)``.  ``stream`` is required
+    for the stochastic backends and ignored by quadrature.
+    """
+    r, sigma, lo, hi = _validate(r, sigma, tuple(tuple(p) for p in products), cfg, stream)
+    if cfg.method is IntegratorMethod.QUADRATURE:
+        return _quadrature_probability(r, sigma, lo, hi, cfg.quad_points)
+    if cfg.method is IntegratorMethod.SEQ_QMC:
+        return _qmc_probability(r, sigma, lo, hi, cfg.samples, stream)
+    return ordered_map(lambda j: _mc_probability(r, sigma, lo[j], hi[j], cfg.samples,
+                                                 stream.child(j)),
+                       range(len(lo)))
 
 
 def box_probability(r, sigma, intervals, cfg: IntegratorConfig,
                     stream: RngStream | None = None) -> McEstimate:
     """Probability that N(0, sigma^2 (R^T R)^{-1}) lands in the interval
-    product, via the configured backend.
-
-    ``stream`` is required for the stochastic backends and ignored by
-    quadrature.
-    """
-    r, sigma, lo, hi = _validate(r, sigma, (tuple(intervals),))
-    if cfg.method is IntegratorMethod.QUADRATURE:
-        return _quadrature_probability(r, sigma, lo[0], hi[0], cfg.quad_points)
-    if stream is None:
-        raise InvalidConfigError("stochastic backends need an RngStream")
-    if cfg.method is IntegratorMethod.MONTE_CARLO:
-        return _mc_probability(r, sigma, lo[0], hi[0], cfg.samples, stream)
-    return _qmc_probability(r, sigma, lo, hi, cfg.samples, stream)[0]
-
-
-def qmc_box_probabilities(r, sigma, products, samples: int,
-                          stream: RngStream) -> list:
-    """SEQ_QMC probabilities of many interval products under one
-    (R, sigma), each with ``samples`` samples, in one batched sweep per
-    randomization; the estimates come back in the order of ``products``
-    and their errors are uncorrelated."""
-    r, sigma, lo, hi = _validate(r, sigma, tuple(tuple(p) for p in products))
-    return _qmc_probability(r, sigma, lo, hi, samples, stream)
+    product: a batch of one, except that MC integrates on ``stream``
+    itself."""
+    if cfg.method is not IntegratorMethod.MONTE_CARLO:
+        return box_probabilities(r, sigma, (intervals,), cfg, stream)[0]
+    r, sigma, lo, hi = _validate(r, sigma, (tuple(intervals),), cfg, stream)
+    return _mc_probability(r, sigma, lo[0], hi[0], cfg.samples, stream)
 
 
 def check_product_bound(r, sigma, a, tail_intervals, cfg: IntegratorConfig,

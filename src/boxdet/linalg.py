@@ -10,7 +10,7 @@ import scipy.linalg
 
 from .errors import DimensionMismatchError, RankDeficientError
 
-DEFAULT_RANK_TOL_PER_DIM = 1e-12
+RANK_TOL_PER_DIM = 1e-12
 
 
 def as_matrix(a) -> np.ndarray:
@@ -40,12 +40,14 @@ def validate_upper_triangular(r) -> np.ndarray:
         raise DimensionMismatchError(f"expected a square matrix, got shape {r.shape}")
     if np.any(np.tril(r, -1) != 0.0):
         raise ValueError("entries below the diagonal must be exactly zero")
-    if np.any(np.diag(r) <= 0.0) or not np.all(np.isfinite(r)):
-        raise ValueError("diagonal entries must be finite and strictly positive")
+    if not np.all(np.isfinite(r)):
+        raise ValueError("matrix entries must be finite")
+    if np.any(np.diag(r) <= 0.0):
+        raise ValueError("diagonal entries must be strictly positive")
     return r
 
 
-def qr_positive(a, rank_tol: float | None = None):
+def qr_positive(a):
     """Thin QR factorization a = q1 @ r with a positive diagonal on r.
 
     A standard Householder pass (LAPACK) runs first; rows of r and the
@@ -55,9 +57,6 @@ def qr_positive(a, rank_tol: float | None = None):
     Parameters
     ----------
     a : (m, n) array_like, m >= n >= 1
-    rank_tol : float, optional
-        Column-rank threshold relative to max |r_ii|.  Defaults to
-        1e-12 * n.
 
     Returns
     -------
@@ -67,12 +66,11 @@ def qr_positive(a, rank_tol: float | None = None):
     Raises
     ------
     RankDeficientError
-        If any |r_ii| <= rank_tol * max_i |r_ii|.
+        If any |r_ii| <= RANK_TOL_PER_DIM * n * max_i |r_ii|.
     """
     a = as_matrix(a)
     n = a.shape[1]
-    if rank_tol is None:
-        rank_tol = DEFAULT_RANK_TOL_PER_DIM * n
+    rank_tol = RANK_TOL_PER_DIM * n
     q1, r = np.linalg.qr(a, mode="reduced")
     diag = np.diag(r)
     scale = np.max(np.abs(diag))

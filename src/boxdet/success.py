@@ -23,21 +23,21 @@ from dataclasses import replace
 import numpy as np
 from scipy.special import erf
 
-from ._parallel import ordered_map
+# Unused here, but perfbench/spans.py wraps success.ordered_map by name.
+from ._parallel import ordered_map  # noqa: F401
 from .errors import DimensionMismatchError, PatternBudgetError
 from .gaussbox import (
     IntegratorConfig,
-    IntegratorMethod,
     McEstimate,
+    box_probabilities,
     box_probability,
     intervals_from_pattern,
-    qmc_box_probabilities,
 )
 from .linalg import validate_upper_triangular
 from .model import BoundaryTag, BoxConstraint, validate_sigma
 from .rng import RngStream
 
-DEFAULT_PATTERN_BUDGET = 3 ** 10
+PATTERN_BUDGET = 3 ** 10
 
 
 def phi(zeta: float, sigma: float) -> float:
@@ -160,8 +160,7 @@ def _folded_patterns(options) -> list:
 
 
 def p_br_uniform(r, sigma: float, box: BoxConstraint, cfg: IntegratorConfig,
-                 stream: RngStream | None = None,
-                 max_patterns: int = DEFAULT_PATTERN_BUDGET) -> McEstimate:
+                 stream: RngStream | None = None) -> McEstimate:
     """Success probability of the clamped rounding detector when the true
     vector is uniform over the box.
 
@@ -170,15 +169,15 @@ def p_br_uniform(r, sigma: float, box: BoxConstraint, cfg: IntegratorConfig,
     and the total is divided by the box size.  Mirror patterns are folded
     (see ``_folded_patterns``), which about halves the integrals, and each
     one gets twice ``cfg.samples`` so the samples per cell stay about the
-    same.  QMC integrates all patterns in one batched sweep per
-    randomization; the other backends integrate them one by one on
-    substreams.  The pattern errors are uncorrelated, so their stderrs
-    combine in quadrature.
+    same.  All patterns go to ``box_probabilities`` in one batch.  The
+    pattern errors are uncorrelated, so their stderrs combine in
+    quadrature.
 
     Raises
     ------
     PatternBudgetError
-        If the number of non-degenerate patterns exceeds ``max_patterns``.
+        If the number of non-degenerate patterns exceeds
+        ``PATTERN_BUDGET``.
     """
     r = validate_upper_triangular(r)
     if box.dim != r.shape[0]:
@@ -187,24 +186,16 @@ def p_br_uniform(r, sigma: float, box: BoxConstraint, cfg: IntegratorConfig,
         )
     options = _pattern_choices(box)
     budget = math.prod(len(opts) for opts in options)
-    if budget > max_patterns:
+    if budget > PATTERN_BUDGET:
         raise PatternBudgetError(
-            f"{budget} boundary patterns exceed the cap of {max_patterns}"
+            f"{budget} boundary patterns exceed the cap of {PATTERN_BUDGET}"
         )
     folded = _folded_patterns(options)
     if len(folded) < budget:
         cfg = replace(cfg, samples=2 * cfg.samples)
     sub = stream if stream is not None else RngStream(0)
-
-    if cfg.method is IntegratorMethod.SEQ_QMC:
-        products = [intervals_from_pattern(pattern) for pattern, _ in folded]
-        ests = qmc_box_probabilities(r, sigma, products, cfg.samples, sub)
-    else:
-        def integrate(job):
-            index, (pattern, _) = job
-            return p_br_deterministic(r, sigma, pattern, cfg, sub.child(index))
-
-        ests = ordered_map(integrate, enumerate(folded))
+    ests = box_probabilities(r, sigma, [intervals_from_pattern(p) for p, _ in folded],
+                             cfg, sub)
     weights = [weight for _, weight in folded]
     total_points = box.num_points()
     value = sum(w * est.value for w, est in zip(weights, ests)) / total_points

@@ -198,6 +198,17 @@ class TestMcSp:
                      "--pattern", "LL", "--method", "quad"]) == 0
         assert capsys.readouterr().out.startswith("P_D^BR = 1.000000 +/- 0.000000")
 
+    def test_ill_conditioned_quadrature(self, tmp_path, capsys):
+        # The density of R = [[1, 1], [0, 0.01]] lies on a narrow ridge;
+        # the LU value is the 1-D integral of phi(v) Phi(0.5 + 100 v) over
+        # v >= -0.005, which scipy's adaptive quad puts at 0.5004032.
+        a = tmp_path / "ridge.txt"
+        a.write_text("1 1\n0 0.01\n")
+        assert main(["mc-sp", str(a), "--sigma", "1", "--box", "0..3",
+                     "--pattern", "LU", "--method", "quad"]) == 0
+        value = float(capsys.readouterr().out.split("=")[1].split("+/-")[0])
+        assert abs(value - 0.5004032) < 1e-4
+
     def test_pattern_budget_exits_3(self, tmp_path):
         n = 11
         a = tmp_path / "big.txt"
@@ -260,6 +271,12 @@ class TestExperimentCommand:
         assert main(["experiment", "--config", cfg, "--out",
                      str(tmp_path / "x.csv")]) == 2
         assert "sead" in capsys.readouterr().err
+
+    def test_non_boolean_compute_exact_br_exits_2(self, tmp_path, capsys):
+        cfg = _config_file(tmp_path, compute_exact_br="false")
+        assert main(["experiment", "--config", cfg, "--out",
+                     str(tmp_path / "x.csv")]) == 2
+        assert "compute_exact_br must be a JSON boolean" in capsys.readouterr().err
 
     def test_removed_truncation_key_exits_2(self, tmp_path, capsys):
         cfg = _config_file(tmp_path, integrator={"method": "quad", "truncation": 10.0})

@@ -84,6 +84,32 @@ class TestConfig:
         with pytest.raises(InvalidConfigError, match="JSON object"):
             ExperimentConfig.from_dict({**doc, "integrator": "qmc"})
 
+    @pytest.mark.parametrize("key, override", [
+        ("compute_exact_br", {"compute_exact_br": "false"}),
+        ("compute_exact_br", {"compute_exact_br": 0}),
+        ("n", {"n": 2.0}),
+        ("n", {"n": True}),
+        ("num_matrices", {"num_matrices": 1.5}),
+        ("trials_per_matrix", {"trials_per_matrix": "10"}),
+        ("seed", {"seed": 2.9}),
+        ("seed", {"seed": False}),
+        ("samples", {"integrator": {"samples": 2048.7}}),
+        ("quad_points", {"integrator": {"method": "quad", "quad_points": 8.0}}),
+        ("box lower", {"box": {"lower": 0.5, "upper": 3}}),
+        ("box upper", {"box": {"lower": 0, "upper": [3, True]}}),
+        ("sigma_grid", {"sigma_grid": ["0.2", True]}),
+        ("sigma_grid", {"sigma_grid": "0.2"}),
+    ])
+    def test_from_dict_rejects_wrong_types(self, key, override):
+        # JSON values are not coerced: bool("false") would be True and
+        # int(2.9) would be 2.
+        doc = {
+            "n": 2, "box": {"lower": 0, "upper": 3}, "sigma_grid": [0.1],
+            "num_matrices": 1, "trials_per_matrix": 10,
+        }
+        with pytest.raises(InvalidConfigError, match=key):
+            ExperimentConfig.from_dict({**doc, **override})
+
     def test_from_dict_rejects_garbage(self):
         with pytest.raises(InvalidConfigError):
             ExperimentConfig.from_dict({"n": 2})

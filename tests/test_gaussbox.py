@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad as sciquad
+from scipy.special import ndtr
 from scipy.stats import multivariate_normal
 
 from boxdet import gaussbox
@@ -19,10 +22,10 @@ from boxdet.gaussbox import (
     IntegratorMethod,
     Interval,
     McEstimate,
+    box_probabilities,
     box_probability,
     check_product_bound,
     intervals_from_pattern,
-    qmc_box_probabilities,
     symmetric,
 )
 from boxdet.model import parse_pattern
@@ -204,25 +207,71 @@ class TestQmcBatch:
         return _random_triangular(np.random.default_rng(51), 3)
 
     def test_first_product_is_a_batch_of_one(self):
-        batch = qmc_box_probabilities(self._r(), 0.7, self.PRODUCTS, QMC.samples,
-                                      RngStream(5))
+        batch = box_probabilities(self._r(), 0.7, self.PRODUCTS, QMC, RngStream(5))
         single = box_probability(self._r(), 0.7, self.PRODUCTS[0], QMC, RngStream(5))
         assert batch[0] == single
         assert len(batch) == len(self.PRODUCTS)
 
     def test_chunk_size_does_not_change_results(self, monkeypatch):
-        args = (self._r(), 0.7, self.PRODUCTS, QMC.samples, RngStream(5))
-        whole = qmc_box_probabilities(*args)
-        monkeypatch.setattr(gaussbox, "_QMC_CHUNK", 1)
-        assert qmc_box_probabilities(*args) == whole
+        args = (self._r(), 0.7, self.PRODUCTS, QMC, RngStream(5))
+        whole = box_probabilities(*args)
+        monkeypatch.setattr(gaussbox, "_SWEEP_CHUNK", 1)
+        assert box_probabilities(*args) == whole
 
     def test_matches_scipy(self):
         r = self._r()
-        batch = qmc_box_probabilities(r, 0.7, self.PRODUCTS, QMC.samples, RngStream(6))
+        batch = box_probabilities(r, 0.7, self.PRODUCTS, QMC, RngStream(6))
         for ivs, est in zip(self.PRODUCTS, batch):
             lo = np.array([iv.lo for iv in ivs])
             hi = np.array([iv.hi for iv in ivs])
             assert abs(est.value - _mvn_oracle(r, 0.7, lo, hi)) <= 4 * est.stderr + 1e-5
+
+
+class TestQuadratureBatch:
+    PRODUCTS = TestQmcBatch.PRODUCTS
+
+    def test_rows_equal_single_products(self, monkeypatch):
+        r = _random_triangular(np.random.default_rng(52), 3)
+        batch = box_probabilities(r, 0.7, self.PRODUCTS, QUAD)
+        assert batch == [box_probability(r, 0.7, ivs, QUAD) for ivs in self.PRODUCTS]
+        monkeypatch.setattr(gaussbox, "_SWEEP_CHUNK", 1)
+        assert box_probabilities(r, 0.7, self.PRODUCTS, QUAD) == batch
+
+    def test_ill_conditioned_factor(self):
+        # R = [[1, 1], [0, 0.01]] puts the density on a narrow ridge.  With
+        # v = R xi standard normal, the LU pattern's probability is the 1-D
+        # integral of phi(v2) Phi(0.5 + 100 v2) over v2 >= -0.005.
+        r = np.array([[1.0, 1.0], [0.0, 0.01]])
+        exact = sum(sciquad(lambda v: math.exp(-0.5 * v * v) / math.sqrt(2 * math.pi)
+                            * ndtr(0.5 + 100 * v), a, b, epsabs=1e-13)[0]
+                    for a, b in ((-0.005, 0.1), (0.1, math.inf)))
+        est = box_probability(r, 1.0, intervals_from_pattern(parse_pattern("LU")), QUAD)
+        assert abs(est.value - exact) < 1e-4
+        assert est.stderr == 0.0
+
+    def test_block_diagonal_factorizes(self):
+        # Every L/I/U pattern of two copies of the example side by side is
+        # the product of the two 2-D integrals.
+        r = np.kron(np.eye(2), EX1)
+        patterns = ["".join(p) for p in itertools.product("LIU", repeat=4)]
+        full = box_probabilities(r, 1.0, [intervals_from_pattern(parse_pattern(p))
+                                          for p in patterns], QUAD)
+        halves = {p: box_probability(EX1, 1.0, intervals_from_pattern(parse_pattern(p)),
+                                     QUAD).value
+                  for p in ("".join(q) for q in itertools.product("LIU", repeat=2))}
+        for p, est in zip(patterns, full):
+            assert abs(est.value - halves[p[:2]] * halves[p[2:]]) < 1e-12
+        assert full[0].samples == QUAD.quad_points ** 3
+
+
+class TestMcBatch:
+    def test_row_j_integrates_on_child_j(self):
+        r = _random_triangular(np.random.default_rng(53), 3)
+        cfg = IntegratorConfig(method=IntegratorMethod.MONTE_CARLO, samples=4000)
+        stream = RngStream(8, (1,))
+        batch = box_probabilities(r, 0.7, TestQmcBatch.PRODUCTS, cfg, stream)
+        assert batch == [box_probability(r, 0.7, ivs, cfg, stream.child(j))
+                         for j, ivs in enumerate(TestQmcBatch.PRODUCTS)]
 
 
 class TestProductBoundCheck:

@@ -42,12 +42,6 @@ class TestQrPositive:
         with pytest.raises(RankDeficientError):
             qr_positive(a)
 
-    def test_rank_tol_is_configurable(self):
-        a = np.diag([1.0, 1e-9])
-        with pytest.raises(RankDeficientError):
-            qr_positive(a, rank_tol=1e-6)
-        qr_positive(a, rank_tol=1e-12)
-
     def test_shape_validation(self):
         with pytest.raises(DimensionMismatchError):
             qr_positive(np.ones((2, 3)))
@@ -93,3 +87,9 @@ class TestValidateUpperTriangular:
             validate_upper_triangular(np.array([[1.0, 0.0], [0.0, -1.0]]))
         with pytest.raises(ValueError):
             validate_upper_triangular(np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+    def test_rejects_non_finite_entry_above_diagonal(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="entries must be finite") as info:
+                validate_upper_triangular(np.array([[1.0, bad], [0.0, 1.0]]))
+            assert "diagonal" not in str(info.value)

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,9 +11,9 @@ from boxdet.gaussbox import (
     FINITE,
     IntegratorConfig,
     IntegratorMethod,
+    box_probabilities,
     box_probability,
     intervals_from_pattern,
-    qmc_box_probabilities,
 )
 from boxdet.model import BoundaryTag, BoxConstraint, classify, parse_pattern
 from boxdet.rng import RngStream
@@ -226,10 +228,11 @@ class TestRoundingUniform:
             assert est.value == pytest.approx(total / 9.0, rel=1e-12)
 
     def test_pattern_budget(self):
-        r = np.eye(2)
-        box = BoxConstraint([0, 0], [3, 3])
+        # 3^11 patterns exceed the budget of 3^10; the guard raises before
+        # any integral runs (quadrature would refuse n = 11 itself).
+        box = BoxConstraint.cube(0, 3, 11)
         with pytest.raises(PatternBudgetError):
-            p_br_uniform(r, 1.0, box, QUAD, max_patterns=8)
+            p_br_uniform(np.eye(11), 1.0, box, QUAD)
 
     def test_folded_patterns(self):
         box = BoxConstraint([0, 0, 0], [3, 1, 0])
@@ -250,9 +253,9 @@ class TestRoundingUniform:
         box = BoxConstraint([0, 0], [3, 3])
         est = p_br_uniform(EX1, 0.5, box, QMC, RngStream(4))
         folded = _folded_patterns(_pattern_choices(box))
-        ests = qmc_box_probabilities(
+        ests = box_probabilities(
             EX1, 0.5, [intervals_from_pattern(p) for p, _ in folded],
-            2 * QMC.samples, RngStream(4))
+            replace(QMC, samples=2 * QMC.samples), RngStream(4))
         expected = math.sqrt(sum((w * e.stderr) ** 2
                                  for (_, w), e in zip(folded, ests))) / box.num_points()
         assert est.stderr > 0.0
@@ -270,6 +273,28 @@ class TestRoundingUniform:
             box = BoxConstraint.cube(0, 3, n)
             est = p_br_uniform(r, sigma, box, QMC, RngStream(50 + k))
             assert est.value <= p_bb_uniform(r, sigma, box) + 3 * est.stderr
+
+
+class TestPinnedOutputs:
+    def test_qmc_and_mc_digest(self):
+        # Pins the QMC and MC backends, through the uniform cell and a
+        # single pattern integral: any change to their numbers (value,
+        # stderr or sample count) moves this digest.
+        qmc = IntegratorConfig(method=IntegratorMethod.SEQ_QMC, samples=2048)
+        mc = IntegratorConfig(method=IntegratorMethod.MONTE_CARLO, samples=4000)
+
+        def r_of(seed, n):
+            return _random_triangular(np.random.default_rng(seed), n)
+
+        ests = [
+            p_br_uniform(r_of(61, 4), 0.6, BoxConstraint.cube(0, 3, 4), qmc, RngStream(61)),
+            p_br_uniform(r_of(62, 3), 0.6, BoxConstraint.cube(0, 3, 3), mc, RngStream(62)),
+            p_br_deterministic(r_of(63, 3), 0.8, parse_pattern("LIU"), mc, RngStream(63)),
+            p_br_deterministic(r_of(63, 3), 0.8, parse_pattern("LIU"), qmc, RngStream(63)),
+        ]
+        outputs = repr([(e.value, e.stderr, e.samples) for e in ests])
+        assert hashlib.sha256(outputs.encode()).hexdigest() == (
+            "062612d5f6625f57f465f23d0d8eb0e98a4e0b45da939db4ce0d1379ede7e4c3")
 
 
 def _well_conditioned(rng, n):
