@@ -15,7 +15,6 @@ from .errors import (
     DimensionMismatchError,
     InvalidConfigError,
     OutOfBoxError,
-    PatternBudgetError,
     QuadratureDimensionError,
     RankDeficientError,
 )

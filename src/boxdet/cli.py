@@ -6,7 +6,7 @@ ones, and ``experiment`` runs a configured sweep and writes CSV plus an
 optional SVG chart.
 
 Exit codes: 0 success, 2 usage/input error, 3 resource guard tripped
-(brute-force box or pattern budget).
+(brute-force box too large).
 
 Matrix and vector files are plain text, one row per line,
 whitespace-separated decimals.
@@ -21,7 +21,7 @@ import numpy as np
 
 from .chart import render_chart
 from .detectors import bils_brute_force, box_babai, box_rounding
-from .errors import BoxdetError, BoxTooLargeError, PatternBudgetError
+from .errors import BoxdetError, BoxTooLargeError
 from .experiment import ExperimentConfig, run_experiment
 from .gaussbox import IntegratorConfig, IntegratorMethod
 from .linalg import qr_positive
@@ -256,7 +256,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (BoxTooLargeError, PatternBudgetError) as exc:
+    except BoxTooLargeError as exc:
         print(f"boxdet: {exc}", file=sys.stderr)
         return 3
     except (BoxdetError, ValueError, OSError) as exc:

@@ -27,7 +27,3 @@ class QuadratureDimensionError(BoxdetError, ValueError):
 
 class InvalidConfigError(BoxdetError, ValueError):
     """An integrator or experiment configuration is inconsistent."""
-
-
-class PatternBudgetError(BoxdetError, ValueError):
-    """Boundary-pattern enumeration would exceed the configured cap."""

@@ -7,7 +7,7 @@ fresh Gaussian noise, both clamped detectors) and pool the success counts
 into empirical rates with binomial standard errors.  The closed-form
 Babai probability is averaged over the matrices for the theoretical
 curve; the rounding-detector curve is optionally estimated the same way
-via pattern-enumeration integrals.
+by ``p_br_uniform``.
 
 Pooling note: with equal trial counts per matrix, the pooled empirical
 rate coincides with the average of per-matrix rates; the pooled binomial

@@ -5,33 +5,37 @@ with R upper triangular and positive-diagonal, i.e. the normalized integral
 
     det(R) / (2 pi sigma^2)^{n/2} * integral_I exp(-||R xi||^2 / (2 sigma^2)).
 
+A coordinate may carry a floor weight a_i in [0, 1]: its indicator becomes
+g_i(t) = a_i + (1 - a_i) 1(t in I_i), and the stochastic backends estimate
+E[prod_i g_i(xi_i)].  A plain box probability is the case a = 0.
+
 Three interchangeable backends:
 
 * ``MONTE_CARLO`` -- draw vtilde ~ N(0, sigma^2 I) and set xi = R^{-1} vtilde,
-  which has exactly the target law; count membership.  Unbiased, binomial
-  standard error.  Default, for robustness.
+  which has exactly the target law; average prod_i g_i(xi_i).  Unbiased;
+  for a box probability the standard error is the binomial one.  Default,
+  for robustness.
 * ``SEQ_QMC`` -- sequential conditioning with randomized Sobol points
   (Genz 1992).  The covariance factor sigma * R^{-1} is upper triangular,
   so reversing the coordinate order makes it a lower-triangular Cholesky
-  factor and the standard one-dimensional conditional sweep applies.  The
-  sweep is vectorized over a batch of interval products of one (R, sigma):
-  each of the 16 randomizations builds one scrambled Sobol base (scipy's
-  linear matrix scramble plus digital shift), and every (product,
-  randomization) pair XORs the base's integer digits with a random
-  digital shift of its own.  The shifted base has the law of a freshly
-  scrambled one, and whatever the base, an estimate's mean over its shift
-  is the exact integral, so the products' errors are uncorrelated: each
-  gets the error of an independent integral for the cost of one shared
-  base.
-  Standard error from the spread over the randomizations.  A single
-  integral is a batch of one.
-* ``QUADRATURE`` -- the same sweep in units of sigma, dimension <= 4, with
-  m Gauss-Legendre nodes in place of Sobol points on each of the first
-  n - 1 standardized conditional intervals.  These have unit variance
-  whatever R is, so each is clipped to +-``QUADRATURE_TRUNCATION`` = 10;
-  the neglected mass is below erfc(10 / sqrt(2)) / 2 < 1e-23 per clipped
-  end.  The last coordinate is closed form, so ``samples`` = m^(n-1).
-  Reported stderr is 0.
+  factor and the standard one-dimensional conditional sweep applies.  At
+  each step the weight is multiplied by the conditional mass
+  a_i + (1 - a_i) (Phi(beta) - Phi(alpha)) of g_i, and the next point is
+  drawn from the density proportional to g_i phi by inverting its
+  three-piece CDF (one ``ndtri`` per step; n - 1 Sobol dimensions).  Each
+  of the 16 randomizations scrambles its own Sobol sequence (scipy's linear
+  matrix scramble plus digital shift), XORs its digits with one more
+  random digital shift, and sweeps it in blocks of at most 2^14 points, so
+  memory does not grow with the sample count.  Standard error from the
+  spread over the randomizations.
+* ``QUADRATURE`` -- the same sweep in units of sigma, dimension <= 4, no
+  floor weights, with m Gauss-Legendre nodes in place of Sobol points on
+  each of the first n - 1 standardized conditional intervals.  These have
+  unit variance whatever R is, so each is clipped to
+  +-``QUADRATURE_TRUNCATION`` = 10; the neglected mass is below
+  erfc(10 / sqrt(2)) / 2 < 1e-23 per clipped end.  The last coordinate is
+  closed form, so ``samples`` = m^(n-1).  A batch of products is one
+  sweep.  Reported stderr is 0.
 
 The canonical per-coordinate intervals are [-1/2, 1/2], (-inf, 1/2],
 [-1/2, inf) and (-inf, inf); the last one arises only for single-point box
@@ -64,7 +68,7 @@ QUADRATURE_TRUNCATION = 10.0  # standardized conditional limits kept
 _MC_BLOCK = 1 << 16
 _QMC_RANDOMIZATIONS = 16
 _QMC_BITS = 30  # binary digits per Sobol coordinate
-_SWEEP_CHUNK = 1 << 14  # product-points (or -nodes) per array of a batched sweep
+_SWEEP_CHUNK = 1 << 14  # QMC points, or quadrature product-nodes, per array
 
 
 class Interval(NamedTuple):
@@ -157,85 +161,97 @@ def _validate(r, sigma, products, cfg, stream):
     return r, sigma, lo, hi
 
 
-def _mc_probability(r, sigma, lo, hi, samples, stream):
+def _mc_probability(r, sigma, lo, hi, floor, samples, stream):
     n = r.shape[0]
     blocks = [(index, min(_MC_BLOCK, samples - start))
               for index, start in enumerate(range(0, samples, _MC_BLOCK))]
 
-    def count_block(block):
+    def sum_block(block):
         idx, size = block
         v = sigma * standard_normal(stream.child(idx), (size, n))
         xi = scipy.linalg.solve_triangular(r, v.T, lower=False).T
-        inside = np.all((xi >= lo) & (xi <= hi), axis=1)
-        return int(np.count_nonzero(inside))
+        inside = (xi >= lo) & (xi <= hi)
+        if floor.any():
+            g = np.prod(np.where(inside, 1.0, floor), axis=1)
+            return float(g.sum()), float(g @ g)
+        hits = float(np.count_nonzero(np.all(inside, axis=1)))
+        return hits, hits  # an indicator is its own square
 
-    hits = sum(ordered_map(count_block, blocks))
-    p = hits / samples
-    stderr = math.sqrt(p * (1.0 - p) / samples)
-    return McEstimate(p, stderr, samples, stream.label())
+    sums = ordered_map(sum_block, blocks)
+    p = sum(total for total, _ in sums) / samples
+    # The sample variance, written so that an indicator (mean of x^2 = p)
+    # gives the binomial p (1 - p) exactly.
+    var = p * (1.0 - p) + (sum(square for _, square in sums) / samples - p)
+    return McEstimate(p, math.sqrt(max(var, 0.0) / samples), samples, stream.label())
 
 
-def _qmc_probability(r, sigma, lo, hi, samples, stream):
-    """SEQ_QMC estimates for a batch of interval products (one row of lo
-    and hi each), returned in row order."""
-    boxes, n = lo.shape
+def _qmc_probability(r, sigma, lo, hi, floor, samples, stream):
+    """SEQ_QMC estimate of E[prod_i g_i(xi_i)] for one interval product."""
+    n = r.shape[0]
     chol = sigma * scipy.linalg.solve_triangular(r, np.eye(n), lower=False)
     # Reversing coordinates turns the upper-triangular factor into a
     # lower-triangular Cholesky factor for the standard conditional sweep.
     chol = chol[::-1, ::-1]
-    lo_r, hi_r = lo[:, ::-1], hi[:, ::-1]
-
+    lo, hi, floor = lo[::-1], hi[::-1], floor[::-1]
+    d0 = ndtr(lo[0] / chol[0, 0])
+    e0 = ndtr(hi[0] / chol[0, 0])
+    mass0 = floor[0] + (1.0 - floor[0]) * (e0 - d0)
     if n == 1:
-        p = ndtr(hi_r[:, 0] / chol[0, 0]) - ndtr(lo_r[:, 0] / chol[0, 0])
-        return [McEstimate(float(v), 0.0, 0, stream.label()) for v in p]
+        return McEstimate(float(mass0), 0.0, 0, stream.label())
 
     log2_pts = max(6, math.ceil(math.log2(max(1, samples // _QMC_RANDOMIZATIONS))))
     npts = 1 << log2_pts
-    per_chunk = max(1, _SWEEP_CHUNK // npts)
+    block = min(npts, _SWEEP_CHUNK)
     u_top = np.nextafter(1.0, 0.0)
     scale = 2.0 ** -_QMC_BITS
 
     def sweep(k):
         gen = stream.child(k).generator()
         sobol = qmc.Sobol(d=n - 1, scramble=True, bits=_QMC_BITS, seed=gen)
-        base = sobol.random_base2(log2_pts)
-        base *= 2.0 ** _QMC_BITS  # the points are exact multiples of 2^-bits
-        digits = base.astype(np.uint32)
-        shifts = gen.integers(0, 1 << _QMC_BITS, size=(boxes, n - 1), dtype=np.uint32)
-        means = np.empty(boxes)
-        for start in range(0, boxes, per_chunk):
-            rows = slice(start, start + per_chunk)
-            lo_c, hi_c = lo_r[rows, :, None], hi_r[rows, :, None]
-            d = ndtr(lo_c[:, 0] / chol[0, 0])
-            e = ndtr(hi_c[:, 0] / chol[0, 0])
-            prob = e - d
-            y = np.empty((len(prob), npts, n - 1))
+        shifts = gen.integers(0, 1 << _QMC_BITS, size=n - 1, dtype=np.uint32)
+        total = 0.0
+        for _ in range(npts // block):  # consecutive blocks of the Sobol sequence
+            base = sobol.random(block)
+            base *= 2.0 ** _QMC_BITS  # the points are exact multiples of 2^-bits
+            digits = base.astype(np.uint32)
+            d, e, mass = d0, e0, mass0
+            prob = mass
+            y = np.empty((block, n - 1))
             for i in range(1, n):
-                w = (digits[:, i - 1] ^ shifts[rows, i - 1, None]) * scale
-                u = np.clip(d + w * (e - d), 1e-300, u_top)
-                y[:, :, i - 1] = ndtri(u)
-                shift = y[:, :, :i] @ chol[i, :i]
-                d = ndtr((lo_c[:, i] - shift) / chol[i, i])
-                e = ndtr((hi_c[:, i] - shift) / chol[i, i])
-                prob = prob * np.maximum(e - d, 0.0)
-            means[rows] = prob.mean(axis=1)
-        return means
+                a = floor[i - 1]
+                t = (digits[:, i - 1] ^ shifts[i - 1]) * scale * mass
+                # t is a value of the CDF of g phi in u = Phi(z),
+                # F(u) = a u + (1 - a) (clip(u, d, e) - d): invert its middle
+                # piece, and where that leaves [d, e], the outer pieces.
+                u = (1.0 - a) * d + t
+                if a > 0.0:
+                    u = np.where(u < d, t / a, np.where(u > e, (t - (1.0 - a) * (e - d)) / a, u))
+                y[:, i - 1] = ndtri(np.clip(u, 1e-300, u_top))
+                shift = y[:, :i] @ chol[i, :i]
+                d = ndtr((lo[i] - shift) / chol[i, i])
+                e = ndtr((hi[i] - shift) / chol[i, i])
+                mass = floor[i] + (1.0 - floor[i]) * np.maximum(e - d, 0.0)
+                prob = prob * mass
+            total += prob.sum()
+        return total / npts
 
-    # One row per product, so each row reduces alike whatever the batch.
-    means = np.array(ordered_map(sweep, range(_QMC_RANDOMIZATIONS))).T.copy()
-    values = np.clip(means.mean(axis=1), 0.0, 1.0)
-    stderrs = means.std(axis=1, ddof=1) / math.sqrt(_QMC_RANDOMIZATIONS)
-    return [McEstimate(float(v), float(se), npts * _QMC_RANDOMIZATIONS, stream.label())
-            for v, se in zip(values, stderrs)]
+    means = np.array(ordered_map(sweep, range(_QMC_RANDOMIZATIONS)))
+    stderr = means.std(ddof=1) / math.sqrt(_QMC_RANDOMIZATIONS)
+    return McEstimate(float(np.clip(means.mean(), 0.0, 1.0)), float(stderr),
+                      npts * _QMC_RANDOMIZATIONS, stream.label())
+
+
+def check_quadrature_dimension(n: int) -> None:
+    if n > QUADRATURE_MAX_DIM:
+        raise QuadratureDimensionError(
+            f"quadrature supports dimension <= {QUADRATURE_MAX_DIM}, got {n}")
 
 
 def _quadrature_probability(r, sigma, lo, hi, quad_points):
     """QUADRATURE values for a batch of interval products (one row of lo
     and hi each), returned in row order."""
     boxes, n = lo.shape
-    if n > QUADRATURE_MAX_DIM:
-        raise QuadratureDimensionError(
-            f"quadrature supports dimension <= {QUADRATURE_MAX_DIM}, got {n}")
+    check_quadrature_dimension(n)
     # The sweep of _qmc_probability in units of sigma: t = xi / sigma has
     # the law N(0, (R^T R)^{-1}), so no power of sigma can underflow.
     chol = scipy.linalg.solve_triangular(r, np.eye(n), lower=False)[::-1, ::-1]
@@ -273,29 +289,34 @@ def box_probabilities(r, sigma, products, cfg: IntegratorConfig,
     """Probabilities of many interval products under one (R, sigma), in
     the order of ``products``, with uncorrelated errors.
 
-    QMC and quadrature integrate the whole batch in one sweep; MC
-    integrates product j on ``stream.child(j)``.  ``stream`` is required
-    for the stochastic backends and ignored by quadrature.
+    Quadrature integrates the whole batch in one sweep; the stochastic
+    backends integrate product j on ``stream.child(j)``.  ``stream`` is
+    required for the stochastic backends and ignored by quadrature.
     """
-    r, sigma, lo, hi = _validate(r, sigma, tuple(tuple(p) for p in products), cfg, stream)
+    products = tuple(tuple(p) for p in products)
+    r, sigma, lo, hi = _validate(r, sigma, products, cfg, stream)
     if cfg.method is IntegratorMethod.QUADRATURE:
         return _quadrature_probability(r, sigma, lo, hi, cfg.quad_points)
-    if cfg.method is IntegratorMethod.SEQ_QMC:
-        return _qmc_probability(r, sigma, lo, hi, cfg.samples, stream)
-    return ordered_map(lambda j: _mc_probability(r, sigma, lo[j], hi[j], cfg.samples,
-                                                 stream.child(j)),
-                       range(len(lo)))
+    return [box_probability(r, sigma, p, cfg, stream.child(j)) for j, p in enumerate(products)]
 
 
 def box_probability(r, sigma, intervals, cfg: IntegratorConfig,
-                    stream: RngStream | None = None) -> McEstimate:
+                    stream: RngStream | None = None, floors=None) -> McEstimate:
     """Probability that N(0, sigma^2 (R^T R)^{-1}) lands in the interval
-    product: a batch of one, except that MC integrates on ``stream``
-    itself."""
-    if cfg.method is not IntegratorMethod.MONTE_CARLO:
-        return box_probabilities(r, sigma, (intervals,), cfg, stream)[0]
+    product.  With ``floors`` (a weight a_i in [0, 1] per coordinate) the
+    stochastic backends estimate E[prod_i (a_i + (1 - a_i) 1(xi_i in I_i))]
+    instead; quadrature takes no floor weights."""
     r, sigma, lo, hi = _validate(r, sigma, (tuple(intervals),), cfg, stream)
-    return _mc_probability(r, sigma, lo[0], hi[0], cfg.samples, stream)
+    n = r.shape[0]
+    floor = np.zeros(n) if floors is None else np.asarray(floors, dtype=float)
+    if floor.shape != (n,) or not np.all((floor >= 0.0) & (floor <= 1.0)):
+        raise ValueError(f"floors must be {n} weights in [0, 1]")
+    if cfg.method is IntegratorMethod.QUADRATURE:
+        if np.any(floor):
+            raise InvalidConfigError("quadrature takes no floor weights")
+        return _quadrature_probability(r, sigma, lo, hi, cfg.quad_points)[0]
+    kernel = _qmc_probability if cfg.method is IntegratorMethod.SEQ_QMC else _mc_probability
+    return kernel(r, sigma, lo[0], hi[0], floor, cfg.samples, stream)
 
 
 def check_product_bound(r, sigma, a, tail_intervals, cfg: IntegratorConfig,

@@ -9,35 +9,37 @@ makes detection certain there).
 
 The rounding detector has no product form: its deterministic-vector
 success probability is a Gaussian box probability whose intervals are read
-off the boundary pattern, and the uniform-vector probability is the
-average over all box points.  Because the integral depends on the true
-vector only through its pattern, that average collapses from
-prod(u_i - l_i + 1) terms to at most 3^n weighted pattern integrals, and
-folding each pattern with its L <-> U mirror halves those.
+off the boundary pattern.  The uniform-vector probability is the average
+over all box points, and because the box is a product that average
+factorizes per coordinate inside the expectation: it is
+E[prod_i (a_i + (1 - a_i) 1(|xi_i| <= 1/2))] with a_i = 1 / (w_i + 1),
+the same form as the Babai closed form prod_i (a_i + (1 - a_i) phi(r_ii)).
 """
 
 import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 from scipy.special import erf
 
 # Unused here, but perfbench/spans.py wraps success.ordered_map by name.
 from ._parallel import ordered_map  # noqa: F401
-from .errors import DimensionMismatchError, PatternBudgetError
+from .errors import DimensionMismatchError
 from .gaussbox import (
+    FINITE,
     IntegratorConfig,
+    IntegratorMethod,
     McEstimate,
     box_probabilities,
     box_probability,
+    check_quadrature_dimension,
     intervals_from_pattern,
 )
 from .linalg import validate_upper_triangular
 from .model import BoundaryTag, BoxConstraint, validate_sigma
 from .rng import RngStream
 
-PATTERN_BUDGET = 3 ** 10
+_UNIFORM_POINTS = 16  # points of a uniform cell per coordinate and cfg.samples
 
 
 def phi(zeta: float, sigma: float) -> float:
@@ -141,65 +143,38 @@ def _pattern_choices(box: BoxConstraint) -> list:
     return options
 
 
-def _folded_patterns(options) -> list:
-    """(pattern, weight) pairs in enumeration order, one per L <-> U mirror
-    pair.  xi and -xi have the same law, so a pattern and its mirror have
-    equal integrals: the pair is integrated once, at double weight, as the
-    member whose first bound tag is LOWER.  The weight counts the box points
-    with the pattern (and with its mirror, if folded in)."""
-    folded = []
-    for combo in itertools.product(*options):
-        pattern = tuple(tag for tag, _ in combo)
-        weight = math.prod(count for _, count in combo)
-        bounds = [tag for tag in pattern if tag in (BoundaryTag.LOWER, BoundaryTag.UPPER)]
-        if not bounds:
-            folded.append((pattern, weight))
-        elif bounds[0] is BoundaryTag.LOWER:
-            folded.append((pattern, 2 * weight))
-    return folded
-
-
 def p_br_uniform(r, sigma: float, box: BoxConstraint, cfg: IntegratorConfig,
                  stream: RngStream | None = None) -> McEstimate:
     """Success probability of the clamped rounding detector when the true
     vector is uniform over the box.
 
-    The sum over all box points is grouped by boundary pattern: each
-    pattern's integral is weighted by the number of box points sharing it
-    and the total is divided by the box size.  Mirror patterns are folded
-    (see ``_folded_patterns``), which about halves the integrals, and each
-    one gets twice ``cfg.samples`` so the samples per cell stay about the
-    same.  All patterns go to ``box_probabilities`` in one batch.  The
-    pattern errors are uncorrelated, so their stderrs combine in
-    quadrature.
-
-    Raises
-    ------
-    PatternBudgetError
-        If the number of non-degenerate patterns exceeds
-        ``PATTERN_BUDGET``.
+    Of a width-w coordinate's w + 1 points, the w - 1 interior ones succeed
+    on |xi_i| <= 1/2 and the two bound points on (-inf, 1/2] and
+    [-1/2, inf), so the coordinate's average indicator is
+    g_i = a_i + (1 - a_i) 1(|xi_i| <= 1/2) with a_i = 1 / (w_i + 1); a
+    singleton has g_i = 1.  The stochastic backends integrate
+    E[prod_i g_i(xi_i)] as one floor-weighted ``box_probability`` of
+    16 n ``cfg.samples`` points (for QMC, n ``cfg.samples`` per
+    randomization, rounded up to a power of two).  Quadrature (n <= 4)
+    instead sums the at most 3^n boundary-pattern integrals in one batch,
+    each weighted by the number of box points that share the pattern.
     """
     r = validate_upper_triangular(r)
-    if box.dim != r.shape[0]:
+    n = r.shape[0]
+    if box.dim != n:
         raise DimensionMismatchError(
-            f"box dimension {box.dim} does not match matrix dimension {r.shape[0]}"
+            f"box dimension {box.dim} does not match matrix dimension {n}"
         )
-    options = _pattern_choices(box)
-    budget = math.prod(len(opts) for opts in options)
-    if budget > PATTERN_BUDGET:
-        raise PatternBudgetError(
-            f"{budget} boundary patterns exceed the cap of {PATTERN_BUDGET}"
-        )
-    folded = _folded_patterns(options)
-    if len(folded) < budget:
-        cfg = replace(cfg, samples=2 * cfg.samples)
-    sub = stream if stream is not None else RngStream(0)
-    ests = box_probabilities(r, sigma, [intervals_from_pattern(p) for p, _ in folded],
-                             cfg, sub)
-    weights = [weight for _, weight in folded]
-    total_points = box.num_points()
-    value = sum(w * est.value for w, est in zip(weights, ests)) / total_points
-    var = sum((w * est.stderr) ** 2 for w, est in zip(weights, ests)) / total_points ** 2
-    samples = sum(est.samples for est in ests)
-    return McEstimate(float(np.clip(value, 0.0, 1.0)), math.sqrt(var), samples,
-                      sub.label())
+    if cfg.method is not IntegratorMethod.QUADRATURE:
+        floors = 1.0 / (box.widths + 1.0)
+        cfg = IntegratorConfig(method=cfg.method, samples=_UNIFORM_POINTS * n * cfg.samples)
+        return box_probability(r, sigma, (FINITE,) * n, cfg,
+                               stream if stream is not None else RngStream(0), floors)
+    check_quadrature_dimension(n)
+    combos = list(itertools.product(*_pattern_choices(box)))
+    ests = box_probabilities(r, sigma, [intervals_from_pattern(tag for tag, _ in combo)
+                                        for combo in combos], cfg)
+    total = sum(math.prod(count for _, count in combo) * est.value
+                for combo, est in zip(combos, ests))
+    return McEstimate(float(np.clip(total / box.num_points(), 0.0, 1.0)), 0.0,
+                      sum(est.samples for est in ests), "deterministic")

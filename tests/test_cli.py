@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,8 @@ from boxdet.cli import format_rows_csv, main, parse_box, read_matrix
 from boxdet.cli import InputError
 from boxdet.chart import render_chart
 from boxdet.experiment import ExperimentConfig, run_experiment
+from boxdet.model import BoxConstraint
+from boxdet.success import p_bb_uniform
 
 EX1_TEXT = "2 -1\n0 1\n"
 REDUCED_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "figure1_reduced.json"
@@ -209,15 +212,28 @@ class TestMcSp:
         value = float(capsys.readouterr().out.split("=")[1].split("+/-")[0])
         assert abs(value - 0.5004032) < 1e-4
 
-    def test_pattern_budget_exits_3(self, tmp_path):
-        n = 11
-        a = tmp_path / "big.txt"
-        a.write_text("\n".join(
-            " ".join("1" if i == j else "0" for j in range(n)) for i in range(n)
-        ))
-        code = main(["mc-sp", str(a), "--sigma", "0.5", "--box", "0..3",
-                     "--method", "quad"])
-        assert code == 3
+    def test_pattern_budget_exits_3(self, tmp_path, capsys):
+        # No pattern budget any more: an 11-D uniform cell runs on QMC,
+        # and quadrature refuses n > 4 before it enumerates any pattern.
+        def identity(n):
+            path = tmp_path / f"eye{n}.txt"
+            path.write_text("\n".join(
+                " ".join("1" if i == j else "0" for j in range(n)) for i in range(n)))
+            return str(path)
+
+        assert main(["mc-sp", identity(11), "--sigma", "0.5", "--box", "0..3",
+                     "--method", "qmc", "--samples", "1000"]) == 0
+        # With R = I rounding is Babai, so the value is the closed form.
+        value = float(capsys.readouterr().out.split("=")[1].split("+/-")[0])
+        assert value == pytest.approx(p_bb_uniform(np.eye(11), 0.5,
+                                                   BoxConstraint.cube(0, 3, 11)), abs=1e-6)
+        for n in (11, 30):
+            start = time.perf_counter()
+            code = main(["mc-sp", identity(n), "--sigma", "0.5", "--box", "0..3",
+                         "--method", "quad"])
+            assert code == 2
+            assert time.perf_counter() - start < 1.0
+            assert f"dimension <= 4, got {n}" in capsys.readouterr().err
 
 
 class TestExperimentCommand:

@@ -207,16 +207,23 @@ class TestQmcBatch:
         return _random_triangular(np.random.default_rng(51), 3)
 
     def test_first_product_is_a_batch_of_one(self):
+        # Product j is a single integral on child stream j.
         batch = box_probabilities(self._r(), 0.7, self.PRODUCTS, QMC, RngStream(5))
-        single = box_probability(self._r(), 0.7, self.PRODUCTS[0], QMC, RngStream(5))
+        single = box_probability(self._r(), 0.7, self.PRODUCTS[0], QMC,
+                                 RngStream(5).child(0))
         assert batch[0] == single
         assert len(batch) == len(self.PRODUCTS)
 
     def test_chunk_size_does_not_change_results(self, monkeypatch):
+        # The sweep draws consecutive blocks of _SWEEP_CHUNK Sobol points;
+        # the block size changes only the order of summation.
         args = (self._r(), 0.7, self.PRODUCTS, QMC, RngStream(5))
         whole = box_probabilities(*args)
-        monkeypatch.setattr(gaussbox, "_SWEEP_CHUNK", 1)
-        assert box_probabilities(*args) == whole
+        monkeypatch.setattr(gaussbox, "_SWEEP_CHUNK", 64)
+        for est, ref in zip(box_probabilities(*args), whole):
+            assert est.value == pytest.approx(ref.value, rel=1e-12)
+            assert est.stderr == pytest.approx(ref.stderr, rel=1e-9)
+            assert est.samples == ref.samples
 
     def test_matches_scipy(self):
         r = self._r()
@@ -272,6 +279,48 @@ class TestMcBatch:
         batch = box_probabilities(r, 0.7, TestQmcBatch.PRODUCTS, cfg, stream)
         assert batch == [box_probability(r, 0.7, ivs, cfg, stream.child(j))
                          for j, ivs in enumerate(TestQmcBatch.PRODUCTS)]
+
+
+class TestFloorWeights:
+    IVS = (FINITE, LEFT_INFINITE, symmetric(0.8))
+    FLOORS = (0.25, 0.5, 0.0)
+
+    def _expanded(self, r, sigma):
+        """E[prod_i (a_i + (1 - a_i) 1_i)] expanded over the subsets S of
+        coordinates held to their intervals, each a scipy probability with
+        the other coordinates on the full line."""
+        total = 0.0
+        for held in itertools.product((False, True), repeat=3):
+            coef = math.prod((1 - a) if h else a for a, h in zip(self.FLOORS, held))
+            lo = np.array([iv.lo if h else -math.inf for iv, h in zip(self.IVS, held)])
+            hi = np.array([iv.hi if h else math.inf for iv, h in zip(self.IVS, held)])
+            total += coef * (_mvn_oracle(r, sigma, lo, hi) if any(held) else 1.0)
+        return total
+
+    def test_matches_subset_expansion(self):
+        r = _random_triangular(np.random.default_rng(54), 3)
+        expected = self._expanded(r, 0.7)
+        for cfg in (MC, QMC):
+            est = box_probability(r, 0.7, self.IVS, cfg, RngStream(9), self.FLOORS)
+            assert abs(est.value - expected) <= 4 * est.stderr + 1e-5
+
+    def test_zero_floors_keep_the_box_probability(self):
+        r = _random_triangular(np.random.default_rng(55), 3)
+        for cfg in (MC, QMC):
+            assert (box_probability(r, 0.7, self.IVS, cfg, RngStream(9), np.zeros(3))
+                    == box_probability(r, 0.7, self.IVS, cfg, RngStream(9)))
+
+    def test_unit_floors_give_one(self):
+        for cfg in (MC, QMC):
+            est = box_probability(EX1, 0.7, (FINITE, FINITE), cfg, RngStream(9), (1.0, 1.0))
+            assert est.value == 1.0 and est.stderr == 0.0
+
+    def test_validation(self):
+        for floors in ((0.5,), (0.5, 1.5), (-0.1, 0.0), (math.nan, 0.0)):
+            with pytest.raises(ValueError, match="floors"):
+                box_probability(EX1, 0.7, (FINITE, FINITE), QMC, RngStream(9), floors)
+        with pytest.raises(InvalidConfigError, match="floor"):
+            box_probability(EX1, 0.7, (FINITE, FINITE), QUAD, None, (0.5, 0.0))
 
 
 class TestProductBoundCheck:

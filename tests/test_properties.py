@@ -1,8 +1,8 @@
 """Property tests (hypothesis): the L <-> U mirror symmetry of the rounding
-success probability that pattern folding rests on, folding against the
-unfolded pattern sum, independence from the worker count, the pattern-free
-Babai bounds, and the two detector kernels (output in the box, and equal
-to the ordinary detector when the clamp never acts)."""
+success probability, the uniform-case quadrature against the sum of its
+pattern integrals taken one at a time, independence from the worker count,
+the pattern-free Babai bounds, and the two detector kernels (output in the
+box, and equal to the ordinary detector when the clamp never acts)."""
 
 import itertools
 
@@ -61,7 +61,7 @@ def test_mirror_symmetry(r, sigma, data):
 
 @settings(max_examples=25, deadline=None)
 @given(r=well_conditioned(), sigma=SIGMAS, data=st.data())
-def test_folded_uniform_equals_unfolded_sum(r, sigma, data):
+def test_uniform_quadrature_equals_pattern_sum(r, sigma, data):
     n = r.shape[0]
     lower = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
     widths = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
@@ -71,8 +71,8 @@ def test_folded_uniform_equals_unfolded_sum(r, sigma, data):
         weight = np.prod([count for _, count in combo])
         pattern = tuple(tag for tag, _ in combo)
         total += weight * p_br_deterministic(r, sigma, pattern, QUAD).value
-    folded = p_br_uniform(r, sigma, box, QUAD).value
-    assert folded == pytest.approx(total / box.num_points(), rel=1e-12, abs=1e-15)
+    uniform = p_br_uniform(r, sigma, box, QUAD).value
+    assert uniform == pytest.approx(total / box.num_points(), rel=1e-12, abs=1e-15)
 
 
 @settings(max_examples=3, deadline=None)

@@ -1,25 +1,20 @@
 import hashlib
 import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from boxdet.errors import DimensionMismatchError, PatternBudgetError
+from boxdet.errors import DimensionMismatchError
 from boxdet.gaussbox import (
     FINITE,
     IntegratorConfig,
     IntegratorMethod,
-    box_probabilities,
     box_probability,
-    intervals_from_pattern,
 )
 from boxdet.model import BoundaryTag, BoxConstraint, classify, parse_pattern
 from boxdet.rng import RngStream
 from boxdet.success import (
-    _folded_patterns,
-    _pattern_choices,
     p_bb_bounds,
     p_bb_deterministic,
     p_bb_uniform,
@@ -31,6 +26,7 @@ from boxdet.success import (
 EX1 = np.array([[2.0, -1.0], [0.0, 1.0]])
 QUAD = IntegratorConfig(method=IntegratorMethod.QUADRATURE)
 QMC = IntegratorConfig(method=IntegratorMethod.SEQ_QMC, samples=4096)
+MC = IntegratorConfig(method=IntegratorMethod.MONTE_CARLO, samples=4096)
 
 
 def _random_triangular(rng, n, diag_lo=0.4, diag_hi=2.0):
@@ -207,8 +203,21 @@ class TestRoundingDeterministic:
 
 class TestRoundingUniform:
     def test_scalar_matches_babai(self):
-        est = p_br_uniform(np.eye(1), 1.0, BoxConstraint([0], [3]), QUAD)
+        box = BoxConstraint([0], [3])
+        est = p_br_uniform(np.eye(1), 1.0, box, QUAD)
         assert est.value == pytest.approx(0.537194, abs=1e-6)
+        # At n = 1 the weighted QMC sweep is closed form.
+        est = p_br_uniform(np.eye(1), 1.0, box, QMC, RngStream(1))
+        assert est.value == pytest.approx(p_bb_uniform(np.eye(1), 1.0, box), abs=1e-12)
+        assert est.stderr == 0.0
+
+    def test_all_singletons_is_one(self):
+        box = BoxConstraint([1, -2, 0], [1, -2, 0])
+        r = _random_triangular(np.random.default_rng(12), 3)
+        for cfg in (QUAD, QMC, MC):
+            est = p_br_uniform(r, 0.7, box, cfg, RngStream(2))
+            assert est.value == 1.0
+            assert est.stderr == 0.0
 
     def test_small_noise_limit(self):
         est = p_br_uniform(EX1, 0.01, BoxConstraint([0, 0], [3, 3]), QUAD)
@@ -228,40 +237,32 @@ class TestRoundingUniform:
             assert est.value == pytest.approx(total / 9.0, rel=1e-12)
 
     def test_pattern_budget(self):
-        # 3^11 patterns exceed the budget of 3^10; the guard raises before
-        # any integral runs (quadrature would refuse n = 11 itself).
+        # No pattern budget: the stochastic backends integrate one weighted
+        # sweep whatever the number of boundary patterns (3^11 here).
+        r = _random_triangular(np.random.default_rng(13), 11, diag_lo=1.0, diag_hi=3.0)
         box = BoxConstraint.cube(0, 3, 11)
-        with pytest.raises(PatternBudgetError):
-            p_br_uniform(np.eye(11), 1.0, box, QUAD)
+        ests = [p_br_uniform(r, 0.3, box, IntegratorConfig(method=method, samples=1000),
+                             RngStream(3))
+                for method in (IntegratorMethod.SEQ_QMC, IntegratorMethod.MONTE_CARLO)]
+        for est in ests:
+            assert 0.0 <= est.value <= 1.0
+            assert est.stderr > 0.0
+        assert abs(ests[0].value - ests[1].value) <= 4 * math.hypot(ests[0].stderr,
+                                                                    ests[1].stderr)
 
-    def test_folded_patterns(self):
-        box = BoxConstraint([0, 0, 0], [3, 1, 0])
-        folded = _folded_patterns(_pattern_choices(box))
-        # 3 * 2 patterns fold into 3 mirror pairs; no pattern is its own mirror
-        assert [("".join(t.value for t in p), w) for p, w in folded] == [
-            ("LLS", 2), ("LUS", 2), ("ILS", 4),
-        ]
-        cube = BoxConstraint.cube(0, 3, 4)
-        folded = _folded_patterns(_pattern_choices(cube))
-        assert len(folded) == (3 ** 4 + 1) // 2
-        assert sum(w for _, w in folded) == cube.num_points()
-
-    def test_stderr_combines_in_quadrature(self):
-        # Folded pattern errors are uncorrelated: the stderr is the
-        # root sum of squares of the weighted pattern stderrs, each pattern
-        # integrated with twice the configured samples.
-        box = BoxConstraint([0, 0], [3, 3])
-        est = p_br_uniform(EX1, 0.5, box, QMC, RngStream(4))
-        folded = _folded_patterns(_pattern_choices(box))
-        ests = box_probabilities(
-            EX1, 0.5, [intervals_from_pattern(p) for p, _ in folded],
-            replace(QMC, samples=2 * QMC.samples), RngStream(4))
-        expected = math.sqrt(sum((w * e.stderr) ** 2
-                                 for (_, w), e in zip(folded, ests))) / box.num_points()
-        assert est.stderr > 0.0
-        assert est.stderr == pytest.approx(expected, rel=1e-12)
-        assert est.samples == sum(e.samples for e in ests)
-        assert est.value <= 1.0
+    def test_sweep_matches_pattern_sum(self):
+        # The weighted sweep against the quadrature pattern sum at n = 4,
+        # with singleton, width-1 and wider coordinates.
+        quad = IntegratorConfig(method=IntegratorMethod.QUADRATURE, quad_points=32)
+        for k in range(4):
+            rng = np.random.default_rng([14, k])
+            r = _well_conditioned(rng, 4)
+            sigma = float(rng.uniform(0.3, 1.0))
+            box = BoxConstraint(np.zeros(4, dtype=int), rng.permutation([0, 1, 2, 3]))
+            exact = p_br_uniform(r, sigma, box, quad).value
+            for cfg in (QMC, MC):
+                est = p_br_uniform(r, sigma, box, cfg, RngStream(14, (k,)))
+                assert abs(est.value - exact) <= 4 * est.stderr
 
     def test_uniform_ordering_vs_babai(self):
         # rounding never beats Babai when the true vector is uniform
@@ -275,26 +276,40 @@ class TestRoundingUniform:
             assert est.value <= p_bb_uniform(r, sigma, box) + 3 * est.stderr
 
 
+def _random_r(seed, n):
+    return _random_triangular(np.random.default_rng(seed), n)
+
+
 class TestPinnedOutputs:
-    def test_qmc_and_mc_digest(self):
-        # Pins the QMC and MC backends, through the uniform cell and a
-        # single pattern integral: any change to their numbers (value,
-        # stderr or sample count) moves this digest.
-        qmc = IntegratorConfig(method=IntegratorMethod.SEQ_QMC, samples=2048)
-        mc = IntegratorConfig(method=IntegratorMethod.MONTE_CARLO, samples=4000)
+    # Each pins the QMC and MC backends on one entry point: any change to
+    # their numbers (value, stderr or sample count) moves the digest.
+    QMC = IntegratorConfig(method=IntegratorMethod.SEQ_QMC, samples=2048)
+    MC = IntegratorConfig(method=IntegratorMethod.MONTE_CARLO, samples=4000)
 
-        def r_of(seed, n):
-            return _random_triangular(np.random.default_rng(seed), n)
-
-        ests = [
-            p_br_uniform(r_of(61, 4), 0.6, BoxConstraint.cube(0, 3, 4), qmc, RngStream(61)),
-            p_br_uniform(r_of(62, 3), 0.6, BoxConstraint.cube(0, 3, 3), mc, RngStream(62)),
-            p_br_deterministic(r_of(63, 3), 0.8, parse_pattern("LIU"), mc, RngStream(63)),
-            p_br_deterministic(r_of(63, 3), 0.8, parse_pattern("LIU"), qmc, RngStream(63)),
-        ]
+    @staticmethod
+    def _digest(ests):
         outputs = repr([(e.value, e.stderr, e.samples) for e in ests])
-        assert hashlib.sha256(outputs.encode()).hexdigest() == (
-            "062612d5f6625f57f465f23d0d8eb0e98a4e0b45da939db4ce0d1379ede7e4c3")
+        return hashlib.sha256(outputs.encode()).hexdigest()
+
+    def test_qmc_and_mc_digest(self):
+        ests = [
+            p_br_deterministic(_random_r(63, 3), 0.8, parse_pattern("LIU"), self.MC,
+                               RngStream(63)),
+            p_br_deterministic(_random_r(63, 3), 0.8, parse_pattern("LIU"), self.QMC,
+                               RngStream(63)),
+        ]
+        assert self._digest(ests) == (
+            "f28dc94cf443de45a4e61f21c1ff1ab217d57ef60a3dc2541a281f0318bcb0b4")
+
+    def test_uniform_qmc_and_mc_digest(self):
+        ests = [
+            p_br_uniform(_random_r(61, 4), 0.6, BoxConstraint.cube(0, 3, 4), self.QMC,
+                         RngStream(61)),
+            p_br_uniform(_random_r(62, 3), 0.6, BoxConstraint.cube(0, 3, 3), self.MC,
+                         RngStream(62)),
+        ]
+        assert self._digest(ests) == (
+            "3a74774c7f68381909e7020d646178419540599e6c687579376643328db92eb2")
 
 
 def _well_conditioned(rng, n):
@@ -304,21 +319,23 @@ def _well_conditioned(rng, n):
 
 
 class TestStderrCalibration:
-    """|qmc - quad| <= 2 se should hold about 95 % of the time.  With 16
-    randomizations a single integral's stderr has 15 degrees of freedom,
-    which puts the expected share at 94 %; 100 cases give a binomial
-    spread of about 2.4 %.  Quadrature with 32 nodes per axis is the
-    reference: on these well-conditioned factors it agrees with 64 nodes
-    far below the QMC stderr."""
+    """|est - quad| <= 2 se should hold about 95 % of the time.  With 16
+    randomizations a QMC stderr has 15 degrees of freedom, which puts the
+    expected share at 94 %; an MC stderr rests on at least 65 536 samples,
+    which puts it at 95 %.  100 cases give a binomial spread of about
+    2.4 %.  Quadrature with 32 nodes per axis is the reference: on these
+    well-conditioned factors it agrees with 64 nodes far below the
+    stochastic stderrs."""
 
     CASES = 100
     QMC = IntegratorConfig(method=IntegratorMethod.SEQ_QMC, samples=2048)
+    MC = IntegratorConfig(method=IntegratorMethod.MONTE_CARLO, samples=2048)
     QUAD = IntegratorConfig(method=IntegratorMethod.QUADRATURE, quad_points=32)
     TAGS = (BoundaryTag.LOWER, BoundaryTag.INTERIOR, BoundaryTag.UPPER)
 
-    def _coverage(self, integrate):
+    def _coverage(self, integrate, cfg=QMC):
         """Share of cases covered; ``integrate(r, sigma, pattern, box, cfg,
-        stream)`` returns the estimate under test."""
+        stream)`` returns the estimate under test, on ``cfg``."""
         covered = 0
         for i in range(self.CASES):
             rng = np.random.default_rng([7, i])
@@ -327,9 +344,9 @@ class TestStderrCalibration:
             sigma = float(rng.uniform(0.3, 1.0))
             pattern = tuple(self.TAGS[k] for k in rng.integers(0, 3, n))
             box = BoxConstraint(np.zeros(n, dtype=int), rng.integers(1, 3, n))
-            qmc = integrate(r, sigma, pattern, box, self.QMC, RngStream(7, (i,)))
+            est = integrate(r, sigma, pattern, box, cfg, RngStream(7, (i,)))
             quad = integrate(r, sigma, pattern, box, self.QUAD, None)
-            covered += abs(qmc.value - quad.value) <= 2.0 * qmc.stderr
+            covered += abs(est.value - quad.value) <= 2.0 * est.stderr
         return covered / self.CASES
 
     def test_deterministic(self):
@@ -342,3 +359,7 @@ class TestStderrCalibration:
                                p_br_uniform(r, sigma, box, cfg, stream))
         assert 0.87 <= share <= 0.99
 
+    def test_uniform_mc(self):
+        share = self._coverage(lambda r, sigma, pattern, box, cfg, stream:
+                               p_br_uniform(r, sigma, box, cfg, stream), self.MC)
+        assert 0.87 <= share <= 0.99
