@@ -28,36 +28,52 @@ from .model import BoxConstraint, ReducedModel
 BRUTE_FORCE_MAX_POINTS = 10 ** 6
 
 
-def _round_half_toward_zero(t: np.ndarray) -> np.ndarray:
-    return np.where(t >= 0.0, np.ceil(t - 0.5), np.floor(t + 0.5))
+def _round_and_clamp(t: np.ndarray, lower, upper) -> np.ndarray:
+    """Round t under the tie rule, then clamp it into [lower, upper]."""
+    out = np.abs(t)
+    out -= 0.5  # exact at half-integers, so ceil sends ties toward zero
+    np.ceil(out, out=out)
+    np.copysign(out, t, out=out)
+    np.maximum(out, lower, out=out)
+    return np.minimum(out, upper, out=out)
 
 
 def rounding_batch(r, ytilde_batch, lower, upper) -> np.ndarray:
     """Clamped rounding detector on a (count, n) batch of observations
     sharing one R and box; returns the (count, n) detected vectors."""
-    d = back_substitute(r, ytilde_batch.T).T
-    return np.clip(_round_half_toward_zero(d), lower, upper)
+    d = back_substitute(r, ytilde_batch.T)
+    return _round_and_clamp(d, np.reshape(lower, (-1, 1)), np.reshape(upper, (-1, 1))).T
 
 
 def babai_batch(r, ytilde_batch, lower, upper) -> np.ndarray:
     """Clamped Babai detector on a batch: for i = n..1 round and clamp
-    c_i = (ytilde_i - sum_{j>i} r_ij x_j) / r_ii."""
+    c_i = (ytilde_i - sum_{j>i} r_ij x_j) / r_ii.
+
+    Like :func:`back_substitute` it works on the (n, count) columns, so each
+    step reads whole contiguous rows of x, and sums with einsum, not BLAS.
+    """
     n = r.shape[0]
-    x = np.zeros((ytilde_batch.shape[0], n))
+    y = ytilde_batch.T
+    x = np.empty(y.shape)
     for i in range(n - 1, -1, -1):
-        ci = (ytilde_batch[:, i] - x[:, i + 1:] @ r[i, i + 1:]) / r[i, i]
-        x[:, i] = np.clip(_round_half_toward_zero(ci), lower[i], upper[i])
-    return x
+        ci = (y[i] - np.einsum("j,jk->k", r[i, i + 1:], x[i + 1:])) / r[i, i]
+        x[i] = _round_and_clamp(ci, lower[i], upper[i])
+    return x.T
 
 
+# The kernels return transposed views of (n, count) arrays.  Comparing in
+# that layout lets np.all combine n long rows instead of reducing count
+# rows of length n.
 def rounding_success_batch(r, ytilde_batch, xhat_batch, lower, upper) -> np.ndarray:
     """Per-trial success flags of the clamped rounding detector."""
-    return np.all(rounding_batch(r, ytilde_batch, lower, upper) == xhat_batch, axis=1)
+    x = rounding_batch(r, ytilde_batch, lower, upper)
+    return np.all(x.T == xhat_batch.T, axis=0)
 
 
 def babai_success_batch(r, ytilde_batch, xhat_batch, lower, upper) -> np.ndarray:
     """Per-trial success flags of the clamped Babai detector."""
-    return np.all(babai_batch(r, ytilde_batch, lower, upper) == xhat_batch, axis=1)
+    x = babai_batch(r, ytilde_batch, lower, upper)
+    return np.all(x.T == xhat_batch.T, axis=0)
 
 
 def _check_box(rm: ReducedModel, box: BoxConstraint) -> None:

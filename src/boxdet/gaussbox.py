@@ -59,7 +59,7 @@ from .errors import (
     InvalidConfigError,
     QuadratureDimensionError,
 )
-from .linalg import validate_upper_triangular
+from .linalg import back_substitute, validate_upper_triangular
 from .model import BoundaryTag, validate_sigma
 from .rng import RngStream, standard_normal
 
@@ -169,12 +169,12 @@ def _mc_probability(r, sigma, lo, hi, floor, samples, stream):
     def sum_block(block):
         idx, size = block
         v = sigma * standard_normal(stream.child(idx), (size, n))
-        xi = scipy.linalg.solve_triangular(r, v.T, lower=False).T
-        inside = (xi >= lo) & (xi <= hi)
+        xi = back_substitute(r, v.T)  # one column per sample
+        inside = (xi >= lo[:, None]) & (xi <= hi[:, None])
         if floor.any():
-            g = np.prod(np.where(inside, 1.0, floor), axis=1)
+            g = np.prod(np.where(inside, 1.0, floor[:, None]), axis=0)
             return float(g.sum()), float(g @ g)
-        hits = float(np.count_nonzero(np.all(inside, axis=1)))
+        hits = float(np.count_nonzero(np.all(inside, axis=0)))
         return hits, hits  # an indicator is its own square
 
     sums = ordered_map(sum_block, blocks)

@@ -6,7 +6,6 @@ on the diagonal; :func:`validate_upper_triangular` enforces that contract.
 """
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatchError, RankDeficientError
 
@@ -91,12 +90,36 @@ def qr_positive(a):
 def back_substitute(r, b) -> np.ndarray:
     """Solve r @ x = b for upper-triangular r by backward substitution.
 
-    ``b`` may be a vector or a matrix of stacked right-hand-side columns.
+    ``b`` is a vector of shape (n,) or a matrix (n, k) of stacked
+    right-hand-side columns; x has the shape of b.  Each step
+    x_i = (b_i - r_{i,i+1:} x_{i+1:}) / r_ii updates all k columns at once
+    with plain numpy arithmetic, so no LAPACK call (and no BLAS thread) runs.
+    Only the diagonal and the entries above it are read.
+
+    Raises
+    ------
+    DimensionMismatchError
+        If r is not square, b is not 1-D or 2-D, or b's leading size differs.
+    ValueError
+        If an entry of b, or of r on or above the diagonal, is not finite, or
+        the diagonal of r holds a zero.
     """
     r = np.asarray(r, dtype=float)
     b = np.asarray(b, dtype=float)
-    if b.shape[0] != r.shape[0]:
+    if r.ndim != 2 or r.shape[0] != r.shape[1]:
+        raise DimensionMismatchError(f"expected a square matrix, got shape {r.shape}")
+    n = r.shape[0]
+    if b.ndim not in (1, 2) or b.shape[0] != n:
         raise DimensionMismatchError(
-            f"dimension mismatch: r is {r.shape}, b has leading size {b.shape[0]}"
+            f"dimension mismatch: r is {r.shape}, b has shape {b.shape}"
         )
-    return scipy.linalg.solve_triangular(r, b, lower=False)
+    if not (np.all(np.isfinite(np.triu(r))) and np.all(np.isfinite(b))):
+        raise ValueError("entries of r and b must be finite")
+    if np.any(np.diag(r) == 0.0):
+        raise ValueError("r is singular: zero on the diagonal")
+    x = np.empty(b.shape)
+    for i in range(n - 1, -1, -1):
+        # einsum, not @: with thousands of columns @ is a BLAS gemv, which
+        # OpenBLAS runs threaded.
+        x[i] = (b[i] - np.einsum("j,j...->...", r[i, i + 1:], x[i + 1:])) / r[i, i]
+    return x

@@ -2,11 +2,15 @@ import numpy as np
 import pytest
 
 from boxdet.detectors import (
+    babai_batch,
+    babai_success_batch,
     bils_brute_force,
     box_babai,
     box_rounding,
     ordinary_babai,
     ordinary_rounding,
+    rounding_batch,
+    rounding_success_batch,
 )
 from boxdet.errors import BoxTooLargeError, DimensionMismatchError
 from boxdet.linalg import back_substitute
@@ -214,3 +218,47 @@ class TestDetectorProperties:
                 for c, lo, hi in zip(_babai_statistics(rm, out_b), box.lower, box.upper)
             ]
             np.testing.assert_array_equal(out_b, expected_b)
+
+
+class TestBatchAgainstSingle:
+    """A 4096-row batch equals the stacked single-instance detectors."""
+
+    COUNT = 4096
+
+    def _block(self):
+        rng = np.random.default_rng(17)
+        n = 5
+        # Dyadic entries keep every back-substitution step exact, so the
+        # half-integer rows below are exact ties for both detectors.
+        r = np.triu(rng.integers(-2, 3, (n, n)) / 2.0)
+        r[np.diag_indices(n)] = 2.0 ** rng.integers(-1, 2, n)
+        half = self.COUNT // 2
+        ties = rng.integers(-3, 6, (half, n)) + 0.5
+        ytilde = np.vstack([ties @ r.T, rng.normal(1.5, 2.0, (half, n)) @ r.T])
+        box = BoxConstraint(np.zeros(n), np.full(n, 3))
+        return r, ytilde, box
+
+    def test_rounding_and_babai(self):
+        r, ytilde, box = self._block()
+        d = np.array([back_substitute(r, y) for y in ytilde])
+        assert np.count_nonzero(d == np.round(d - 0.5) + 0.5) >= self.COUNT
+        assert np.any(d == -0.5)  # rounds to -0.0, which must equal 0
+        half_toward_zero = np.where(d >= 0.0, np.ceil(d - 0.5), np.floor(d + 0.5))
+        np.testing.assert_array_equal(rounding_batch(r, ytilde, box.lower, box.upper),
+                                      np.clip(half_toward_zero, box.lower, box.upper))
+        wide = np.full(r.shape[0], np.inf)
+        for kernel, single, ordinary, success in (
+                (rounding_batch, box_rounding, ordinary_rounding, rounding_success_batch),
+                (babai_batch, box_babai, ordinary_babai, babai_success_batch)):
+            models = [_rm(r, y) for y in ytilde]
+            boxed = np.array([single(rm, box) for rm in models])
+            free = np.array([ordinary(rm) for rm in models])
+            batch = kernel(r, ytilde, box.lower, box.upper)
+            assert batch.shape == ytilde.shape
+            np.testing.assert_array_equal(batch.astype(np.int64), boxed)
+            np.testing.assert_array_equal(kernel(r, ytilde, -wide, wide).astype(np.int64), free)
+            assert np.all(success(r, ytilde, boxed, box.lower, box.upper))
+            shifted = boxed.copy()
+            shifted[::3, -1] += 1
+            flags = success(r, ytilde, shifted, box.lower, box.upper)
+            np.testing.assert_array_equal(flags, np.arange(self.COUNT) % 3 != 0)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from boxdet.errors import DimensionMismatchError, RankDeficientError
 from boxdet.linalg import back_substitute, qr_positive, validate_upper_triangular
@@ -72,6 +73,47 @@ class TestBackSubstitute:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             back_substitute(np.eye(2), [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_right_hand_side(self, bad):
+        with pytest.raises(ValueError):
+            back_substitute(np.eye(2), [bad, 1.0])
+        b = np.ones((2, 5))
+        b[1, 3] = bad
+        with pytest.raises(ValueError):
+            back_substitute(EX1, b)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entry_above_diagonal(self, bad):
+        r = np.triu(np.ones((3, 3)))
+        r[0, 2] = bad
+        with pytest.raises(ValueError):
+            back_substitute(r, [1.0, 1.0, 1.0])
+        with pytest.raises(ValueError):
+            back_substitute(r, np.ones((3, 4)))
+
+    def test_rejects_zero_diagonal(self):
+        with pytest.raises(ValueError, match="singular"):
+            back_substitute(np.array([[1.0, 1.0], [0.0, 0.0]]), np.ones((2, 3)))
+
+    def test_vector_in_vector_out(self):
+        x = back_substitute(EX1, [0.0, 2.0])
+        assert x.shape == (2,)
+        assert back_substitute([[4.0]], [2.0]).shape == (1,)
+
+    def test_columns_match_scipy(self):
+        rng = np.random.default_rng(11)
+        k = 4096
+        for n in range(1, 9):
+            r = np.triu(rng.standard_normal((n, n)))
+            r[np.diag_indices(n)] = rng.uniform(0.5, 2.0, n)
+            v = rng.standard_normal((k, n))
+            # v.T is the F-ordered view the Monte Carlo kernel passes.
+            for b in (v.T, np.ascontiguousarray(v.T)):
+                x = back_substitute(r, b)
+                ref = scipy.linalg.solve_triangular(r, b, lower=False)
+                assert x.shape == (n, k)
+                assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestValidateUpperTriangular:
