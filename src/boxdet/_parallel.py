@@ -3,15 +3,11 @@
 Worker count is capped by the BOXDET_THREADS environment variable
 (unset or 0 means auto = cpu count).  Work items are independent and
 results are always combined in submission order, so any worker count
-produces bit-identical output.  Pools never nest: a task already running
-inside the pool executes nested maps serially.
+produces bit-identical output.
 """
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
-
-_state = threading.local()
 
 
 def worker_count() -> int:
@@ -27,18 +23,8 @@ def worker_count() -> int:
 
 def ordered_map(fn, items) -> list:
     items = list(items)
-    if getattr(_state, "inside", False) or len(items) <= 1:
-        return [fn(item) for item in items]
     workers = min(worker_count(), len(items))
     if workers <= 1:
         return [fn(item) for item in items]
-
-    def run(item):
-        _state.inside = True
-        try:
-            return fn(item)
-        finally:
-            _state.inside = False
-
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, items))
+        return list(pool.map(fn, items))

@@ -6,7 +6,7 @@ with R upper triangular and positive-diagonal, i.e. the normalized integral
     det(R) / (2 pi sigma^2)^{n/2} * integral_I exp(-||R xi||^2 / (2 sigma^2)).
 
 A coordinate may carry a floor weight a_i in [0, 1]: its indicator becomes
-g_i(t) = a_i + (1 - a_i) 1(t in I_i), and the stochastic backends estimate
+g_i(t) = a_i + (1 - a_i) 1(t in I_i), and every backend computes
 E[prod_i g_i(xi_i)].  A plain box probability is the case a = 0.
 
 Three interchangeable backends:
@@ -28,14 +28,16 @@ Three interchangeable backends:
   random digital shift, and sweeps it in blocks of at most 2^14 points, so
   memory does not grow with the sample count.  Standard error from the
   spread over the randomizations.
-* ``QUADRATURE`` -- the same sweep in units of sigma, dimension <= 4, no
-  floor weights, with m Gauss-Legendre nodes in place of Sobol points on
-  each of the first n - 1 standardized conditional intervals.  These have
-  unit variance whatever R is, so each is clipped to
-  +-``QUADRATURE_TRUNCATION`` = 10; the neglected mass is below
-  erfc(10 / sqrt(2)) / 2 < 1e-23 per clipped end.  The last coordinate is
-  closed form, so ``samples`` = m^(n-1).  A batch of products is one
-  sweep.  Reported stderr is 0.
+* ``QUADRATURE`` -- the same sweep in units of sigma, dimension <= 4, with
+  m <= 128 Gauss-Legendre nodes in place of Sobol points on each of the
+  first n - 1 standardized conditional intervals.  These have unit
+  variance whatever R is, so each is clipped to +-``QUADRATURE_TRUNCATION``
+  = 10; the neglected mass is below erfc(10 / sqrt(2)) / 2 < 1e-23 per
+  clipped end.  The last coordinate is closed form.  A floor weight is
+  expanded into interval terms, g = a 1(t <= hi) + (1 - 2a) 1(lo <= t <= hi)
+  + a 1(t >= lo) (the full line when a = 1, terms of coefficient 0
+  dropped), and every product of terms is one row of a single sweep, so
+  ``samples`` = rows * m^(n-1).  Reported stderr is 0.
 
 The canonical per-coordinate intervals are [-1/2, 1/2], (-inf, 1/2],
 [-1/2, inf) and (-inf, inf); the last one arises only for single-point box
@@ -44,6 +46,7 @@ the integral-inequality check below relies on.
 """
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -64,6 +67,8 @@ from .model import BoundaryTag, validate_sigma
 from .rng import RngStream, standard_normal
 
 QUADRATURE_MAX_DIM = 4
+# leggauss(m) builds an m x m matrix and a 4-D sweep holds m^3 nodes per row.
+QUADRATURE_MAX_POINTS = 128
 QUADRATURE_TRUNCATION = 10.0  # standardized conditional limits kept
 _MC_BLOCK = 1 << 16
 _QMC_RANDOMIZATIONS = 16
@@ -119,8 +124,10 @@ class IntegratorConfig:
             object.__setattr__(self, "method", IntegratorMethod(self.method))
         if self.method is not IntegratorMethod.QUADRATURE and self.samples < 1000:
             raise InvalidConfigError("stochastic methods need samples >= 1000")
-        if self.quad_points < 2:
-            raise InvalidConfigError("quadrature needs at least 2 points per axis")
+        if not 2 <= self.quad_points <= QUADRATURE_MAX_POINTS:
+            raise InvalidConfigError(
+                f"quad_points must be between 2 and {QUADRATURE_MAX_POINTS}, "
+                f"got {self.quad_points}")
 
 
 @dataclass(frozen=True)
@@ -143,22 +150,25 @@ class McEstimate:
             raise ValueError("samples must be nonnegative")
 
 
-def _validate(r, sigma, products, cfg, stream):
-    """Checked (R, sigma, lo, hi); lo and hi hold one row per interval
-    product.  The stochastic backends also need a stream."""
+def _validate(r, sigma, intervals, floors, cfg, stream):
+    """Checked (R, sigma, lo, hi, floor) of one interval product.  The
+    stochastic backends also need a stream."""
     r = validate_upper_triangular(r)
     n = r.shape[0]
-    for intervals in products:
-        if len(intervals) != n:
-            raise DimensionMismatchError(f"{len(intervals)} intervals given for dimension {n}")
-    bounds = np.array(products, dtype=float).reshape(len(products), n, 2)
-    lo, hi = bounds[..., 0], bounds[..., 1]
+    intervals = tuple(intervals)
+    if len(intervals) != n:
+        raise DimensionMismatchError(f"{len(intervals)} intervals given for dimension {n}")
+    bounds = np.array(intervals, dtype=float).reshape(n, 2)
+    lo, hi = bounds[:, 0], bounds[:, 1]
     if not np.all(lo < hi):
         raise ValueError("each interval needs lo < hi")
+    floor = np.zeros(n) if floors is None else np.asarray(floors, dtype=float)
+    if floor.shape != (n,) or not np.all((floor >= 0.0) & (floor <= 1.0)):
+        raise ValueError(f"floors must be {n} weights in [0, 1]")
     sigma = validate_sigma(sigma)
     if cfg.method is not IntegratorMethod.QUADRATURE and stream is None:
         raise InvalidConfigError("stochastic backends need an RngStream")
-    return r, sigma, lo, hi
+    return r, sigma, lo, hi, floor
 
 
 def _mc_probability(r, sigma, lo, hi, floor, samples, stream):
@@ -241,28 +251,37 @@ def _qmc_probability(r, sigma, lo, hi, floor, samples, stream):
                       npts * _QMC_RANDOMIZATIONS, stream.label())
 
 
-def check_quadrature_dimension(n: int) -> None:
+def _quadrature_probability(r, sigma, lo, hi, floor, quad_points):
+    """QUADRATURE value of E[prod_i g_i(xi_i)] for one interval product.
+
+    Each g_i is a sum of interval indicators, a 1(t <= hi) +
+    (1 - 2a) 1(lo <= t <= hi) + a 1(t >= lo), or the full line when a = 1,
+    without the terms of coefficient 0.  Every product of terms is one row
+    of the sweep, and the value is the coefficient-weighted sum of the rows.
+    """
+    n = r.shape[0]
     if n > QUADRATURE_MAX_DIM:
         raise QuadratureDimensionError(
             f"quadrature supports dimension <= {QUADRATURE_MAX_DIM}, got {n}")
-
-
-def _quadrature_probability(r, sigma, lo, hi, quad_points):
-    """QUADRATURE values for a batch of interval products (one row of lo
-    and hi each), returned in row order."""
-    boxes, n = lo.shape
-    check_quadrature_dimension(n)
+    terms = []
+    for l, h, a in zip(lo, hi, floor):
+        split = ([(1.0, -math.inf, math.inf)] if a == 1.0 else
+                 [(a, -math.inf, h), (1.0 - 2.0 * a, l, h), (a, l, math.inf)])
+        terms.append([term for term in split if term[0] != 0.0])
+    rows = list(itertools.product(*terms))
+    coef = np.array([math.prod(c for c, _, _ in row) for row in rows])
     # The sweep of _qmc_probability in units of sigma: t = xi / sigma has
     # the law N(0, (R^T R)^{-1}), so no power of sigma can underflow.
+    bounds = np.array([[(l, h) for _, l, h in row] for row in rows])[:, ::-1] / sigma
+    lo_r, hi_r = bounds[..., 0], bounds[..., 1]
     chol = scipy.linalg.solve_triangular(r, np.eye(n), lower=False)[::-1, ::-1]
-    lo_r, hi_r = lo[:, ::-1] / sigma, hi[:, ::-1] / sigma
     base_nodes, base_weights = np.polynomial.legendre.leggauss(quad_points)
     nodes = quad_points ** (n - 1)
     per_chunk = max(1, _SWEEP_CHUNK // nodes)
-    values = np.empty(boxes)
-    for start in range(0, boxes, per_chunk):
-        rows = slice(start, start + per_chunk)
-        lo_c, hi_c = lo_r[rows, :, None], hi_r[rows, :, None]
+    values = np.empty(len(rows))
+    for start in range(0, len(rows), per_chunk):
+        chunk = slice(start, start + per_chunk)
+        lo_c, hi_c = lo_r[chunk, :, None], hi_r[chunk, :, None]
         count = len(lo_c)
         weight, z = np.ones((count, 1)), np.empty((count, 1, 0))
         for i in range(n):
@@ -279,44 +298,23 @@ def _quadrature_probability(r, sigma, lo, hi, quad_points):
             weight = weight.reshape(count, -1) / math.sqrt(2.0 * math.pi)
             z = np.concatenate((np.repeat(z, quad_points, axis=1),
                                 zi.reshape(count, -1, 1)), axis=2)
-        values[rows] = np.sum(weight * (ndtr(b) - ndtr(a)), axis=1)
-    return [McEstimate(float(v), 0.0, nodes, "deterministic")
-            for v in np.clip(values, 0.0, 1.0)]
-
-
-def box_probabilities(r, sigma, products, cfg: IntegratorConfig,
-                      stream: RngStream | None = None) -> list:
-    """Probabilities of many interval products under one (R, sigma), in
-    the order of ``products``, with uncorrelated errors.
-
-    Quadrature integrates the whole batch in one sweep; the stochastic
-    backends integrate product j on ``stream.child(j)``.  ``stream`` is
-    required for the stochastic backends and ignored by quadrature.
-    """
-    products = tuple(tuple(p) for p in products)
-    r, sigma, lo, hi = _validate(r, sigma, products, cfg, stream)
-    if cfg.method is IntegratorMethod.QUADRATURE:
-        return _quadrature_probability(r, sigma, lo, hi, cfg.quad_points)
-    return [box_probability(r, sigma, p, cfg, stream.child(j)) for j, p in enumerate(products)]
+        values[chunk] = np.sum(weight * (ndtr(b) - ndtr(a)), axis=1)
+    value = float(coef @ np.clip(values, 0.0, 1.0))
+    return McEstimate(min(max(value, 0.0), 1.0), 0.0, len(rows) * nodes, "deterministic")
 
 
 def box_probability(r, sigma, intervals, cfg: IntegratorConfig,
                     stream: RngStream | None = None, floors=None) -> McEstimate:
     """Probability that N(0, sigma^2 (R^T R)^{-1}) lands in the interval
-    product.  With ``floors`` (a weight a_i in [0, 1] per coordinate) the
-    stochastic backends estimate E[prod_i (a_i + (1 - a_i) 1(xi_i in I_i))]
-    instead; quadrature takes no floor weights."""
-    r, sigma, lo, hi = _validate(r, sigma, (tuple(intervals),), cfg, stream)
-    n = r.shape[0]
-    floor = np.zeros(n) if floors is None else np.asarray(floors, dtype=float)
-    if floor.shape != (n,) or not np.all((floor >= 0.0) & (floor <= 1.0)):
-        raise ValueError(f"floors must be {n} weights in [0, 1]")
+    product.  With ``floors`` (a weight a_i in [0, 1] per coordinate) it is
+    E[prod_i (a_i + (1 - a_i) 1(xi_i in I_i))] instead, on every backend.
+    ``stream`` is required for the stochastic backends and ignored by
+    quadrature."""
+    r, sigma, lo, hi, floor = _validate(r, sigma, intervals, floors, cfg, stream)
     if cfg.method is IntegratorMethod.QUADRATURE:
-        if np.any(floor):
-            raise InvalidConfigError("quadrature takes no floor weights")
-        return _quadrature_probability(r, sigma, lo, hi, cfg.quad_points)[0]
+        return _quadrature_probability(r, sigma, lo, hi, floor, cfg.quad_points)
     kernel = _qmc_probability if cfg.method is IntegratorMethod.SEQ_QMC else _mc_probability
-    return kernel(r, sigma, lo[0], hi[0], floor, cfg.samples, stream)
+    return kernel(r, sigma, lo, hi, floor, cfg.samples, stream)
 
 
 def check_product_bound(r, sigma, a, tail_intervals, cfg: IntegratorConfig,

@@ -16,8 +16,8 @@ E[prod_i (a_i + (1 - a_i) 1(|xi_i| <= 1/2))] with a_i = 1 / (w_i + 1),
 the same form as the Babai closed form prod_i (a_i + (1 - a_i) phi(r_ii)).
 """
 
-import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.special import erf
@@ -25,16 +25,7 @@ from scipy.special import erf
 # Unused here, but perfbench/spans.py wraps success.ordered_map by name.
 from ._parallel import ordered_map  # noqa: F401
 from .errors import DimensionMismatchError
-from .gaussbox import (
-    FINITE,
-    IntegratorConfig,
-    IntegratorMethod,
-    McEstimate,
-    box_probabilities,
-    box_probability,
-    check_quadrature_dimension,
-    intervals_from_pattern,
-)
+from .gaussbox import FINITE, IntegratorConfig, McEstimate, box_probability, intervals_from_pattern
 from .linalg import validate_upper_triangular
 from .model import BoundaryTag, BoxConstraint, validate_sigma
 from .rng import RngStream
@@ -123,26 +114,6 @@ def p_br_deterministic(r, sigma: float, pattern, cfg: IntegratorConfig,
     return box_probability(r, sigma, intervals_from_pattern(pattern), cfg, stream)
 
 
-def _pattern_choices(box: BoxConstraint) -> list:
-    """Per-coordinate (tag, point count) options: a width-w coordinate has
-    one lower point, one upper point and w - 1 interior points; width 0 is
-    a singleton."""
-    options = []
-    for w in box.widths:
-        w = int(w)
-        if w == 0:
-            options.append(((BoundaryTag.SINGLETON, 1),))
-        elif w == 1:
-            options.append(((BoundaryTag.LOWER, 1), (BoundaryTag.UPPER, 1)))
-        else:
-            options.append((
-                (BoundaryTag.LOWER, 1),
-                (BoundaryTag.INTERIOR, w - 1),
-                (BoundaryTag.UPPER, 1),
-            ))
-    return options
-
-
 def p_br_uniform(r, sigma: float, box: BoxConstraint, cfg: IntegratorConfig,
                  stream: RngStream | None = None) -> McEstimate:
     """Success probability of the clamped rounding detector when the true
@@ -152,12 +123,11 @@ def p_br_uniform(r, sigma: float, box: BoxConstraint, cfg: IntegratorConfig,
     on |xi_i| <= 1/2 and the two bound points on (-inf, 1/2] and
     [-1/2, inf), so the coordinate's average indicator is
     g_i = a_i + (1 - a_i) 1(|xi_i| <= 1/2) with a_i = 1 / (w_i + 1); a
-    singleton has g_i = 1.  The stochastic backends integrate
-    E[prod_i g_i(xi_i)] as one floor-weighted ``box_probability`` of
-    16 n ``cfg.samples`` points (for QMC, n ``cfg.samples`` per
-    randomization, rounded up to a power of two).  Quadrature (n <= 4)
-    instead sums the at most 3^n boundary-pattern integrals in one batch,
-    each weighted by the number of box points that share the pattern.
+    singleton has g_i = 1.  E[prod_i g_i(xi_i)] is one floor-weighted
+    ``box_probability`` of 16 n ``cfg.samples`` points (for QMC,
+    n ``cfg.samples`` per randomization, rounded up to a power of two);
+    quadrature (n <= 4) ignores the point count and integrates the at most
+    3^n interval terms of the floors in one sweep.
     """
     r = validate_upper_triangular(r)
     n = r.shape[0]
@@ -165,16 +135,7 @@ def p_br_uniform(r, sigma: float, box: BoxConstraint, cfg: IntegratorConfig,
         raise DimensionMismatchError(
             f"box dimension {box.dim} does not match matrix dimension {n}"
         )
-    if cfg.method is not IntegratorMethod.QUADRATURE:
-        floors = 1.0 / (box.widths + 1.0)
-        cfg = IntegratorConfig(method=cfg.method, samples=_UNIFORM_POINTS * n * cfg.samples)
-        return box_probability(r, sigma, (FINITE,) * n, cfg,
-                               stream if stream is not None else RngStream(0), floors)
-    check_quadrature_dimension(n)
-    combos = list(itertools.product(*_pattern_choices(box)))
-    ests = box_probabilities(r, sigma, [intervals_from_pattern(tag for tag, _ in combo)
-                                        for combo in combos], cfg)
-    total = sum(math.prod(count for _, count in combo) * est.value
-                for combo, est in zip(combos, ests))
-    return McEstimate(float(np.clip(total / box.num_points(), 0.0, 1.0)), 0.0,
-                      sum(est.samples for est in ests), "deterministic")
+    cfg = replace(cfg, samples=_UNIFORM_POINTS * n * cfg.samples)
+    return box_probability(r, sigma, (FINITE,) * n, cfg,
+                           stream if stream is not None else RngStream(0),
+                           1.0 / (box.widths + 1.0))

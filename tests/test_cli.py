@@ -300,6 +300,13 @@ class TestExperimentCommand:
                      str(tmp_path / "x.csv")]) == 2
         assert "truncation" in capsys.readouterr().err
 
+    def test_quad_points_bound_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", None)  # never built
+        cfg = _config_file(tmp_path, integrator={"method": "quad", "quad_points": 129})
+        assert main(["experiment", "--config", cfg, "--out",
+                     str(tmp_path / "x.csv")]) == 2
+        assert "quad_points must be between 2 and 128" in capsys.readouterr().err
+
     def test_reduced_sweep_digest(self, tmp_path):
         # Pins the sampling and both detector kernels: any change to their
         # numbers moves this digest of configs/figure1_reduced.json's CSV.

@@ -22,7 +22,6 @@ from boxdet.gaussbox import (
     IntegratorMethod,
     Interval,
     McEstimate,
-    box_probabilities,
     box_probability,
     check_product_bound,
     intervals_from_pattern,
@@ -83,6 +82,14 @@ class TestConfig:
                 box_probability(EX1, sigma, (FINITE, FINITE), QUAD)
             with pytest.raises(ValueError, match="sigma"):
                 check_product_bound(EX1, sigma, 0.5, (FINITE,), QUAD)
+
+    def test_quad_points_bound(self, monkeypatch):
+        # leggauss(m) builds an m x m matrix: a refused count never gets there.
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", None)
+        for points in (1, 129, 10 ** 5):
+            with pytest.raises(InvalidConfigError, match="quad_points"):
+                IntegratorConfig(method=IntegratorMethod.QUADRATURE, quad_points=points)
+        assert IntegratorConfig(method=IntegratorMethod.QUADRATURE, quad_points=128)
 
     def test_quadrature_dimension_cap(self):
         with pytest.raises(QuadratureDimensionError):
@@ -206,43 +213,48 @@ class TestQmcBatch:
     def _r(self):
         return _random_triangular(np.random.default_rng(51), 3)
 
-    def test_first_product_is_a_batch_of_one(self):
-        # Product j is a single integral on child stream j.
-        batch = box_probabilities(self._r(), 0.7, self.PRODUCTS, QMC, RngStream(5))
-        single = box_probability(self._r(), 0.7, self.PRODUCTS[0], QMC,
-                                 RngStream(5).child(0))
-        assert batch[0] == single
-        assert len(batch) == len(self.PRODUCTS)
+    def _estimates(self, r, stream):
+        return [box_probability(r, 0.7, ivs, QMC, stream.child(j))
+                for j, ivs in enumerate(self.PRODUCTS)]
 
     def test_chunk_size_does_not_change_results(self, monkeypatch):
         # The sweep draws consecutive blocks of _SWEEP_CHUNK Sobol points;
         # the block size changes only the order of summation.
-        args = (self._r(), 0.7, self.PRODUCTS, QMC, RngStream(5))
-        whole = box_probabilities(*args)
+        whole = self._estimates(self._r(), RngStream(5))
         monkeypatch.setattr(gaussbox, "_SWEEP_CHUNK", 64)
-        for est, ref in zip(box_probabilities(*args), whole):
+        for est, ref in zip(self._estimates(self._r(), RngStream(5)), whole):
             assert est.value == pytest.approx(ref.value, rel=1e-12)
             assert est.stderr == pytest.approx(ref.stderr, rel=1e-9)
             assert est.samples == ref.samples
 
     def test_matches_scipy(self):
         r = self._r()
-        batch = box_probabilities(r, 0.7, self.PRODUCTS, QMC, RngStream(6))
-        for ivs, est in zip(self.PRODUCTS, batch):
+        for ivs, est in zip(self.PRODUCTS, self._estimates(r, RngStream(6))):
             lo = np.array([iv.lo for iv in ivs])
             hi = np.array([iv.hi for iv in ivs])
             assert abs(est.value - _mvn_oracle(r, 0.7, lo, hi)) <= 4 * est.stderr + 1e-5
 
 
 class TestQuadratureBatch:
-    PRODUCTS = TestQmcBatch.PRODUCTS
+    IVS = (FINITE, LEFT_INFINITE, symmetric(0.8))
+    FLOORS = (0.75, 0.1, 0.0)
 
     def test_rows_equal_single_products(self, monkeypatch):
+        # Floors expand into one batch of interval terms per coordinate,
+        # g = a 1(t <= hi) + (1 - 2a) 1(lo <= t <= hi) + a 1(t >= lo); with
+        # a = 0.75 the middle coefficient is negative.
         r = _random_triangular(np.random.default_rng(52), 3)
-        batch = box_probabilities(r, 0.7, self.PRODUCTS, QUAD)
-        assert batch == [box_probability(r, 0.7, ivs, QUAD) for ivs in self.PRODUCTS]
+        terms = [[(a, Interval(-math.inf, iv.hi)), (1 - 2 * a, iv), (a, Interval(iv.lo, math.inf))]
+                 for iv, a in zip(self.IVS, self.FLOORS)]
+        expected = sum(
+            math.prod(c for c, _ in row)
+            * box_probability(r, 0.7, tuple(iv for _, iv in row), QUAD).value
+            for row in itertools.product(*terms) if all(c for c, _ in row))
+        est = box_probability(r, 0.7, self.IVS, QUAD, None, self.FLOORS)
+        assert est.value == pytest.approx(expected, rel=1e-14)
+        assert est.samples == 9 * QUAD.quad_points ** 2
         monkeypatch.setattr(gaussbox, "_SWEEP_CHUNK", 1)
-        assert box_probabilities(r, 0.7, self.PRODUCTS, QUAD) == batch
+        assert box_probability(r, 0.7, self.IVS, QUAD, None, self.FLOORS) == est
 
     def test_ill_conditioned_factor(self):
         # R = [[1, 1], [0, 0.01]] puts the density on a narrow ridge.  With
@@ -261,8 +273,8 @@ class TestQuadratureBatch:
         # the product of the two 2-D integrals.
         r = np.kron(np.eye(2), EX1)
         patterns = ["".join(p) for p in itertools.product("LIU", repeat=4)]
-        full = box_probabilities(r, 1.0, [intervals_from_pattern(parse_pattern(p))
-                                          for p in patterns], QUAD)
+        full = [box_probability(r, 1.0, intervals_from_pattern(parse_pattern(p)), QUAD)
+                for p in patterns]
         halves = {p: box_probability(EX1, 1.0, intervals_from_pattern(parse_pattern(p)),
                                      QUAD).value
                   for p in ("".join(q) for q in itertools.product("LIU", repeat=2))}
@@ -271,27 +283,17 @@ class TestQuadratureBatch:
         assert full[0].samples == QUAD.quad_points ** 3
 
 
-class TestMcBatch:
-    def test_row_j_integrates_on_child_j(self):
-        r = _random_triangular(np.random.default_rng(53), 3)
-        cfg = IntegratorConfig(method=IntegratorMethod.MONTE_CARLO, samples=4000)
-        stream = RngStream(8, (1,))
-        batch = box_probabilities(r, 0.7, TestQmcBatch.PRODUCTS, cfg, stream)
-        assert batch == [box_probability(r, 0.7, ivs, cfg, stream.child(j))
-                         for j, ivs in enumerate(TestQmcBatch.PRODUCTS)]
-
-
 class TestFloorWeights:
-    IVS = (FINITE, LEFT_INFINITE, symmetric(0.8))
-    FLOORS = (0.25, 0.5, 0.0)
+    IVS = TestQuadratureBatch.IVS
+    FLOORS = ((0.25, 0.5, 0.0), (0.75, 0.1, 1.0))
 
-    def _expanded(self, r, sigma):
+    def _expanded(self, r, sigma, floors):
         """E[prod_i (a_i + (1 - a_i) 1_i)] expanded over the subsets S of
         coordinates held to their intervals, each a scipy probability with
         the other coordinates on the full line."""
         total = 0.0
         for held in itertools.product((False, True), repeat=3):
-            coef = math.prod((1 - a) if h else a for a, h in zip(self.FLOORS, held))
+            coef = math.prod((1 - a) if h else a for a, h in zip(floors, held))
             lo = np.array([iv.lo if h else -math.inf for iv, h in zip(self.IVS, held)])
             hi = np.array([iv.hi if h else math.inf for iv, h in zip(self.IVS, held)])
             total += coef * (_mvn_oracle(r, sigma, lo, hi) if any(held) else 1.0)
@@ -299,28 +301,30 @@ class TestFloorWeights:
 
     def test_matches_subset_expansion(self):
         r = _random_triangular(np.random.default_rng(54), 3)
-        expected = self._expanded(r, 0.7)
-        for cfg in (MC, QMC):
-            est = box_probability(r, 0.7, self.IVS, cfg, RngStream(9), self.FLOORS)
-            assert abs(est.value - expected) <= 4 * est.stderr + 1e-5
+        for floors in self.FLOORS:
+            expected = self._expanded(r, 0.7, floors)
+            for cfg in (MC, QMC, QUAD):
+                est = box_probability(r, 0.7, self.IVS, cfg, RngStream(9), floors)
+                assert abs(est.value - expected) <= 4 * est.stderr + 1e-5
 
     def test_zero_floors_keep_the_box_probability(self):
         r = _random_triangular(np.random.default_rng(55), 3)
-        for cfg in (MC, QMC):
+        for cfg in (MC, QMC, QUAD):
             assert (box_probability(r, 0.7, self.IVS, cfg, RngStream(9), np.zeros(3))
                     == box_probability(r, 0.7, self.IVS, cfg, RngStream(9)))
 
     def test_unit_floors_give_one(self):
-        for cfg in (MC, QMC):
+        # Quadrature integrates a unit floor as the full line; the default
+        # 64-node rule resolves it to 1 after clipping.
+        for cfg in (MC, QMC, QUAD):
             est = box_probability(EX1, 0.7, (FINITE, FINITE), cfg, RngStream(9), (1.0, 1.0))
             assert est.value == 1.0 and est.stderr == 0.0
 
     def test_validation(self):
         for floors in ((0.5,), (0.5, 1.5), (-0.1, 0.0), (math.nan, 0.0)):
-            with pytest.raises(ValueError, match="floors"):
-                box_probability(EX1, 0.7, (FINITE, FINITE), QMC, RngStream(9), floors)
-        with pytest.raises(InvalidConfigError, match="floor"):
-            box_probability(EX1, 0.7, (FINITE, FINITE), QUAD, None, (0.5, 0.0))
+            for cfg in (QMC, QUAD):
+                with pytest.raises(ValueError, match="floors"):
+                    box_probability(EX1, 0.7, (FINITE, FINITE), cfg, RngStream(9), floors)
 
 
 class TestProductBoundCheck:

@@ -236,6 +236,23 @@ class TestRoundingUniform:
                 total += p_br_deterministic(r, sigma, pat, QUAD).value
             assert est.value == pytest.approx(total / 9.0, rel=1e-12)
 
+    def test_honours_quad_points(self):
+        # Scaling a uniform cell's point count keeps the caller's rule.
+        r = _well_conditioned(np.random.default_rng(15), 2)
+        box = BoxConstraint([0, 0], [2, 3])
+        coarse = IntegratorConfig(method=IntegratorMethod.QUADRATURE, quad_points=8)
+
+        def pattern_sum(cfg):
+            total = 0.0
+            for pt in itertools.product(range(3), range(4)):
+                total += p_br_deterministic(r, 0.6, classify(np.array(pt), box), cfg).value
+            return total / 12.0
+
+        est = p_br_uniform(r, 0.6, box, coarse)
+        assert est.value == pytest.approx(pattern_sum(coarse), rel=1e-12)
+        assert abs(est.value - pattern_sum(QUAD)) > 1e-6
+        assert est.samples == 9 * 8
+
     def test_pattern_budget(self):
         # No pattern budget: the stochastic backends integrate one weighted
         # sweep whatever the number of boundary patterns (3^11 here).
