@@ -184,11 +184,25 @@ def format_rows_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_writable_path(path) -> None:
+    """Refuse, before any work, an output path whose directory is missing
+    or that is a directory itself."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise InputError(f"cannot write {path}: no directory {directory}")
+    if os.path.isdir(path):
+        raise InputError(f"cannot write {path}: it is a directory")
+
+
 def _write_atomic(path, text) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+            # mkstemp creates the file 0600; give it the mode open() would.
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -199,6 +213,9 @@ def _write_atomic(path, text) -> None:
 
 def cmd_experiment(args) -> int:
     cfg = ExperimentConfig.from_json_file(args.config)
+    for path in (args.out, args.svg):
+        if path is not None:
+            _check_writable_path(path)
     rows = run_experiment(cfg)
     _write_atomic(args.out, format_rows_csv(rows))
     print(f"wrote {args.out}")

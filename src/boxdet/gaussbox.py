@@ -43,6 +43,11 @@ The canonical per-coordinate intervals are [-1/2, 1/2], (-inf, 1/2],
 [-1/2, inf) and (-inf, inf); the last one arises only for single-point box
 coordinates.  The integrators accept arbitrary (lo, hi) intervals, which
 the integral-inequality check below relies on.
+
+QMC and quadrature take the factor R^{-1} from numpy's LAPACK
+(``np.linalg.inv``), which at these sizes starts no BLAS worker.  Nothing
+here calls scipy's LAPACK: scipy bundles a second OpenBLAS whose worker
+thread busy-waits after each call and takes a core from the pool.
 """
 
 import enum
@@ -52,7 +57,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 from scipy.special import erf, ndtr, ndtri
 from scipy.stats import qmc
 
@@ -198,7 +202,7 @@ def _mc_probability(r, sigma, lo, hi, floor, samples, stream):
 def _qmc_probability(r, sigma, lo, hi, floor, samples, stream):
     """SEQ_QMC estimate of E[prod_i g_i(xi_i)] for one interval product."""
     n = r.shape[0]
-    chol = sigma * scipy.linalg.solve_triangular(r, np.eye(n), lower=False)
+    chol = sigma * np.linalg.inv(r)
     # Reversing coordinates turns the upper-triangular factor into a
     # lower-triangular Cholesky factor for the standard conditional sweep.
     chol = chol[::-1, ::-1]
@@ -274,7 +278,7 @@ def _quadrature_probability(r, sigma, lo, hi, floor, quad_points):
     # the law N(0, (R^T R)^{-1}), so no power of sigma can underflow.
     bounds = np.array([[(l, h) for _, l, h in row] for row in rows])[:, ::-1] / sigma
     lo_r, hi_r = bounds[..., 0], bounds[..., 1]
-    chol = scipy.linalg.solve_triangular(r, np.eye(n), lower=False)[::-1, ::-1]
+    chol = np.linalg.inv(r)[::-1, ::-1]
     base_nodes, base_weights = np.polynomial.legendre.leggauss(quad_points)
     nodes = quad_points ** (n - 1)
     per_chunk = max(1, _SWEEP_CHUNK // nodes)

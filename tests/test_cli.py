@@ -1,11 +1,13 @@
 import hashlib
 import json
+import os
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from boxdet import cli
 from boxdet.cli import format_rows_csv, main, parse_box, read_matrix
 from boxdet.cli import InputError
 from boxdet.chart import render_chart
@@ -306,6 +308,44 @@ class TestExperimentCommand:
         assert main(["experiment", "--config", cfg, "--out",
                      str(tmp_path / "x.csv")]) == 2
         assert "quad_points must be between 2 and 128" in capsys.readouterr().err
+
+    @pytest.fixture
+    def no_sweep(self, monkeypatch):
+        def never(cfg):
+            raise AssertionError("the sweep ran before the output path was checked")
+
+        monkeypatch.setattr(cli, "run_experiment", never)
+
+    @pytest.mark.parametrize("flag", ["--out", "--svg"])
+    def test_missing_output_directory_exits_2_before_sweep(self, tmp_path, capsys,
+                                                         no_sweep, flag):
+        missing = str(tmp_path / "no" / "such" / "x.out")
+        paths = {"--out": str(tmp_path / "x.csv"), "--svg": str(tmp_path / "x.svg")}
+        paths[flag] = missing
+        argv = ["experiment", "--config", _config_file(tmp_path)]
+        for name, path in paths.items():
+            argv += [name, path]
+        assert main(argv) == 2
+        assert missing in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_output_directory_as_path_exits_2_before_sweep(self, tmp_path, capsys,
+                                                          no_sweep):
+        assert main(["experiment", "--config", _config_file(tmp_path),
+                     "--out", str(tmp_path)]) == 2
+        assert "is a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+    def test_outputs_get_the_mode_open_would_give(self, tmp_path, umask):
+        out, svg = tmp_path / "m.csv", tmp_path / "m.svg"
+        previous = os.umask(umask)
+        try:
+            assert main(["experiment", "--config", _config_file(tmp_path),
+                         "--out", str(out), "--svg", str(svg)]) == 0
+        finally:
+            os.umask(previous)
+        for path in (out, svg):
+            assert path.stat().st_mode & 0o777 == 0o666 & ~umask
 
     def test_reduced_sweep_digest(self, tmp_path):
         # Pins the sampling and both detector kernels: any change to their

@@ -1,8 +1,11 @@
 import itertools
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import quad as sciquad
 from scipy.special import ndtr
 from scipy.stats import multivariate_normal
@@ -204,6 +207,34 @@ class TestBackendAgreement:
                     gap = abs(ests[i].value - ests[j].value)
                     tol = 3 * math.hypot(ests[i].stderr, ests[j].stderr) + 1e-6
                     assert gap <= tol
+
+
+class TestInverseFactor:
+    def test_numpy_inverse_equals_triangular_solve(self):
+        # QMC and quadrature take R^{-1} from np.linalg.inv; it must equal
+        # the triangular solve bit for bit, or the pinned digests move.
+        rng = np.random.default_rng(71)
+        for n in range(1, 9):
+            for spread in (False, True):
+                for _ in range(50):
+                    r = _random_triangular(rng, n)
+                    if spread:
+                        r[np.diag_indices(n)] = 10.0 ** rng.uniform(-6.0, 6.0, n)
+                    assert np.array_equal(
+                        np.linalg.inv(r),
+                        scipy.linalg.solve_triangular(r, np.eye(n), lower=False))
+
+    def test_package_never_calls_scipy_linalg(self):
+        """scipy bundles its own OpenBLAS, whose worker thread busy-waits
+        after each scipy.linalg call and so takes a core from boxdet's
+        thread pool.  No module of the package may name it."""
+        package = Path(gaussbox.__file__).resolve().parent
+        sources = sorted(package.glob("*.py"))
+        assert sources
+        offenders = [path.name for path in sources
+                     if re.search(r"scipy\.linalg|from scipy import .*\blinalg\b",
+                                  path.read_text())]
+        assert offenders == []
 
 
 class TestQmcBatch:
