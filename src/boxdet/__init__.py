@@ -36,12 +36,9 @@ from .linalg import back_substitute, qr_positive
 from .model import (
     BoundaryTag,
     BoxConstraint,
-    LinearModel,
     ReducedModel,
     classify,
-    observe,
     parse_pattern,
-    reduce,
     sample_noise,
     sample_uniform_x,
 )

@@ -113,7 +113,7 @@ def _reduced_from_files(matrix_path, y_path):
             f"observation length {y.size} does not match matrix rows {a.shape[0]}"
         )
     q1, r = qr_positive(a)
-    return ReducedModel(r, q1.T @ y, 1.0)
+    return ReducedModel(r, q1.T @ y)
 
 
 def cmd_detect(args) -> int:

@@ -20,7 +20,7 @@ across repeat runs and worker counts.
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -92,16 +92,13 @@ class ExperimentConfig:
             _reject_unknown_keys(box_doc, BoxConstraint, "box")
             bounds = [[_json_int(v, f"box {key}") for v in box_doc[key]]
                       if isinstance(box_doc[key], list)
-                      else np.full(n, _json_int(box_doc[key], f"box {key}"))
+                      else [_json_int(box_doc[key], f"box {key}")] * n
                       for key in ("lower", "upper")]
             integ = doc.get("integrator", {})
             _reject_unknown_keys(integ, IntegratorConfig, "integrator")
-            integrator = IntegratorConfig(
-                method=IntegratorMethod(integ.get("method", "qmc")),
-                samples=_json_int(integ.get("samples", DEFAULT_EXPERIMENT_INTEGRATOR.samples),
-                                  "samples"),
-                quad_points=_json_int(integ.get("quad_points", 64), "quad_points"),
-            )
+            integrator = replace(DEFAULT_EXPERIMENT_INTEGRATOR, **{
+                key: IntegratorMethod(value) if key == "method" else _json_int(value, key)
+                for key, value in integ.items()})
             grid = doc["sigma_grid"]
             if not isinstance(grid, list) or any(
                     isinstance(s, bool) or not isinstance(s, (int, float)) for s in grid):

@@ -1,22 +1,28 @@
-"""Box constraint, linear / reduced observation models, boundary patterns.
+"""Box constraint, reduced observation model, boundary patterns.
 
 The observation model is y = A x + v with v ~ N(0, sigma^2 I) and x an
 integer vector confined to a box.  Left-multiplying by the orthonormal QR
-factor reduces it to ytilde = R x + vtilde with the noise law unchanged.
-All success probabilities downstream depend on x only through its boundary
-pattern: per coordinate, whether x sits at the lower bound, the upper
-bound, strictly inside, or on a single-point coordinate (lower == upper).
+factor (``linalg.qr_positive``) reduces it to ytilde = R x + vtilde with
+the noise law unchanged, so the detectors need only (R, ytilde): a
+``ReducedModel``.  All success probabilities downstream depend on x only
+through its boundary pattern: per coordinate, whether x sits at the lower
+bound, the upper bound, strictly inside, or on a single-point coordinate
+(lower == upper).
 """
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng as _rng
 from .errors import DimensionMismatchError, OutOfBoxError
-from .linalg import as_matrix, as_vector, qr_positive, validate_upper_triangular
+from .linalg import as_vector, validate_upper_triangular
+
+# Within +-2^52 every bound and every width (at most 2^53) is exact in
+# float64, which the clamp and the uniform sampler compute in.
+MAX_BOUND = 2 ** 52
 
 
 def validate_sigma(sigma) -> float:
@@ -34,6 +40,18 @@ class BoundaryTag(enum.Enum):
     SINGLETON = "S"
 
 
+def _bounds(values, name: str) -> np.ndarray:
+    """Box bounds as int64, each checked against +-MAX_BOUND while it is
+    still a Python number, so an oversized one cannot overflow."""
+    values = np.asarray(values, dtype=object).reshape(-1)
+    for value in values:
+        if not -MAX_BOUND <= value <= MAX_BOUND:
+            raise ValueError(
+                f"box {name} bound {value} is outside [-2^52, 2^52]"
+            )
+    return values.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class BoxConstraint:
     """Integer box {x : lower <= x <= upper}, bounds elementwise."""
@@ -42,8 +60,7 @@ class BoxConstraint:
     upper: np.ndarray
 
     def __init__(self, lower, upper):
-        lower = np.asarray(lower, dtype=np.int64).reshape(-1)
-        upper = np.asarray(upper, dtype=np.int64).reshape(-1)
+        lower, upper = _bounds(lower, "lower"), _bounds(upper, "upper")
         if lower.size != upper.size:
             raise DimensionMismatchError("lower and upper bounds differ in length")
         if lower.size == 0:
@@ -76,84 +93,26 @@ class BoxConstraint:
 
 
 @dataclass(frozen=True)
-class LinearModel:
-    """Full-column-rank model matrix plus noise level sigma > 0.
-
-    Column rank is validated at construction by running the QR
-    factorization once; the factors are cached for reuse by ``reduce``.
-    """
-
-    a: np.ndarray
-    sigma: float
-    _q1: np.ndarray = field(repr=False, compare=False, default=None)
-    _r: np.ndarray = field(repr=False, compare=False, default=None)
-
-    def __init__(self, a, sigma: float):
-        a = as_matrix(a)
-        sigma = validate_sigma(sigma)
-        q1, r = qr_positive(a)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "_q1", q1)
-        object.__setattr__(self, "_r", r)
-
-    @property
-    def rows(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.a.shape[1]
-
-    def qr(self):
-        return self._q1, self._r
-
-
-@dataclass(frozen=True)
 class ReducedModel:
     """Upper-triangular observation model ytilde = R x + vtilde.
 
     R must be square, exactly zero below the diagonal, finite and positive
     on the diagonal (``validate_upper_triangular``); ytilde must match it.
+    The noise level is not part of it: no detector reads it.
     """
 
     r: np.ndarray
     ytilde: np.ndarray
-    sigma: float
 
-    def __init__(self, r, ytilde, sigma: float):
+    def __init__(self, r, ytilde):
         r = validate_upper_triangular(r)
         ytilde = as_vector(ytilde, r.shape[0])
-        sigma = validate_sigma(sigma)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "ytilde", ytilde)
-        object.__setattr__(self, "sigma", sigma)
 
     @property
     def dim(self) -> int:
         return self.ytilde.size
-
-
-def reduce(model: LinearModel, y) -> ReducedModel:
-    """Project an observation onto the column space: ytilde = q1.T @ y.
-
-    The noise keeps the law N(0, sigma^2 I) under this orthonormal map, so
-    sigma carries through unchanged.
-    """
-    y = as_vector(y, model.rows)
-    q1, r = model.qr()
-    return ReducedModel(r, q1.T @ y, model.sigma)
-
-
-def observe(model: LinearModel, xhat, v) -> np.ndarray:
-    """Form the observation y = A xhat + v."""
-    xhat = np.asarray(xhat, dtype=float).reshape(-1)
-    if xhat.size != model.cols:
-        raise DimensionMismatchError(
-            f"xhat has length {xhat.size}, model expects {model.cols}"
-        )
-    v = as_vector(v, model.rows)
-    return model.a @ xhat + v
 
 
 def classify(xhat, box: BoxConstraint) -> tuple:
@@ -182,31 +141,25 @@ def classify(xhat, box: BoxConstraint) -> tuple:
     return tuple(tags)
 
 
-def sample_uniform_x(box: BoxConstraint, stream: _rng.RngStream, count: int | None = None):
-    """Draw integer vectors uniformly over the box.
-
-    Returns a single vector when ``count`` is None, else a (count, dim)
-    array.  Coordinates are independent inverse-CDF transforms of the
-    uniform stream, so the draw sequence is reproducible bit for bit.
+def sample_uniform_x(box: BoxConstraint, stream: _rng.RngStream, count: int):
+    """Draw ``count`` integer vectors uniformly over the box, as a
+    (count, dim) array.  Coordinates are independent inverse-CDF transforms
+    of the uniform stream, so the draw sequence is reproducible bit for bit.
     """
-    n = 1 if count is None else int(count)
-    u = _rng.uniform(stream, (n, box.dim))
+    u = _rng.uniform(stream, (int(count), box.dim))
     widths = box.widths
-    x = box.lower + np.minimum((u * (widths + 1)).astype(np.int64), widths)
-    return x[0] if count is None else x
+    return box.lower + np.minimum((u * (widths + 1)).astype(np.int64), widths)
 
 
-def sample_noise(sigma: float, length: int, stream: _rng.RngStream, count: int | None = None):
-    """Draw i.i.d. N(0, sigma^2) noise vectors.
+def sample_noise(sigma: float, length: int, stream: _rng.RngStream, count: int):
+    """Draw ``count`` i.i.d. N(0, sigma^2 I) noise vectors of ``length``
+    entries, as a (count, length) array.
 
     Deviates scale linearly in sigma for a fixed stream:
     draws(2 * sigma) == 2 * draws(sigma) elementwise.
     """
     sigma = validate_sigma(sigma)
-    n = 1 if count is None else int(count)
-    z = _rng.standard_normal(stream, (n, int(length)))
-    v = sigma * z
-    return v[0] if count is None else v
+    return sigma * _rng.standard_normal(stream, (int(count), int(length)))
 
 
 def parse_pattern(text: str) -> tuple:

@@ -45,8 +45,27 @@ def phi(zeta: float, sigma: float) -> float:
     return float(erf(zeta / (2.0 * math.sqrt(2.0) * sigma)))
 
 
-def _diag(r) -> np.ndarray:
-    return np.diag(validate_upper_triangular(r))
+# Floor a of a coordinate's Babai factor a + (1 - a) phi(r_ii), per tag: the
+# clamp turns half (bound) or all (singleton) of the errors into successes.
+_TAG_FLOOR = {
+    BoundaryTag.INTERIOR: 0.0,
+    BoundaryTag.LOWER: 0.5,
+    BoundaryTag.UPPER: 0.5,
+    BoundaryTag.SINGLETON: 1.0,
+}
+
+
+def _babai_product(r, sigma: float, floors, slopes) -> float:
+    """prod_i (a_i + b_i phi(r_ii)) with floors a and slopes b: the
+    product form of every Babai success probability (Chang, Wen and Xie,
+    IEEE Trans. Inf. Theory 59(8), 2013).  Factors multiply in coordinate
+    order."""
+    diag = np.diag(validate_upper_triangular(r))
+    if len(floors) != diag.size:
+        raise DimensionMismatchError(
+            f"{len(floors)} coordinates given for matrix dimension {diag.size}"
+        )
+    return math.prod(a + b * phi(rii, sigma) for rii, a, b in zip(diag, floors, slopes))
 
 
 def p_bb_deterministic(r, sigma: float, pattern) -> float:
@@ -56,48 +75,25 @@ def p_bb_deterministic(r, sigma: float, pattern) -> float:
     Per coordinate: (1 + phi(r_ii)) / 2 on a bound, phi(r_ii) in the
     interior, 1 on a singleton coordinate.
     """
-    diag = _diag(r)
-    pattern = tuple(pattern)
-    if len(pattern) != diag.size:
-        raise DimensionMismatchError(
-            f"pattern length {len(pattern)} does not match dimension {diag.size}"
-        )
-    prob = 1.0
-    for rii, tag in zip(diag, pattern):
-        f = phi(rii, sigma)
-        if tag is BoundaryTag.INTERIOR:
-            prob *= f
-        elif tag in (BoundaryTag.LOWER, BoundaryTag.UPPER):
-            prob *= (1.0 + f) / 2.0
-        # singleton coordinates are detected with certainty
-    return prob
+    floors = [_TAG_FLOOR[tag] for tag in pattern]
+    return _babai_product(r, sigma, floors, [1.0 - a for a in floors])
 
 
 def p_bb_uniform(r, sigma: float, box: BoxConstraint) -> float:
     """Success probability of the clamped Babai detector when the true
     vector is uniform over the box: the product of
     1/(w+1) + w/(w+1) * phi(r_ii) with w = upper - lower per coordinate."""
-    diag = _diag(r)
-    if box.dim != diag.size:
-        raise DimensionMismatchError(
-            f"box dimension {box.dim} does not match matrix dimension {diag.size}"
-        )
-    prob = 1.0
-    for rii, w in zip(diag, box.widths):
-        w = float(w)
-        prob *= 1.0 / (w + 1.0) + (w / (w + 1.0)) * phi(rii, sigma)
-    return prob
+    w = box.widths.astype(float)
+    return _babai_product(r, sigma, 1.0 / (w + 1.0), w / (w + 1.0))
 
 
 def p_bb_bounds(r, sigma: float):
     """Pattern-free lower and upper bounds on the deterministic Babai
     success probability; the all-interior pattern attains the lower bound
     and an all-boundary pattern the upper bound."""
-    diag = _diag(r)
-    phis = np.array([phi(rii, sigma) for rii in diag])
-    lower = float(np.prod(phis))
-    upper = float(np.prod((1.0 + phis) / 2.0))
-    return lower, upper
+    n = validate_upper_triangular(r).shape[0]
+    return (_babai_product(r, sigma, [0.0] * n, [1.0] * n),
+            _babai_product(r, sigma, [0.5] * n, [0.5] * n))
 
 
 def p_br_deterministic(r, sigma: float, pattern, cfg: IntegratorConfig,
@@ -105,12 +101,6 @@ def p_br_deterministic(r, sigma: float, pattern, cfg: IntegratorConfig,
     """Success probability of the clamped rounding detector at a fixed
     true vector: the Gaussian box probability of the interval product read
     off the boundary pattern."""
-    r = validate_upper_triangular(r)
-    pattern = tuple(pattern)
-    if len(pattern) != r.shape[0]:
-        raise DimensionMismatchError(
-            f"pattern length {len(pattern)} does not match dimension {r.shape[0]}"
-        )
     return box_probability(r, sigma, intervals_from_pattern(pattern), cfg, stream)
 
 

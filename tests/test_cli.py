@@ -105,6 +105,19 @@ class TestDetect:
         assert out[0] == "BR: 0 0"
         assert out[1].startswith("BB: ")
 
+    def test_noiseless_rectangular_model_recovers_x(self, tmp_path, capsys):
+        # detect reduces y = A xhat to ytilde = q1.T y = R xhat itself.
+        a = np.random.default_rng(11).standard_normal((4, 2))
+        a_path, y_path = tmp_path / "a.txt", tmp_path / "y.txt"
+        np.savetxt(a_path, a, fmt="%.17g")
+        np.savetxt(y_path, a @ [1.0, 2.0], fmt="%.17g")
+        assert main(["detect", str(a_path), str(y_path), "--box", "0..3"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["BR: 1 2", "BB: 1 2"]
+
+    def test_out_of_range_box_exits_2(self, ex1, y_zero, capsys):
+        assert main(["detect", ex1, y_zero, "--box", "0..99999999999999999999"]) == 2
+        assert "box upper bound 99999999999999999999" in capsys.readouterr().err
+
     def test_malformed_matrix_exits_2(self, tmp_path, y_zero, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("2 -1\nzz 1\n")
@@ -188,6 +201,13 @@ class TestMcSp:
         bb_line = capsys.readouterr().out.splitlines()[0]
         bb = float(bb_line.split("=")[1])
         assert br == pytest.approx(bb, abs=1e-6)
+
+    @pytest.mark.parametrize("threads", ["abc", "2.5", "-3"])
+    def test_bad_thread_count_exits_2(self, ex1, capsys, monkeypatch, threads):
+        monkeypatch.setenv("BOXDET_THREADS", threads)
+        assert main(["mc-sp", ex1, "--sigma", "1", "--box", "0..3",
+                     "--method", "qmc"]) == 2
+        assert "BOXDET_THREADS" in capsys.readouterr().err
 
     def test_nan_sigma_exits_2(self, ex1, capsys):
         assert main(["mc-sp", ex1, "--sigma", "nan", "--box", "0..3",
@@ -301,6 +321,18 @@ class TestExperimentCommand:
         assert main(["experiment", "--config", cfg, "--out",
                      str(tmp_path / "x.csv")]) == 2
         assert "truncation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("box, name", [
+        ({"lower": 0, "upper": 99999999999999999999}, "upper"),  # no int64 holds it
+        ({"lower": -2 ** 63, "upper": 2 ** 63 - 1}, "lower"),   # the width overflows
+        ({"lower": 0, "upper": 2 ** 63 - 1}, "upper"),          # width + 1 wraps
+    ])
+    def test_out_of_range_box_exits_2(self, tmp_path, capsys, box, name):
+        cfg = _config_file(tmp_path, box=box)
+        out = tmp_path / "x.csv"
+        assert main(["experiment", "--config", cfg, "--out", str(out)]) == 2
+        assert f"box {name} bound" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_quad_points_bound_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(np.polynomial.legendre, "leggauss", None)  # never built

@@ -20,8 +20,8 @@ EX1 = np.array([[2.0, -1.0], [0.0, 1.0]])
 BOX03 = BoxConstraint([0, 0], [3, 3])
 
 
-def _rm(r, ytilde, sigma=1.0):
-    return ReducedModel(np.asarray(r, dtype=float), ytilde, sigma)
+def _rm(r, ytilde):
+    return ReducedModel(np.asarray(r, dtype=float), ytilde)
 
 
 def _random_instance(rng, n, lo=-2, hi=4):

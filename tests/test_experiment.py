@@ -1,10 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from boxdet.errors import InvalidConfigError
-from boxdet.experiment import ExperimentConfig, _count_successes, run_experiment
+from boxdet.experiment import (
+    DEFAULT_EXPERIMENT_INTEGRATOR,
+    ExperimentConfig,
+    _count_successes,
+    run_experiment,
+)
 from boxdet.gaussbox import IntegratorConfig, IntegratorMethod
 from boxdet.linalg import qr_positive
 from boxdet.model import BoxConstraint
@@ -68,6 +74,17 @@ class TestConfig:
         assert cfg.box.num_points() == 16
         assert cfg.integrator.method is IntegratorMethod.SEQ_QMC
         assert not cfg.compute_exact_br
+
+    def test_from_dict_integrator_defaults(self):
+        doc = {
+            "n": 2, "box": {"lower": 0, "upper": 3}, "sigma_grid": [0.1],
+            "num_matrices": 1, "trials_per_matrix": 10,
+        }
+        cfg = ExperimentConfig.from_dict(doc)
+        assert cfg.integrator == DEFAULT_EXPERIMENT_INTEGRATOR
+        cfg = ExperimentConfig.from_dict({**doc, "integrator": {"method": "quad"}})
+        assert cfg.integrator == replace(DEFAULT_EXPERIMENT_INTEGRATOR,
+                                         method=IntegratorMethod.QUADRATURE)
 
     def test_from_dict_rejects_unknown_keys(self):
         doc = {

@@ -38,6 +38,20 @@ class TestQrPositive:
             assert np.linalg.norm(a - q1 @ r) <= 1e-12 * np.linalg.norm(a)
             assert np.all(np.tril(r, -1) == 0.0)
 
+    def test_column_permutation_flips_signs(self):
+        # Householder QR of a column swap gives a negative diagonal; the
+        # sign flip makes R = I and moves the swap into Q1.
+        a = np.array([[0.0, 1.0], [1.0, 0.0]])
+        q1, r = qr_positive(a)
+        np.testing.assert_allclose(r, np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(q1.T @ [5.0, 7.0], [7.0, 5.0], atol=1e-15)
+
+    def test_noiseless_reduction_is_r_times_x(self):
+        a = np.random.default_rng(11).standard_normal((4, 2))
+        q1, r = qr_positive(a)
+        xhat = np.array([1, 2])
+        assert np.max(np.abs(q1.T @ (a @ xhat) - r @ xhat)) <= 1e-12
+
     def test_rank_deficient_rejected(self):
         a = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
         with pytest.raises(RankDeficientError):

@@ -4,23 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from boxdet.errors import DimensionMismatchError, OutOfBoxError, RankDeficientError
+from boxdet.errors import DimensionMismatchError, OutOfBoxError
 from boxdet.model import (
+    MAX_BOUND,
     BoundaryTag,
     BoxConstraint,
-    LinearModel,
     ReducedModel,
     classify,
-    observe,
     parse_pattern,
-    reduce,
     sample_noise,
     sample_uniform_x,
     validate_pattern_for_box,
 )
 from boxdet.rng import RngStream
-
-EX1 = np.array([[2.0, -1.0], [0.0, 1.0]])
 
 
 class TestBoxConstraint:
@@ -36,6 +32,21 @@ class TestBoxConstraint:
             BoxConstraint([1], [0])
         with pytest.raises(DimensionMismatchError):
             BoxConstraint([0, 0], [1])
+
+    def test_bounds_exact_in_float64_accepted(self):
+        box = BoxConstraint([-MAX_BOUND, 0], [MAX_BOUND, 0])
+        assert box.widths.tolist() == [2 * MAX_BOUND, 0]
+
+    @pytest.mark.parametrize("lower, upper, name", [
+        ([0], [10 ** 20], "upper"),              # no int64 holds it
+        ([-2 ** 63], [2 ** 63 - 1], "lower"),    # int64, but the width overflows
+        ([0], [2 ** 63 - 1], "upper"),           # int64, but width + 1 wraps
+        ([0], [MAX_BOUND + 1], "upper"),
+        ([-MAX_BOUND - 1], [0], "lower"),
+    ])
+    def test_out_of_range_bound_named(self, lower, upper, name):
+        with pytest.raises(ValueError, match=f"box {name} bound"):
+            BoxConstraint(lower, upper)
 
 
 class TestClassify:
@@ -96,58 +107,18 @@ class TestPatternParsing:
 
 
 class TestModels:
-    def test_linear_model_validates(self):
-        with pytest.raises(ValueError):
-            LinearModel(np.eye(2), 0.0)
-        with pytest.raises(RankDeficientError):
-            LinearModel(np.array([[1.0, 1.0], [1.0, 1.0]]), 1.0)
-
     def test_reduced_model_validates(self):
         with pytest.raises(DimensionMismatchError):
-            ReducedModel(np.eye(2), [1.0], 1.0)
-        with pytest.raises(ValueError):
-            ReducedModel(np.eye(2), [1.0, 2.0], -1.0)
+            ReducedModel(np.eye(2), [1.0])
+        rm = ReducedModel([[2.0, -1.0], [0.0, 1.0]], [0.4, 0.4])
+        assert rm.dim == 2
 
     def test_reduced_model_validates_r(self):
         for r in ([[1.0, 1.0], [1.0, 1.0]],  # not upper triangular
                   [[0.0, 1.0], [0.0, 1.0]],  # zero on the diagonal
                   [[1.0, np.nan], [0.0, 1.0]]):
             with pytest.raises(ValueError):
-                ReducedModel(r, [1.0, 1.0], 1.0)
-
-    def test_reduce_identity(self):
-        rm = reduce(LinearModel(np.eye(2), 1.0), [0.3, -0.7])
-        np.testing.assert_array_equal(rm.r, np.eye(2))
-        np.testing.assert_array_equal(rm.ytilde, [0.3, -0.7])
-
-    def test_reduce_scaled_identity(self):
-        rm = reduce(LinearModel(2.0 * np.eye(2), 0.5), [2.0, 4.0])
-        np.testing.assert_array_equal(rm.r, 2.0 * np.eye(2))
-        np.testing.assert_array_equal(rm.ytilde, [2.0, 4.0])
-        assert rm.sigma == 0.5
-
-    def test_reduce_column_swapped_identity(self):
-        a = np.array([[0.0, 1.0], [1.0, 0.0]])
-        rm = reduce(LinearModel(a, 1.0), [5.0, 7.0])
-        np.testing.assert_allclose(rm.r, np.eye(2), atol=1e-15)
-        np.testing.assert_allclose(rm.ytilde, [7.0, 5.0], atol=1e-15)
-
-    def test_reduce_noiseless_consistency(self):
-        rng = np.random.default_rng(11)
-        a = rng.standard_normal((4, 2))
-        model = LinearModel(a, 1.0)
-        xhat = np.array([1, 2])
-        rm = reduce(model, a @ xhat)
-        assert np.max(np.abs(rm.ytilde - rm.r @ xhat)) <= 1e-12
-
-    def test_observe(self):
-        model = LinearModel(np.eye(2), 1.0)
-        np.testing.assert_array_equal(observe(model, [1, 2], [0.0, 0.0]), [1.0, 2.0])
-        np.testing.assert_allclose(observe(model, [1, 2], [0.1, -0.1]), [1.1, 1.9])
-        ex1 = LinearModel(EX1, 1.0)
-        np.testing.assert_array_equal(observe(ex1, [0, 0], [0.4, 0.4]), [0.4, 0.4])
-        with pytest.raises(DimensionMismatchError):
-            observe(model, [1, 2, 3], [0.0, 0.0])
+                ReducedModel(r, [1.0, 1.0])
 
 
 class TestSampling:
@@ -179,26 +150,31 @@ class TestSampling:
         seen = {tuple(row) for row in draws}
         assert len(seen) == 4
 
+    def test_sampler_shapes(self):
+        box = BoxConstraint([0, 0, 0], [3, 3, 3])
+        assert sample_uniform_x(box, RngStream(6), count=1).shape == (1, 3)
+        assert sample_uniform_x(box, RngStream(6), count=5).shape == (5, 3)
+        assert sample_noise(1.0, 4, RngStream(6), count=1).shape == (1, 4)
+        assert sample_noise(1.0, 4, RngStream(6), count=5).shape == (5, 4)
+
     def test_noise_moments(self):
-        v = sample_noise(1.0, 1_000_000, RngStream(4))
+        v = sample_noise(1.0, 1_000_000, RngStream(4), count=1)
         assert abs(float(np.mean(v))) <= 3e-3
         assert abs(float(np.var(v)) - 1.0) <= 0.01
 
     def test_noise_determinism_and_scaling(self):
-        a = sample_noise(1.0, 1000, RngStream(5))
-        b = sample_noise(1.0, 1000, RngStream(5))
+        a = sample_noise(1.0, 1000, RngStream(5), count=1)
+        b = sample_noise(1.0, 1000, RngStream(5), count=1)
         np.testing.assert_array_equal(a, b)
-        doubled = sample_noise(2.0, 1000, RngStream(5))
+        doubled = sample_noise(2.0, 1000, RngStream(5), count=1)
         np.testing.assert_array_equal(doubled, 2.0 * a)
 
     def test_noise_rejects_bad_sigma(self):
         for sigma in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError):
-                sample_noise(sigma, 10, RngStream(0))
+                sample_noise(sigma, 10, RngStream(0), count=1)
 
     def test_models_reject_nonfinite_sigma(self):
         for sigma in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match="finite"):
-                LinearModel(np.eye(2), sigma)
-            with pytest.raises(ValueError, match="finite"):
-                ReducedModel(np.eye(2), np.zeros(2), sigma)
+                sample_noise(sigma, 2, RngStream(0), count=3)

@@ -149,7 +149,7 @@ def test_detector_output_in_box(kernel, instance):
 @given(instance=detector_batches(), margin=st.integers(0, 2))
 def test_wide_box_equals_ordinary_detector(kernel, ordinary, instance, margin):
     r, ytilde, _ = instance
-    free = np.array([ordinary(ReducedModel(r, y, 1.0)) for y in ytilde])
+    free = np.array([ordinary(ReducedModel(r, y)) for y in ytilde])
     # Every unclamped output lies inside, so the clamp never acts.
     lower, upper = free.min(axis=0) - margin, free.max(axis=0) + margin
     np.testing.assert_array_equal(kernel(r, ytilde, lower, upper), free)

@@ -1,0 +1,21 @@
+"""The README's library example runs and prints what its comments say."""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_library_example_runs():
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Library"):]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    lines = out.getvalue().splitlines()
+    assert lines[0] == "[0 0]"
+    assert abs(float(lines[1]) - 0.5818) <= 5e-4  # criterion 1's closed form
+    assert "stderr=0.0" in lines[2]
