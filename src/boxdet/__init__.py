@@ -2,13 +2,7 @@
 Monte Carlo success probabilities, and a reproducible simulation harness.
 """
 
-from .detectors import (
-    bils_brute_force,
-    box_babai,
-    box_rounding,
-    ordinary_babai,
-    ordinary_rounding,
-)
+from .detectors import bils_brute_force, box_babai, box_rounding
 from .errors import (
     BoxdetError,
     BoxTooLargeError,
@@ -36,7 +30,6 @@ from .linalg import back_substitute, qr_positive
 from .model import (
     BoundaryTag,
     BoxConstraint,
-    ReducedModel,
     classify,
     parse_pattern,
     sample_noise,

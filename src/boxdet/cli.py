@@ -25,12 +25,7 @@ from .errors import BoxdetError, BoxTooLargeError
 from .experiment import ExperimentConfig, run_experiment
 from .gaussbox import IntegratorConfig, IntegratorMethod
 from .linalg import qr_positive
-from .model import (
-    BoxConstraint,
-    ReducedModel,
-    parse_pattern,
-    validate_pattern_for_box,
-)
+from .model import BoxConstraint, parse_pattern, validate_pattern_for_box
 from .rng import RngStream
 from .success import (
     p_bb_bounds,
@@ -113,25 +108,28 @@ def _reduced_from_files(matrix_path, y_path):
             f"observation length {y.size} does not match matrix rows {a.shape[0]}"
         )
     q1, r = qr_positive(a)
-    return ReducedModel(r, q1.T @ y)
+    return r, q1.T @ y
 
 
 def cmd_detect(args) -> int:
-    rm = _reduced_from_files(args.matrix, args.y)
-    box = parse_box(args.box, rm.dim)
+    r, ytilde = _reduced_from_files(args.matrix, args.y)
+    box = parse_box(args.box, r.shape[0])
     if args.mode == "rounding":
-        print(_format_vec(box_rounding(rm, box)))
+        print(_format_vec(box_rounding(r, ytilde, box)))
     elif args.mode == "babai":
-        print(_format_vec(box_babai(rm, box)))
+        print(_format_vec(box_babai(r, ytilde, box)))
     elif args.mode == "bils":
-        print(_format_vec(bils_brute_force(rm, box)))
+        print(_format_vec(bils_brute_force(r, ytilde, box)))
     else:
-        print(f"BR: {_format_vec(box_rounding(rm, box))}")
-        print(f"BB: {_format_vec(box_babai(rm, box))}")
+        print(f"BR: {_format_vec(box_rounding(r, ytilde, box))}")
+        print(f"BB: {_format_vec(box_babai(r, ytilde, box))}")
     return 0
 
 
 def _pattern_from_args(args, box):
+    """The --pattern letters checked against the box; None without one."""
+    if args.pattern is None:
+        return None
     pattern = parse_pattern(args.pattern)
     try:
         validate_pattern_for_box(pattern, box)
@@ -144,12 +142,12 @@ def cmd_exact_sp(args) -> int:
     a = read_matrix(args.matrix)
     _, r = qr_positive(a)
     box = parse_box(args.box, r.shape[0])
+    pattern = _pattern_from_args(args, box)
     print(f"P_R^BB = {p_bb_uniform(r, args.sigma, box):.6f}")
     lower, upper = p_bb_bounds(r, args.sigma)
     print(f"P_D^BB lower bound = {lower:.6f}")
     print(f"P_D^BB upper bound = {upper:.6f}")
-    if args.pattern is not None:
-        pattern = _pattern_from_args(args, box)
+    if pattern is not None:
         print(f"P_D^BB = {p_bb_deterministic(r, args.sigma, pattern):.6f}")
     return 0
 
@@ -160,8 +158,8 @@ def cmd_mc_sp(args) -> int:
     box = parse_box(args.box, r.shape[0])
     cfg = IntegratorConfig(method=IntegratorMethod(args.method), samples=args.samples)
     stream = RngStream(args.seed)
-    if args.pattern is not None:
-        pattern = _pattern_from_args(args, box)
+    pattern = _pattern_from_args(args, box)
+    if pattern is not None:
         est = p_br_deterministic(r, args.sigma, pattern, cfg, stream)
         label = "P_D^BR"
     else:

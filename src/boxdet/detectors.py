@@ -1,4 +1,4 @@
-"""Suboptimal detectors for the reduced model, plus a brute-force oracle.
+"""Suboptimal detectors for the reduced model, plus a brute-force search.
 
 Each detector has one implementation, a batch kernel over many
 observations that share one R and one box, returning the detected x:
@@ -8,8 +8,10 @@ observations that share one R and one box, returning the detected x:
 * ``babai_batch``: back-substitution from the last coordinate with
   per-coordinate rounding (and clamping) before moving on.
 
-The single-instance detectors are batch-of-one calls; their ordinary
-(unclamped) variants pass bounds of +-inf.
+The single-instance functions ``box_rounding``, ``box_babai`` and
+``bils_brute_force`` take one reduced observation (R, ytilde) and a box,
+validate them, and run a kernel on a batch of one.  The kernels with
+bounds of +-inf are the ordinary (unclamped) detectors.
 
 Rounding uses the smaller-magnitude tie rule: exact half-integers round
 toward zero.  Round-then-clamp is literally equivalent to the three-way
@@ -17,15 +19,17 @@ case split (stay, clamp low, clamp high) under that tie rule; the tests
 assert the equivalence explicitly.
 """
 
-import itertools
+import math
 
 import numpy as np
 
 from .errors import BoxTooLargeError, DimensionMismatchError
-from .linalg import back_substitute
-from .model import BoxConstraint, ReducedModel
+from .linalg import as_vector, back_substitute, validate_upper_triangular
+from .model import BoxConstraint
 
 BRUTE_FORCE_MAX_POINTS = 10 ** 6
+# Box points scored per array pass of the brute-force search.
+_SEARCH_CHUNK = 2 ** 16
 
 
 def _round_and_clamp(t: np.ndarray, lower, upper) -> np.ndarray:
@@ -61,6 +65,31 @@ def babai_batch(r, ytilde_batch, lower, upper) -> np.ndarray:
     return x.T
 
 
+def _search_batch(r, ytilde_batch, lower, upper) -> np.ndarray:
+    """Exhaustive minimizer of ||ytilde - R x||^2 over the box, for a
+    (1, n) batch.
+
+    Box points are scored in lexicographic order, a chunk at a time, and
+    only a strictly smaller cost replaces the best so far, so ties go to the
+    lexicographically smallest x.
+    """
+    shape = tuple(int(w) + 1 for w in upper - lower)
+    total = math.prod(shape)
+    if total > BRUTE_FORCE_MAX_POINTS:
+        raise BoxTooLargeError(
+            f"box has {total} points, brute force capped at {BRUTE_FORCE_MAX_POINTS}"
+        )
+    best_cost, best_x = np.inf, None
+    for start in range(0, total, _SEARCH_CHUNK):
+        flat = np.arange(start, min(start + _SEARCH_CHUNK, total))
+        x = lower[:, None] + np.array(np.unravel_index(flat, shape))  # (n, chunk)
+        cost = np.sum((ytilde_batch.T - r @ x) ** 2, axis=0)
+        k = np.argmin(cost)
+        if cost[k] < best_cost:
+            best_cost, best_x = cost[k], x[:, k]
+    return best_x[None, :]
+
+
 # The kernels return transposed views of (n, count) arrays.  Comparing in
 # that layout lets np.all combine n long rows instead of reducing count
 # rows of length n.
@@ -76,62 +105,37 @@ def babai_success_batch(r, ytilde_batch, xhat_batch, lower, upper) -> np.ndarray
     return np.all(x.T == xhat_batch.T, axis=0)
 
 
-def _check_box(rm: ReducedModel, box: BoxConstraint) -> None:
-    if box.dim != rm.dim:
+def _detect_one(kernel, r, ytilde, box: BoxConstraint) -> np.ndarray:
+    """Run a batch kernel on one reduced observation ytilde = R x + vtilde.
+
+    R must be square, exactly zero below the diagonal, finite and positive
+    on the diagonal (``validate_upper_triangular``); ytilde and the box
+    must match it.
+    """
+    r = validate_upper_triangular(r)
+    ytilde = as_vector(ytilde, r.shape[0])
+    if box.dim != ytilde.size:
         raise DimensionMismatchError(
-            f"box dimension {box.dim} does not match model dimension {rm.dim}"
+            f"box dimension {box.dim} does not match model dimension {ytilde.size}"
         )
+    return kernel(r, ytilde[None, :], box.lower, box.upper)[0].astype(np.int64)
 
 
-def _detect_one(kernel, rm: ReducedModel, box: BoxConstraint | None) -> np.ndarray:
-    """Run a batch kernel on one observation; no box means bounds of +-inf."""
-    if box is None:
-        upper = np.full(rm.dim, np.inf)
-        lower = -upper
-    else:
-        _check_box(rm, box)
-        lower, upper = box.lower, box.upper
-    return kernel(rm.r, rm.ytilde[None, :], lower, upper)[0].astype(np.int64)
-
-
-def box_rounding(rm: ReducedModel, box: BoxConstraint) -> np.ndarray:
+def box_rounding(r, ytilde, box: BoxConstraint) -> np.ndarray:
     """Round d = R^{-1} ytilde componentwise and clamp into the box."""
-    return _detect_one(rounding_batch, rm, box)
+    return _detect_one(rounding_batch, r, ytilde, box)
 
 
-def ordinary_rounding(rm: ReducedModel) -> np.ndarray:
-    """Rounding detector with the clamp disabled (box = all of Z^n)."""
-    return _detect_one(rounding_batch, rm, None)
-
-
-def box_babai(rm: ReducedModel, box: BoxConstraint) -> np.ndarray:
+def box_babai(r, ytilde, box: BoxConstraint) -> np.ndarray:
     """Babai detector with each coordinate clamped into the box."""
-    return _detect_one(babai_batch, rm, box)
+    return _detect_one(babai_batch, r, ytilde, box)
 
 
-def ordinary_babai(rm: ReducedModel) -> np.ndarray:
-    """Babai detector with the clamp disabled."""
-    return _detect_one(babai_batch, rm, None)
-
-
-def bils_brute_force(rm: ReducedModel, box: BoxConstraint) -> np.ndarray:
-    """Exhaustive minimizer of ||ytilde - R x||^2 over the box (test oracle).
+def bils_brute_force(r, ytilde, box: BoxConstraint) -> np.ndarray:
+    """Box-constrained integer least squares by exhaustive search: the
+    minimizer of ||ytilde - R x||^2 over the box (``detect --mode bils``).
 
     Ties are broken toward the lexicographically smallest vector.  Guarded
     by :data:`BRUTE_FORCE_MAX_POINTS`.
     """
-    _check_box(rm, box)
-    if box.num_points() > BRUTE_FORCE_MAX_POINTS:
-        raise BoxTooLargeError(
-            f"box has {box.num_points()} points, brute force capped at {BRUTE_FORCE_MAX_POINTS}"
-        )
-    best_x = None
-    best_cost = np.inf
-    ranges = [range(int(lo), int(hi) + 1) for lo, hi in zip(box.lower, box.upper)]
-    for cand in itertools.product(*ranges):
-        x = np.asarray(cand, dtype=float)
-        cost = float(np.sum((rm.ytilde - rm.r @ x) ** 2))
-        if cost < best_cost:
-            best_cost = cost
-            best_x = cand
-    return np.asarray(best_x, dtype=np.int64)
+    return _detect_one(_search_batch, r, ytilde, box)

@@ -1,10 +1,10 @@
-"""Box constraint, reduced observation model, boundary patterns.
+"""Box constraint, sampling of the observation model, boundary patterns.
 
 The observation model is y = A x + v with v ~ N(0, sigma^2 I) and x an
 integer vector confined to a box.  Left-multiplying by the orthonormal QR
 factor (``linalg.qr_positive``) reduces it to ytilde = R x + vtilde with
-the noise law unchanged, so the detectors need only (R, ytilde): a
-``ReducedModel``.  All success probabilities downstream depend on x only
+the noise law unchanged, so the detectors take only the arrays R and
+ytilde, and the box.  All success probabilities downstream depend on x only
 through its boundary pattern: per coordinate, whether x sits at the lower
 bound, the upper bound, strictly inside, or on a single-point coordinate
 (lower == upper).
@@ -18,7 +18,6 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import DimensionMismatchError, OutOfBoxError
-from .linalg import as_vector, validate_upper_triangular
 
 # Within +-2^52 every bound and every width (at most 2^53) is exact in
 # float64, which the clamp and the uniform sampler compute in.
@@ -41,10 +40,13 @@ class BoundaryTag(enum.Enum):
 
 
 def _bounds(values, name: str) -> np.ndarray:
-    """Box bounds as int64, each checked against +-MAX_BOUND while it is
-    still a Python number, so an oversized one cannot overflow."""
+    """Box bounds as int64, each checked to be integral and within
+    +-MAX_BOUND while it is still a Python number, so none is truncated and
+    an oversized one cannot overflow."""
     values = np.asarray(values, dtype=object).reshape(-1)
     for value in values:
+        if not (isinstance(value, (int, np.integer)) or float(value).is_integer()):
+            raise ValueError(f"box {name} bound {value} is not an integer")
         if not -MAX_BOUND <= value <= MAX_BOUND:
             raise ValueError(
                 f"box {name} bound {value} is outside [-2^52, 2^52]"
@@ -54,7 +56,11 @@ def _bounds(values, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BoxConstraint:
-    """Integer box {x : lower <= x <= upper}, bounds elementwise."""
+    """Integer box {x : lower <= x <= upper}, bounds elementwise.
+
+    Boxes compare and hash by value.  Both methods are written out because
+    the generated ones would compare the bound arrays as tuple fields.
+    """
 
     lower: np.ndarray
     upper: np.ndarray
@@ -69,6 +75,16 @@ class BoxConstraint:
             raise ValueError("need lower <= upper in every coordinate")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
+
+    def __eq__(self, other):
+        if not isinstance(other, BoxConstraint):
+            return NotImplemented
+        return np.array_equal(self.lower, other.lower) and np.array_equal(
+            self.upper, other.upper
+        )
+
+    def __hash__(self):
+        return hash((tuple(self.lower.tolist()), tuple(self.upper.tolist())))
 
     @classmethod
     def cube(cls, lower: int, upper: int, dim: int) -> "BoxConstraint":
@@ -90,29 +106,6 @@ class BoxConstraint:
         return x.size == self.dim and bool(
             np.all(x >= self.lower) and np.all(x <= self.upper)
         )
-
-
-@dataclass(frozen=True)
-class ReducedModel:
-    """Upper-triangular observation model ytilde = R x + vtilde.
-
-    R must be square, exactly zero below the diagonal, finite and positive
-    on the diagonal (``validate_upper_triangular``); ytilde must match it.
-    The noise level is not part of it: no detector reads it.
-    """
-
-    r: np.ndarray
-    ytilde: np.ndarray
-
-    def __init__(self, r, ytilde):
-        r = validate_upper_triangular(r)
-        ytilde = as_vector(ytilde, r.shape[0])
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "ytilde", ytilde)
-
-    @property
-    def dim(self) -> int:
-        return self.ytilde.size
 
 
 def classify(xhat, box: BoxConstraint) -> tuple:

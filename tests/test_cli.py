@@ -156,9 +156,12 @@ class TestExactSp:
         assert values["P_D^BB"] == pytest.approx(0.5818, abs=5e-4)
         assert values["P_D^BB upper bound"] == values["P_D^BB"]
 
-    def test_pattern_length_mismatch_exits_2(self, ex1):
+    def test_pattern_length_mismatch_exits_2(self, ex1, capsys):
         assert main(["exact-sp", ex1, "--sigma", "1", "--box", "0..3",
                      "--pattern", "LLL"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # refused before any result is printed
+        assert "pattern length 3 does not match box dimension 2" in captured.err
 
     def test_infinite_sigma_exits_2(self, ex1, capsys):
         assert main(["exact-sp", ex1, "--sigma", "inf", "--box", "0..3"]) == 2
@@ -166,9 +169,10 @@ class TestExactSp:
         assert captured.out == ""
         assert "sigma must be positive and finite" in captured.err
 
-    def test_pattern_inconsistent_with_box_exits_2(self, ex1):
+    def test_pattern_inconsistent_with_box_exits_2(self, ex1, capsys):
         assert main(["exact-sp", ex1, "--sigma", "1", "--box", "0..3",
                      "--pattern", "SS"]) == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestMcSp:

@@ -1,27 +1,32 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from boxdet.detectors import (
+    _SEARCH_CHUNK,
     babai_batch,
     babai_success_batch,
     bils_brute_force,
     box_babai,
     box_rounding,
-    ordinary_babai,
-    ordinary_rounding,
     rounding_batch,
     rounding_success_batch,
 )
 from boxdet.errors import BoxTooLargeError, DimensionMismatchError
 from boxdet.linalg import back_substitute
-from boxdet.model import BoxConstraint, ReducedModel
+from boxdet.model import BoxConstraint
 
 EX1 = np.array([[2.0, -1.0], [0.0, 1.0]])
 BOX03 = BoxConstraint([0, 0], [3, 3])
 
 
-def _rm(r, ytilde):
-    return ReducedModel(np.asarray(r, dtype=float), ytilde)
+def _unclamped(kernel, r, ytilde):
+    """The ordinary (unclamped) detector: a batch kernel on one observation
+    with bounds of +-inf."""
+    r = np.asarray(r, dtype=float)
+    free = np.full(r.shape[0], np.inf)
+    return kernel(r, np.asarray(ytilde, dtype=float)[None, :], -free, free)[0]
 
 
 def _random_instance(rng, n, lo=-2, hi=4):
@@ -33,14 +38,15 @@ def _random_instance(rng, n, lo=-2, hi=4):
 
 def _round(t):
     """The detectors' tie rule on one value: ordinary rounding at R = [[1]]."""
-    return int(ordinary_rounding(_rm([[1.0]], [t]))[0])
+    return int(_unclamped(rounding_batch, [[1.0]], [t])[0])
 
 
-def _babai_statistics(rm, x):
+def _babai_statistics(r, ytilde, x):
     """c_i = (ytilde_i - sum_{j>i} r_ij x_j) / r_ii, read off a Babai output."""
+    r = np.asarray(r, dtype=float)
     return np.array([
-        (rm.ytilde[i] - rm.r[i, i + 1:] @ x[i + 1:]) / rm.r[i, i]
-        for i in range(rm.dim)
+        (ytilde[i] - r[i, i + 1:] @ x[i + 1:]) / r[i, i]
+        for i in range(r.shape[0])
     ])
 
 
@@ -66,41 +72,41 @@ class TestRoundScalar:
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            _round(float("nan"))
+            box_rounding([[1.0]], [float("nan")], BoxConstraint([0], [3]))
 
 
 class TestBoxRounding:
     def test_noiseless_recovery(self):
         xhat = np.array([2, 1])
-        out = box_rounding(_rm(EX1, EX1 @ xhat), BOX03)
+        out = box_rounding(EX1, EX1 @ xhat, BOX03)
         np.testing.assert_array_equal(out, xhat)
 
     def test_hand_instance_with_clamp(self):
-        rm = _rm(EX1, [-1.2, -0.4])
-        np.testing.assert_allclose(back_substitute(rm.r, rm.ytilde), [-0.8, -0.4])
-        np.testing.assert_array_equal(box_rounding(rm, BOX03), [0, 0])
+        ytilde = np.array([-1.2, -0.4])
+        np.testing.assert_allclose(back_substitute(EX1, ytilde), [-0.8, -0.4])
+        np.testing.assert_array_equal(box_rounding(EX1, ytilde, BOX03), [0, 0])
 
     def test_upper_clamp(self):
-        out = box_rounding(_rm(np.eye(2), [10.0, 10.0]), BOX03)
+        out = box_rounding(np.eye(2), [10.0, 10.0], BOX03)
         np.testing.assert_array_equal(out, [3, 3])
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            box_rounding(_rm(np.eye(3), [1.0, 2.0, 3.0]), BOX03)
+            box_rounding(np.eye(3), [1.0, 2.0, 3.0], BOX03)
 
 
 class TestBoxBabai:
     def test_noiseless_recovery_with_trace(self):
         xhat = np.array([2, 1])
-        rm = _rm(EX1, EX1 @ xhat)
-        out = box_babai(rm, BOX03)
+        ytilde = EX1 @ xhat
+        out = box_babai(EX1, ytilde, BOX03)
         np.testing.assert_array_equal(out, xhat)
-        np.testing.assert_allclose(_babai_statistics(rm, out), xhat.astype(float))
+        np.testing.assert_allclose(_babai_statistics(EX1, ytilde, out), xhat.astype(float))
 
     def test_hand_recursion(self):
-        rm = _rm(EX1, [-0.2, 0.6])
-        out = box_babai(rm, BOX03)
-        np.testing.assert_allclose(_babai_statistics(rm, out), [0.4, 0.6])
+        ytilde = np.array([-0.2, 0.6])
+        out = box_babai(EX1, ytilde, BOX03)
+        np.testing.assert_allclose(_babai_statistics(EX1, ytilde, out), [0.4, 0.6])
         np.testing.assert_array_equal(out, [0, 1])
 
     def test_diagonal_r_coincides_with_rounding(self):
@@ -109,20 +115,19 @@ class TestBoxBabai:
             n = int(rng.integers(1, 7))
             r = np.diag(rng.uniform(0.3, 3.0, n))
             box = BoxConstraint(np.full(n, -1), np.full(n, 4))
-            rm = _rm(r, rng.standard_normal(n) * 3)
+            ytilde = rng.standard_normal(n) * 3
             np.testing.assert_array_equal(
-                box_babai(rm, box), box_rounding(rm, box)
+                box_babai(r, ytilde, box), box_rounding(r, ytilde, box)
             )
 
 
 class TestOrdinaryDetectors:
     def test_pure_rounding(self):
-        rm = _rm(np.eye(2), [7.6, -9.2])
-        np.testing.assert_array_equal(ordinary_rounding(rm), [8, -9])
-        np.testing.assert_array_equal(ordinary_babai(rm), [8, -9])
+        np.testing.assert_array_equal(_unclamped(rounding_batch, np.eye(2), [7.6, -9.2]), [8, -9])
+        np.testing.assert_array_equal(_unclamped(babai_batch, np.eye(2), [7.6, -9.2]), [8, -9])
 
     def test_hand_instance_unclamped(self):
-        out = ordinary_rounding(_rm(EX1, [-1.2, -0.4]))
+        out = _unclamped(rounding_batch, EX1, [-1.2, -0.4])
         np.testing.assert_array_equal(out, [-1, 0])
 
     def test_equal_to_box_versions_when_clamp_inactive(self):
@@ -130,44 +135,62 @@ class TestOrdinaryDetectors:
         wide = BoxConstraint([-50, -50, -50], [50, 50, 50])
         for _ in range(30):
             r, _ = _random_instance(rng, 3)
-            rm = _rm(r, rng.standard_normal(3) * 2)
+            ytilde = rng.standard_normal(3) * 2
             np.testing.assert_array_equal(
-                ordinary_rounding(rm), box_rounding(rm, wide)
+                _unclamped(rounding_batch, r, ytilde), box_rounding(r, ytilde, wide)
             )
             np.testing.assert_array_equal(
-                ordinary_babai(rm), box_babai(rm, wide)
+                _unclamped(babai_batch, r, ytilde), box_babai(r, ytilde, wide)
             )
 
 
 class TestBruteForce:
     def test_noiseless_optimum(self):
         xhat = np.array([1, 3])
-        rm = _rm(EX1, EX1 @ xhat)
-        np.testing.assert_array_equal(bils_brute_force(rm, BOX03), xhat)
+        np.testing.assert_array_equal(bils_brute_force(EX1, EX1 @ xhat, BOX03), xhat)
 
     def test_scalar_nearest_point(self):
-        rm = _rm([[1.0]], [1.4])
-        assert bils_brute_force(rm, BoxConstraint([0], [3]))[0] == 1
+        assert bils_brute_force([[1.0]], [1.4], BoxConstraint([0], [3]))[0] == 1
 
     def test_tie_breaks_lexicographically_smallest(self):
-        rm = _rm([[1.0]], [0.5])  # 0 and 1 are equidistant
-        assert bils_brute_force(rm, BoxConstraint([0], [3]))[0] == 0
+        # 0 and 1 are equidistant
+        assert bils_brute_force([[1.0]], [0.5], BoxConstraint([0], [3]))[0] == 0
+
+    def test_matches_exhaustive_loop(self):
+        # Dyadic R and ytilde make every cost exact, so exact ties are common;
+        # min() keeps the first minimum of the lexicographic enumeration.
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            n = int(rng.integers(1, 5))
+            r = np.triu(rng.integers(-2, 3, (n, n)) / 2.0)
+            r[np.diag_indices(n)] = 2.0 ** rng.integers(-1, 2, n)
+            lower = rng.integers(-2, 1, n)
+            box = BoxConstraint(lower, lower + rng.integers(0, 4, n))
+            ytilde = rng.integers(-8, 9, n) / 4.0
+            points = itertools.product(*(range(lo, hi + 1) for lo, hi in zip(box.lower, box.upper)))
+            expected = min(points, key=lambda x: np.sum((ytilde - r @ x) ** 2))
+            np.testing.assert_array_equal(bils_brute_force(r, ytilde, box), expected)
+
+    def test_tie_across_chunks(self):
+        # The two nearest points are the last of one chunk and the first of the next.
+        box = BoxConstraint([0], [3 * _SEARCH_CHUNK])
+        ytilde = [_SEARCH_CHUNK - 0.5]
+        assert bils_brute_force([[1.0]], ytilde, box)[0] == _SEARCH_CHUNK - 1
 
     def test_optimality_dominates_detectors(self):
         rng = np.random.default_rng(5)
         for _ in range(40):
             n = int(rng.integers(1, 5))
             r, box = _random_instance(rng, n, lo=0, hi=3)
-            rm = _rm(r, rng.standard_normal(n) * 2)
-            best = bils_brute_force(rm, box)
-            cost = lambda x: np.sum((rm.ytilde - rm.r @ x) ** 2)
-            assert cost(best) <= cost(box_babai(rm, box)) + 1e-12
-            assert cost(best) <= cost(box_rounding(rm, box)) + 1e-12
+            ytilde = rng.standard_normal(n) * 2
+            best = bils_brute_force(r, ytilde, box)
+            cost = lambda x: np.sum((ytilde - r @ x) ** 2)
+            assert cost(best) <= cost(box_babai(r, ytilde, box)) + 1e-12
+            assert cost(best) <= cost(box_rounding(r, ytilde, box)) + 1e-12
 
     def test_box_guard(self):
-        rm = _rm(np.eye(3), [0.0, 0.0, 0.0])
         with pytest.raises(BoxTooLargeError):
-            bils_brute_force(rm, BoxConstraint([0, 0, 0], [100, 100, 100]))
+            bils_brute_force(np.eye(3), np.zeros(3), BoxConstraint([0, 0, 0], [100, 100, 100]))
 
 
 class TestDetectorProperties:
@@ -177,17 +200,16 @@ class TestDetectorProperties:
             n = int(rng.integers(1, 9))
             r, box = _random_instance(rng, n, lo=0, hi=3)
             xhat = rng.integers(0, 4, n)
-            rm = _rm(r, r @ xhat)
-            np.testing.assert_array_equal(box_rounding(rm, box), xhat)
-            np.testing.assert_array_equal(box_babai(rm, box), xhat)
+            np.testing.assert_array_equal(box_rounding(r, r @ xhat, box), xhat)
+            np.testing.assert_array_equal(box_babai(r, r @ xhat, box), xhat)
 
     def test_outputs_always_in_box(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
             n = int(rng.integers(1, 6))
             r, box = _random_instance(rng, n)
-            rm = _rm(r, rng.standard_normal(n) * 10)
-            for out in (box_rounding(rm, box), box_babai(rm, box)):
+            ytilde = rng.standard_normal(n) * 10
+            for out in (box_rounding(r, ytilde, box), box_babai(r, ytilde, box)):
                 assert box.contains(out)
 
     def test_round_then_clamp_matches_three_case_split(self):
@@ -205,17 +227,17 @@ class TestDetectorProperties:
         for _ in range(100):
             n = int(rng.integers(1, 6))
             r, box = _random_instance(rng, n)
-            rm = _rm(r, rng.standard_normal(n) * 4)
-            d = back_substitute(rm.r, rm.ytilde)
+            ytilde = rng.standard_normal(n) * 4
+            d = back_substitute(r, ytilde)
             expected = [
                 three_case(di, lo, hi)
                 for di, lo, hi in zip(d, box.lower, box.upper)
             ]
-            np.testing.assert_array_equal(box_rounding(rm, box), expected)
-            out_b = box_babai(rm, box)
+            np.testing.assert_array_equal(box_rounding(r, ytilde, box), expected)
+            out_b = box_babai(r, ytilde, box)
             expected_b = [
                 three_case(c, lo, hi)
-                for c, lo, hi in zip(_babai_statistics(rm, out_b), box.lower, box.upper)
+                for c, lo, hi in zip(_babai_statistics(r, ytilde, out_b), box.lower, box.upper)
             ]
             np.testing.assert_array_equal(out_b, expected_b)
 
@@ -247,12 +269,11 @@ class TestBatchAgainstSingle:
         np.testing.assert_array_equal(rounding_batch(r, ytilde, box.lower, box.upper),
                                       np.clip(half_toward_zero, box.lower, box.upper))
         wide = np.full(r.shape[0], np.inf)
-        for kernel, single, ordinary, success in (
-                (rounding_batch, box_rounding, ordinary_rounding, rounding_success_batch),
-                (babai_batch, box_babai, ordinary_babai, babai_success_batch)):
-            models = [_rm(r, y) for y in ytilde]
-            boxed = np.array([single(rm, box) for rm in models])
-            free = np.array([ordinary(rm) for rm in models])
+        for kernel, single, success in (
+                (rounding_batch, box_rounding, rounding_success_batch),
+                (babai_batch, box_babai, babai_success_batch)):
+            boxed = np.array([single(r, y, box) for y in ytilde])
+            free = np.array([_unclamped(kernel, r, y) for y in ytilde])
             batch = kernel(r, ytilde, box.lower, box.upper)
             assert batch.shape == ytilde.shape
             np.testing.assert_array_equal(batch.astype(np.int64), boxed)

@@ -75,6 +75,11 @@ class TestConfig:
         assert cfg.integrator.method is IntegratorMethod.SEQ_QMC
         assert not cfg.compute_exact_br
 
+    def test_equal_configs_compare_and_hash_equal(self):
+        assert _config() == _config(box=BoxConstraint.cube(0, 3, 3))
+        assert hash(_config()) == hash(_config(box=BoxConstraint.cube(0, 3, 3)))
+        assert _config() != _config(box=BoxConstraint([0, 0, 0], [3, 3, 2]))
+
     def test_from_dict_integrator_defaults(self):
         doc = {
             "n": 2, "box": {"lower": 0, "upper": 3}, "sigma_grid": [0.1],

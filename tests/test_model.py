@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from boxdet.detectors import bils_brute_force, box_babai, box_rounding
 from boxdet.errors import DimensionMismatchError, OutOfBoxError
 from boxdet.model import (
     MAX_BOUND,
     BoundaryTag,
     BoxConstraint,
-    ReducedModel,
     classify,
     parse_pattern,
     sample_noise,
@@ -47,6 +47,26 @@ class TestBoxConstraint:
     def test_out_of_range_bound_named(self, lower, upper, name):
         with pytest.raises(ValueError, match=f"box {name} bound"):
             BoxConstraint(lower, upper)
+
+    @pytest.mark.parametrize("lower, upper, message", [
+        ([0.5], [3.0], "box lower bound 0.5 is not an integer"),
+        ([0], [3.7], "box upper bound 3.7 is not an integer"),
+        ([0, math.nan], [3, 3], "box lower bound nan is not an integer"),
+        ([0], [math.inf], "box upper bound inf is not an integer"),
+        ([-math.inf], [0], "box lower bound -inf is not an integer"),
+    ])
+    def test_non_integral_bound_named(self, lower, upper, message):
+        with pytest.raises(ValueError, match=message):
+            BoxConstraint(lower, upper)
+
+    def test_value_equality_and_hash(self):
+        box = BoxConstraint.cube(0, 3, 2)
+        same = BoxConstraint(np.zeros(2), [3.0, np.float64(3.0)])  # integral floats
+        assert box == same and hash(box) == hash(same)
+        assert len({box, same}) == 1
+        assert box != BoxConstraint.cube(0, 4, 2)
+        assert box != BoxConstraint.cube(0, 3, 3)
+        assert box != (box.lower, box.upper)
 
 
 class TestClassify:
@@ -107,18 +127,24 @@ class TestPatternParsing:
 
 
 class TestModels:
+    """The detectors check the reduced model (R, ytilde) they are given."""
+
+    DETECTORS = (box_rounding, box_babai, bils_brute_force)
+    BOX = BoxConstraint.cube(0, 3, 2)
+
     def test_reduced_model_validates(self):
-        with pytest.raises(DimensionMismatchError):
-            ReducedModel(np.eye(2), [1.0])
-        rm = ReducedModel([[2.0, -1.0], [0.0, 1.0]], [0.4, 0.4])
-        assert rm.dim == 2
+        for detect in self.DETECTORS:
+            with pytest.raises(DimensionMismatchError):
+                detect(np.eye(2), [1.0], self.BOX)
+            assert detect([[2.0, -1.0], [0.0, 1.0]], [0.4, 0.4], self.BOX).shape == (2,)
 
     def test_reduced_model_validates_r(self):
         for r in ([[1.0, 1.0], [1.0, 1.0]],  # not upper triangular
                   [[0.0, 1.0], [0.0, 1.0]],  # zero on the diagonal
                   [[1.0, np.nan], [0.0, 1.0]]):
-            with pytest.raises(ValueError):
-                ReducedModel(r, [1.0, 1.0])
+            for detect in self.DETECTORS:
+                with pytest.raises(ValueError):
+                    detect(r, [1.0, 1.0], self.BOX)
 
 
 class TestSampling:
