@@ -16,7 +16,11 @@ Three interchangeable backends:
   for a box probability the standard error is the binomial one.  Default,
   for robustness.
 * ``SEQ_QMC`` -- sequential conditioning with randomized Sobol points
-  (Genz 1992).  The covariance factor sigma * R^{-1} is upper triangular,
+  (Genz 1992).  The coordinates are first prioritized: a greedy order puts
+  the coordinate of least conditional mass first (Gibson, Glasbey and
+  Elston 1994), and the sweep runs on the positive-diagonal R factor of
+  numpy's QR of the column-permuted R, which gives the permuted problem
+  the same law.  The covariance factor sigma * R^{-1} is upper triangular,
   so reversing the coordinate order makes it a lower-triangular Cholesky
   factor and the standard one-dimensional conditional sweep applies.  At
   each step the weight is multiplied by the conditional mass
@@ -35,17 +39,21 @@ Three interchangeable backends:
   = 10; the neglected mass is below erfc(10 / sqrt(2)) / 2 < 1e-23 per
   clipped end.  The last coordinate is closed form.  A floor weight is
   expanded into interval terms, g = a 1(t <= hi) + (1 - 2a) 1(lo <= t <= hi)
-  + a 1(t >= lo) (the full line when a = 1, terms of coefficient 0
-  dropped), and every product of terms is one row of a single sweep, so
-  ``samples`` = rows * m^(n-1).  Reported stderr is 0.
+  + a 1(t >= lo) (terms of coefficient 0 dropped), and every product of
+  terms is one row of a single sweep, so ``samples`` = rows * m^(n-1).
+  Reported stderr is 0.
 
 The canonical per-coordinate intervals are [-1/2, 1/2], (-inf, 1/2],
 [-1/2, inf) and (-inf, inf); the last one arises only for single-point box
 coordinates.  The integrators accept arbitrary (lo, hi) intervals, which
-the integral-inequality check below relies on.
+the integral-inequality check below relies on.  A full-line coordinate (a
+full-line interval or a unit floor) has g_i = 1; every backend integrates
+it out exactly, by taking the marginal of the others, before the
+quadrature dimension cap applies.
 
 QMC and quadrature take the factor R^{-1} from numpy's LAPACK
-(``np.linalg.inv``), which at these sizes starts no BLAS worker.  Nothing
+(``np.linalg.inv``), and the permuted factors from its QR
+(``np.linalg.qr``); at these sizes neither starts a BLAS worker.  Nothing
 here calls scipy's LAPACK: scipy bundles a second OpenBLAS whose worker
 thread busy-waits after each call and takes a core from the pool.
 """
@@ -199,9 +207,64 @@ def _mc_probability(r, sigma, lo, hi, floor, samples, stream):
     return McEstimate(p, math.sqrt(max(var, 0.0) / samples), samples, stream.label())
 
 
+def _permuted_factor(r, perm):
+    """Positive-diagonal R' of R[:, perm] = Q R'.  R' xi' = Q^T R xi with
+    xi' = xi[perm], so xi' ~ N(0, sigma^2 (R'^T R')^{-1}): the permuted
+    problem has the same law.  numpy's QR, not ``qr_positive``, whose rank
+    tolerance would refuse factors that ``validate_upper_triangular``
+    accepts."""
+    rp = np.triu(np.linalg.qr(r[:, perm], mode="r"))
+    return np.where(np.diag(rp) < 0.0, -1.0, 1.0)[:, None] * rp
+
+
+def _prioritized(r, sigma, lo, hi, floor):
+    """The interval product with its coordinates reordered for the
+    conditional sweep: (perm, R', lo, hi, floor) of the permuted problem.
+
+    Greedy variable prioritization (Gibson, Glasbey and Elston 1994; Genz
+    and Bretz 2009, sec. 4.1.3): a column-by-column Cholesky factorization
+    of Sigma = sigma^2 (R^T R)^{-1} picks next the remaining coordinate of
+    least conditional mass a + (1 - a) (Phi(beta) - Phi(alpha)), with the
+    limits standardized by its conditional sd and shifted by the
+    conditional means (1 - a) (phi(alpha) - phi(beta)) / mass of the
+    coordinates already picked; ties go to the lowest index.  The sweep
+    conditions the last column of R' first, so perm is that order reversed.
+    """
+    n = r.shape[0]
+    inv = np.linalg.inv(r)
+    cov = sigma * sigma * (inv @ inv.T)
+    var0 = np.diag(cov)
+    factor = np.zeros((n, n))  # row: coordinate, column: step
+    means = np.zeros(n)  # mean of each picked standardized coordinate
+    rest, order = list(range(n)), []
+    for k in range(n):
+        idx = np.array(rest)
+        # Below eps * Sigma_ii the subtraction is all rounding.
+        var = np.maximum(var0[idx] - np.sum(factor[idx, :k] ** 2, axis=1),
+                         np.finfo(float).eps * var0[idx])
+        sd = np.sqrt(var)
+        shift = factor[idx, :k] @ means[:k]
+        alpha, beta = (lo[idx] - shift) / sd, (hi[idx] - shift) / sd
+        a = floor[idx]
+        mass = a + (1.0 - a) * (ndtr(beta) - ndtr(alpha))
+        j = int(np.argmin(mass))
+        pick = rest.pop(j)
+        order.append(pick)
+        factor[pick, k] = sd[j]
+        others = np.array(rest, dtype=int)
+        factor[others, k] = (cov[others, pick] - factor[others, :k] @ factor[pick, :k]) / sd[j]
+        phi_gap = (math.exp(-0.5 * alpha[j] ** 2)
+                   - math.exp(-0.5 * beta[j] ** 2)) / math.sqrt(2.0 * math.pi)
+        # mass is 0 in floating point far out in a tail, beyond Phi's range.
+        means[k] = (1.0 - a[j]) * phi_gap / mass[j] if mass[j] > 0.0 else 0.0
+    perm = np.array(order[::-1])
+    return perm, _permuted_factor(r, perm), lo[perm], hi[perm], floor[perm]
+
+
 def _qmc_probability(r, sigma, lo, hi, floor, samples, stream):
     """SEQ_QMC estimate of E[prod_i g_i(xi_i)] for one interval product."""
     n = r.shape[0]
+    _, r, lo, hi, floor = _prioritized(r, sigma, lo, hi, floor)
     chol = sigma * np.linalg.inv(r)
     # Reversing coordinates turns the upper-triangular factor into a
     # lower-triangular Cholesky factor for the standard conditional sweep.
@@ -259,9 +322,9 @@ def _quadrature_probability(r, sigma, lo, hi, floor, quad_points):
     """QUADRATURE value of E[prod_i g_i(xi_i)] for one interval product.
 
     Each g_i is a sum of interval indicators, a 1(t <= hi) +
-    (1 - 2a) 1(lo <= t <= hi) + a 1(t >= lo), or the full line when a = 1,
-    without the terms of coefficient 0.  Every product of terms is one row
-    of the sweep, and the value is the coefficient-weighted sum of the rows.
+    (1 - 2a) 1(lo <= t <= hi) + a 1(t >= lo), without the terms of
+    coefficient 0.  Every product of terms is one row of the sweep, and the
+    value is the coefficient-weighted sum of the rows.
     """
     n = r.shape[0]
     if n > QUADRATURE_MAX_DIM:
@@ -269,8 +332,7 @@ def _quadrature_probability(r, sigma, lo, hi, floor, quad_points):
             f"quadrature supports dimension <= {QUADRATURE_MAX_DIM}, got {n}")
     terms = []
     for l, h, a in zip(lo, hi, floor):
-        split = ([(1.0, -math.inf, math.inf)] if a == 1.0 else
-                 [(a, -math.inf, h), (1.0 - 2.0 * a, l, h), (a, l, math.inf)])
+        split = [(a, -math.inf, h), (1.0 - 2.0 * a, l, h), (a, l, math.inf)]
         terms.append([term for term in split if term[0] != 0.0])
     rows = list(itertools.product(*terms))
     coef = np.array([math.prod(c for c, _, _ in row) for row in rows])
@@ -313,8 +375,23 @@ def box_probability(r, sigma, intervals, cfg: IntegratorConfig,
     product.  With ``floors`` (a weight a_i in [0, 1] per coordinate) it is
     E[prod_i (a_i + (1 - a_i) 1(xi_i in I_i))] instead, on every backend.
     ``stream`` is required for the stochastic backends and ignored by
-    quadrature."""
+    quadrature.
+
+    A full-line coordinate (a full-line interval or a unit floor) has
+    g_i = 1 and is integrated out exactly: with those coordinates first,
+    the trailing block of the R factor of the permuted problem is the
+    factor of the others' marginal, and the backend integrates that.
+    """
     r, sigma, lo, hi, floor = _validate(r, sigma, intervals, floors, cfg, stream)
+    full = (floor == 1.0) | (np.isneginf(lo) & np.isposinf(hi))
+    if full.all():
+        return McEstimate(1.0, 0.0, 0, "deterministic" if cfg.method is
+                          IntegratorMethod.QUADRATURE else stream.label())
+    if full.any():
+        keep = np.flatnonzero(~full)
+        r = _permuted_factor(r, np.concatenate((np.flatnonzero(full), keep)))
+        r = r[-keep.size:, -keep.size:]
+        lo, hi, floor = lo[keep], hi[keep], floor[keep]
     if cfg.method is IntegratorMethod.QUADRATURE:
         return _quadrature_probability(r, sigma, lo, hi, floor, cfg.quad_points)
     kernel = _qmc_probability if cfg.method is IntegratorMethod.SEQ_QMC else _mc_probability

@@ -238,6 +238,17 @@ class TestMcSp:
         value = float(capsys.readouterr().out.split("=")[1].split("+/-")[0])
         assert abs(value - 0.5004032) < 1e-4
 
+    def test_singleton_coordinate_is_integrated_out(self, tmp_path, capsys):
+        # The singleton's full line leaves xi_1 with its marginal
+        # N(0, sigma^2 [(R^T R)^{-1}]_11), so the LS value is
+        # Phi(0.5 / sd_1) = 0.556225; a node rule over the coupled full
+        # line read 0.555851.
+        a = tmp_path / "coupled.txt"
+        a.write_text("0.541 2.446\n0 0.627\n")
+        assert main(["mc-sp", str(a), "--sigma", "0.475", "--box", "0..1,0..0",
+                     "--pattern", "LS", "--method", "quad"]) == 0
+        assert capsys.readouterr().out.startswith("P_D^BR = 0.556225 +/- 0.000000")
+
     def test_pattern_budget_exits_3(self, tmp_path, capsys):
         # No pattern budget any more: an 11-D uniform cell runs on QMC,
         # and quadrature refuses n > 4 before it enumerates any pattern.

@@ -30,9 +30,10 @@ from boxdet.gaussbox import (
     intervals_from_pattern,
     symmetric,
 )
-from boxdet.model import parse_pattern
+from boxdet.linalg import qr_positive, validate_upper_triangular
+from boxdet.model import BoxConstraint, parse_pattern
 from boxdet.rng import RngStream
-from boxdet.success import phi
+from boxdet.success import p_br_uniform, phi
 
 EX1 = np.array([[2.0, -1.0], [0.0, 1.0]])
 QUAD = IntegratorConfig(method=IntegratorMethod.QUADRATURE)
@@ -97,6 +98,10 @@ class TestConfig:
     def test_quadrature_dimension_cap(self):
         with pytest.raises(QuadratureDimensionError):
             box_probability(np.eye(5), 1.0, (FINITE,) * 5, QUAD)
+
+    def test_quadrature_dimension_cap_after_marginalization(self):
+        est = box_probability(np.eye(5), 1.0, (FINITE,) * 4 + (FULL_LINE,), QUAD)
+        assert est.value == pytest.approx(phi(1.0, 1.0) ** 4, rel=1e-12)
 
 
 class TestBoxProbability:
@@ -266,6 +271,76 @@ class TestQmcBatch:
             assert abs(est.value - _mvn_oracle(r, 0.7, lo, hi)) <= 4 * est.stderr + 1e-5
 
 
+class TestPrioritizedSweep:
+    KINDS = (FINITE, LEFT_INFINITE, RIGHT_INFINITE, symmetric(0.3), Interval(-0.2, 1.5))
+
+    def test_helper_returns_the_permuted_factor(self):
+        rng = np.random.default_rng(57)
+        for n in range(1, 9):
+            for spread in (False, True):
+                for _ in range(20):
+                    r = _random_triangular(rng, n)
+                    if spread:
+                        r[np.diag_indices(n)] = 10.0 ** rng.uniform(-6.0, 6.0, n)
+                    ivs = [self.KINDS[k] for k in rng.integers(0, len(self.KINDS), n)]
+                    lo = np.array([iv.lo for iv in ivs])
+                    hi = np.array([iv.hi for iv in ivs])
+                    floor = np.where(rng.random(n) < 0.5, 0.0, rng.random(n))
+                    sigma = float(10.0 ** rng.uniform(-2.0, 1.0))
+                    perm, rp, lo_p, hi_p, floor_p = gaussbox._prioritized(
+                        r, sigma, lo, hi, floor)
+                    assert sorted(perm.tolist()) == list(range(n))
+                    validate_upper_triangular(rp)
+                    gram = r[:, perm].T @ r[:, perm]
+                    assert (np.linalg.norm(rp.T @ rp - gram)
+                            <= 1e-12 * np.linalg.norm(gram))
+                    assert np.array_equal(lo_p, lo[perm])
+                    assert np.array_equal(hi_p, hi[perm])
+                    assert np.array_equal(floor_p, floor[perm])
+
+    def test_most_constrained_coordinate_is_swept_first(self):
+        # The sweep conditions the last column first, so perm is the
+        # greedy order (least mass first) reversed; ties keep index order.
+        ivs = np.array([0.9, 0.2, 0.5])
+        perm = gaussbox._prioritized(np.eye(3), 1.0, -ivs, ivs, np.zeros(3))[0]
+        assert perm.tolist() == [0, 2, 1]
+        same = np.full(3, 0.5)
+        perm = gaussbox._prioritized(np.eye(3), 1.0, -same, same, np.zeros(3))[0]
+        assert perm.tolist() == [2, 1, 0]
+
+    def test_column_permuted_twin_agrees(self):
+        rng = np.random.default_rng(58)
+        for case in range(12):
+            n = 3 + case % 3
+            r = _random_triangular(rng, n)
+            sigma = float(rng.uniform(0.3, 1.0))
+            perm = rng.permutation(n)
+            if case % 2:  # an L/I/U pattern
+                ivs = [(LEFT_INFINITE, FINITE, RIGHT_INFINITE)[k]
+                       for k in rng.integers(0, 3, n)]
+                floors = np.zeros(n)
+            else:  # a floor-weighted uniform cell
+                ivs = [FINITE] * n
+                floors = 1.0 / (rng.integers(1, 4, n) + 1.0)
+            est = box_probability(r, sigma, ivs, QMC, RngStream(58, (case, 0)), floors)
+            twin = box_probability(qr_positive(r[:, perm])[1], sigma, [ivs[p] for p in perm], QMC,
+                                   RngStream(58, (case, 1)), floors[perm])
+            assert (abs(est.value - twin.value)
+                    <= 3 * math.hypot(est.stderr, twin.stderr) + 1e-12)
+
+    def test_uniform_identical_across_thread_counts(self, monkeypatch):
+        # The order is fixed before the randomizations are mapped; the
+        # singleton coordinate is integrated out first.
+        r = _random_triangular(np.random.default_rng(59), 5)
+        box = BoxConstraint([0, 0, 2, 0, 0], [3, 1, 2, 2, 3])
+        outputs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("BOXDET_THREADS", threads)
+            outputs.append(p_br_uniform(r, 0.4, box, QMC, RngStream(59)))
+        assert outputs[0] == outputs[1]
+        assert outputs[0].stderr > 0.0
+
+
 class TestQuadratureBatch:
     IVS = (FINITE, LEFT_INFINITE, symmetric(0.8))
     FLOORS = (0.75, 0.1, 0.0)
@@ -350,6 +425,30 @@ class TestFloorWeights:
         for cfg in (MC, QMC, QUAD):
             est = box_probability(EX1, 0.7, (FINITE, FINITE), cfg, RngStream(9), (1.0, 1.0))
             assert est.value == 1.0 and est.stderr == 0.0
+
+    def test_unit_floors_give_one_on_a_coarse_rule(self):
+        # Full-line coordinates are integrated out exactly, so no node rule
+        # sees them (8 Gauss-Legendre nodes on +-10 sd once read 0.538).
+        coarse = IntegratorConfig(method=IntegratorMethod.QUADRATURE, quad_points=8)
+        for cfg in (MC, QMC, coarse):
+            est = box_probability(EX1, 0.7, (FINITE, FINITE), cfg, RngStream(9), (1.0, 1.0))
+            assert est.value == 1.0 and est.stderr == 0.0
+
+    def test_full_line_coordinates_are_marginalized(self):
+        # With every other coordinate on the full line, xi_i keeps its
+        # marginal N(0, Sigma_ii), whose interval mass is closed form.
+        r = _random_triangular(np.random.default_rng(56), 4)
+        sd = 0.7 * np.sqrt(np.diag(np.linalg.inv(r.T @ r)))
+        for i in range(4):
+            ivs = tuple(FINITE if j == i else LEFT_INFINITE for j in range(4))
+            floors = tuple(0.0 if j == i else 1.0 for j in range(4))
+            expected = math.erf(0.5 / (math.sqrt(2.0) * sd[i]))
+            coarse = IntegratorConfig(method=IntegratorMethod.QUADRATURE, quad_points=8)
+            for cfg in (coarse, QMC):
+                est = box_probability(r, 0.7, ivs, cfg, RngStream(9), floors)
+                assert est.value == pytest.approx(expected, abs=1e-12)
+            est = box_probability(r, 0.7, ivs, MC, RngStream(9), floors)
+            assert abs(est.value - expected) <= 3 * est.stderr
 
     def test_validation(self):
         for floors in ((0.5,), (0.5, 1.5), (-0.1, 0.0), (math.nan, 0.0)):
