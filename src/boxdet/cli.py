@@ -19,6 +19,7 @@ import tempfile
 
 import numpy as np
 
+from ._parallel import worker_count
 from .chart import render_chart
 from .detectors import bils_brute_force, box_babai, box_rounding
 from .errors import BoxdetError, BoxTooLargeError
@@ -270,6 +271,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        worker_count()  # refuse a malformed BOXDET_THREADS whether or not a pool starts
         return args.func(args)
     except BoxTooLargeError as exc:
         print(f"boxdet: {exc}", file=sys.stderr)

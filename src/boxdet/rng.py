@@ -31,6 +31,10 @@ class RngStream:
     seed: int
     path: tuple = ()
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+
     def child(self, *indices: int) -> "RngStream":
         return RngStream(self.seed, self.path + tuple(int(i) for i in indices))
 

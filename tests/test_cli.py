@@ -420,3 +420,34 @@ class TestExperimentCommand:
         text = render_chart(rows)
         assert text.startswith("<?xml")
         assert "Theo. P_R^BR" not in text
+
+
+class TestNegativeSeed:
+    def test_mc_sp_names_the_seed(self, ex1, capsys):
+        assert main(["mc-sp", ex1, "--sigma", "0.5", "--box", "0..3",
+                     "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "seed" in captured.err
+        assert captured.out == ""
+
+    def test_experiment_config_names_the_seed(self, tmp_path, capsys):
+        cfg = _config_file(tmp_path, seed=-4)
+        out = tmp_path / "x.csv"
+        assert main(["experiment", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "seed" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["mc-sp", "{a}", "--sigma", "1", "--box", "0..3", "--method", "qmc", "--samples", "2048"],
+    ["mc-sp", "{a}", "--sigma", "1", "--box", "0..3", "--method", "quad"],
+])
+def test_bad_thread_count_exits_2_without_a_pool(ex1, capsys, monkeypatch, argv):
+    # neither integral starts a pool: 128 QMC points per randomization run inline
+    monkeypatch.setenv("BOXDET_THREADS", "abc")
+    assert main([ex1 if arg == "{a}" else arg for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert "BOXDET_THREADS" in captured.err
+    assert captured.out == ""

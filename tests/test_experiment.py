@@ -1,9 +1,12 @@
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from boxdet import _parallel
+from boxdet.detectors import babai_success_batch, rounding_success_batch
 from boxdet.errors import InvalidConfigError
 from boxdet.experiment import (
     DEFAULT_EXPERIMENT_INTEGRATOR,
@@ -13,7 +16,7 @@ from boxdet.experiment import (
 )
 from boxdet.gaussbox import IntegratorConfig, IntegratorMethod
 from boxdet.linalg import qr_positive
-from boxdet.model import BoxConstraint
+from boxdet.model import BoxConstraint, sample_noise, sample_uniform_x
 from boxdet.rng import RngStream
 from boxdet.success import p_bb_uniform
 
@@ -205,3 +208,65 @@ class TestRunExperiment:
         rows = run_experiment(_config(compute_exact_br=False))
         assert all(row.theo_p_br is None for row in rows)
         assert all(row.emp_p_br.samples > 0 for row in rows)
+
+
+def _per_block_counts(a, q1, r, box, sigma, stream, trials):
+    """The trial loop one 4096-trial block at a time: block k draws x from
+    stream.child(k).child(0) and the noise from stream.child(k).child(1)."""
+    br = bb = 0
+    for index, start in enumerate(range(0, trials, 4096)):
+        size = min(4096, trials - start)
+        sub = stream.child(index)
+        x = sample_uniform_x(box, sub.child(0), count=size)
+        v = sample_noise(sigma, a.shape[0], sub.child(1), count=size)
+        ytilde = (x @ a.T + v) @ q1
+        br += int(rounding_success_batch(r, ytilde, x, box.lower, box.upper).sum())
+        bb += int(babai_success_batch(r, ytilde, x, box.lower, box.upper).sum())
+    return br, bb
+
+
+class TestBatchedCounts:
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("trials", [1, 4095, 4097, 16385, 50001])
+    def test_match_per_block_loop(self, n, trials):
+        a = np.random.default_rng([21, n]).standard_normal((n, n))
+        q1, r = qr_positive(a)
+        lower = np.arange(n) % 3 - 1
+        box = BoxConstraint(lower, lower + np.array([3, 1, 0, 2, 5, 1, 4, 2][:n]))
+        for sigma in (0.05, 0.3, 0.9):
+            stream = RngStream(trials).child(n)
+            assert (_count_successes(a, q1, r, box, sigma, stream, trials)
+                    == _per_block_counts(a, q1, r, box, sigma, stream, trials))
+
+
+# 16384 QMC points per randomization at n = 3, so the integral pools when it
+# is not on a pool worker; 20000 trials make more than one detector batch.
+POOLED_QMC = IntegratorConfig(method=IntegratorMethod.SEQ_QMC, samples=4096)
+
+
+class TestRowMap:
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("matrices", [1, 3])
+    def test_rows_identical_across_thread_counts(self, monkeypatch, exact, matrices):
+        cfg = _config(num_matrices=matrices, trials_per_matrix=20000,
+                      integrator=POOLED_QMC, compute_exact_br=exact)
+        outputs = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("BOXDET_THREADS", threads)
+            outputs.append(run_experiment(cfg))
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_one_pool_per_row_and_none_on_a_worker(self, monkeypatch):
+        created = []
+
+        class CountingExecutor(_parallel.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                created.append(threading.current_thread() is threading.main_thread())
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(_parallel, "ThreadPoolExecutor", CountingExecutor)
+        monkeypatch.setenv("BOXDET_THREADS", "2")
+        cfg = _config(num_matrices=3, trials_per_matrix=20000,
+                      integrator=POOLED_QMC, sigma_grid=(0.2, 0.5, 0.8))
+        run_experiment(cfg)
+        assert created == [True] * 3
