@@ -23,8 +23,6 @@ from .gaussbox import (
     Interval,
     McEstimate,
     box_probability,
-    check_product_bound,
-    intervals_from_pattern,
 )
 from .linalg import back_substitute, qr_positive
 from .model import (
@@ -37,6 +35,7 @@ from .model import (
 )
 from .rng import RngStream
 from .success import (
+    intervals_from_pattern,
     p_bb_bounds,
     p_bb_deterministic,
     p_bb_uniform,

@@ -26,10 +26,9 @@ from .errors import BoxdetError, BoxTooLargeError
 from .experiment import ExperimentConfig, run_experiment
 from .gaussbox import IntegratorConfig, IntegratorMethod
 from .linalg import qr_positive
-from .model import BoxConstraint, parse_pattern, validate_pattern_for_box
+from .model import BoundaryTag, BoxConstraint, parse_pattern, validate_pattern_for_box
 from .rng import RngStream
 from .success import (
-    p_bb_bounds,
     p_bb_deterministic,
     p_bb_uniform,
     p_br_deterministic,
@@ -145,9 +144,13 @@ def cmd_exact_sp(args) -> int:
     box = parse_box(args.box, r.shape[0])
     pattern = _pattern_from_args(args, box)
     print(f"P_R^BB = {p_bb_uniform(r, args.sigma, box):.6f}")
-    lower, upper = p_bb_bounds(r, args.sigma)
-    print(f"P_D^BB lower bound = {lower:.6f}")
-    print(f"P_D^BB upper bound = {upper:.6f}")
+    # The box's extreme admissible patterns: a singleton coordinate is
+    # always S, and a width-1 coordinate has no interior point.
+    forced = {0: BoundaryTag.SINGLETON, 1: BoundaryTag.LOWER}
+    lowest = [forced.get(int(w), BoundaryTag.INTERIOR) for w in box.widths]
+    highest = [forced.get(int(w), BoundaryTag.LOWER) for w in box.widths]
+    print(f"P_D^BB lower bound = {p_bb_deterministic(r, args.sigma, lowest):.6f}")
+    print(f"P_D^BB upper bound = {p_bb_deterministic(r, args.sigma, highest):.6f}")
     if pattern is not None:
         print(f"P_D^BB = {p_bb_deterministic(r, args.sigma, pattern):.6f}")
     return 0

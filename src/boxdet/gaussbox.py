@@ -40,17 +40,16 @@ Three interchangeable backends:
   = 10; the neglected mass is below erfc(10 / sqrt(2)) / 2 < 1e-23 per
   clipped end.  The last coordinate is closed form.  A floor weight is
   expanded into interval terms, g = a 1(t <= hi) + (1 - 2a) 1(lo <= t <= hi)
-  + a 1(t >= lo) (terms of coefficient 0 dropped), and every product of
-  terms is one row of a single sweep, so ``samples`` = rows * m^(n-1).
+  + a 1(t >= lo) (terms of coefficient 0 dropped), and each product of
+  terms (a row) is swept on its own, so ``samples`` = rows * m^(n-1).
   Reported stderr is 0.
 
-The canonical per-coordinate intervals are [-1/2, 1/2], (-inf, 1/2],
-[-1/2, inf) and (-inf, inf); the last one arises only for single-point box
-coordinates.  The integrators accept arbitrary (lo, hi) intervals, which
-the integral-inequality check below relies on.  A full-line coordinate (a
-full-line interval or a unit floor) has g_i = 1; every backend integrates
-it out exactly, by taking the marginal of the others, before the
-quadrature dimension cap applies.
+The boundary patterns of ``success`` read off the intervals [-1/2, 1/2],
+(-inf, 1/2], [-1/2, inf) and (-inf, inf); the last one arises only for
+single-point box coordinates.  The integrators accept arbitrary (lo, hi)
+intervals.  A full-line coordinate (a full-line interval or a unit floor)
+has g_i = 1; every backend integrates it out exactly, by taking the
+marginal of the others, before the quadrature dimension cap applies.
 
 QMC and quadrature take the factor R^{-1} from numpy's LAPACK
 (``np.linalg.inv``), and the permuted factors from its QR
@@ -66,7 +65,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import erf, ndtr, ndtri
+from scipy.special import ndtr, ndtri
 from scipy.stats import qmc
 
 from ._parallel import ordered_map
@@ -76,7 +75,7 @@ from .errors import (
     QuadratureDimensionError,
 )
 from .linalg import back_substitute, validate_upper_triangular
-from .model import BoundaryTag, validate_sigma
+from .model import validate_sigma
 from .rng import RngStream, standard_normal
 
 QUADRATURE_MAX_DIM = 4
@@ -91,7 +90,7 @@ _QMC_BITS = 30  # binary digits per Sobol coordinate
 # 4096 points per randomization took about as long pooled as inline at
 # n = 3..8, and one of 8192 points ran 1.0-1.5x faster pooled at n = 5, 8.
 _QMC_MAP_POINTS = 8192
-_SWEEP_CHUNK = 1 << 14  # QMC points, or quadrature product-nodes, per array
+_SWEEP_CHUNK = 1 << 14  # QMC points per array
 
 
 class Interval(NamedTuple):
@@ -103,27 +102,6 @@ FINITE = Interval(-0.5, 0.5)
 LEFT_INFINITE = Interval(-math.inf, 0.5)
 RIGHT_INFINITE = Interval(-0.5, math.inf)
 FULL_LINE = Interval(-math.inf, math.inf)
-
-_TAG_TO_INTERVAL = {
-    BoundaryTag.LOWER: LEFT_INFINITE,
-    BoundaryTag.INTERIOR: FINITE,
-    BoundaryTag.UPPER: RIGHT_INFINITE,
-    BoundaryTag.SINGLETON: FULL_LINE,
-}
-
-
-def symmetric(half_width: float) -> Interval:
-    if not half_width > 0.0:
-        raise ValueError("half width must be positive")
-    return Interval(-half_width, half_width)
-
-
-def intervals_from_pattern(pattern) -> tuple:
-    """Canonical interval product for a boundary pattern: lower-bound
-    coordinates get (-inf, 1/2], interior [-1/2, 1/2], upper-bound
-    [-1/2, inf), singleton the full line."""
-    return tuple(_TAG_TO_INTERVAL[tag] for tag in pattern)
-
 
 class IntegratorMethod(enum.Enum):
     MONTE_CARLO = "mc"
@@ -344,37 +322,31 @@ def _quadrature_probability(r, sigma, lo, hi, floor, quad_points):
         terms.append([term for term in split if term[0] != 0.0])
     rows = list(itertools.product(*terms))
     coef = np.array([math.prod(c for c, _, _ in row) for row in rows])
-    # The sweep of _qmc_probability in units of sigma: t = xi / sigma has
-    # the law N(0, (R^T R)^{-1}), so no power of sigma can underflow.
-    bounds = np.array([[(l, h) for _, l, h in row] for row in rows])[:, ::-1] / sigma
-    lo_r, hi_r = bounds[..., 0], bounds[..., 1]
     chol = np.linalg.inv(r)[::-1, ::-1]
     base_nodes, base_weights = np.polynomial.legendre.leggauss(quad_points)
-    nodes = quad_points ** (n - 1)
-    per_chunk = max(1, _SWEEP_CHUNK // nodes)
     values = np.empty(len(rows))
-    for start in range(0, len(rows), per_chunk):
-        chunk = slice(start, start + per_chunk)
-        lo_c, hi_c = lo_r[chunk, :, None], hi_r[chunk, :, None]
-        count = len(lo_c)
-        weight, z = np.ones((count, 1)), np.empty((count, 1, 0))
+    for k, row in enumerate(rows):
+        # The sweep of _qmc_probability in units of sigma: t = xi / sigma has
+        # the law N(0, (R^T R)^{-1}), so no power of sigma can underflow.
+        lo_k, hi_k = (np.array([(l, h) for _, l, h in row[::-1]]) / sigma).T
+        weight, z = np.ones(1), np.empty((1, 0))
         for i in range(n):
             shift = z @ chol[i, :i]
-            a = (lo_c[:, i] - shift) / chol[i, i]
-            b = (hi_c[:, i] - shift) / chol[i, i]
+            a = (lo_k[i] - shift) / chol[i, i]
+            b = (hi_k[i] - shift) / chol[i, i]
             if i == n - 1:
                 break  # the last coordinate is closed form
             a = np.clip(a, -QUADRATURE_TRUNCATION, QUADRATURE_TRUNCATION)
             b = np.clip(b, -QUADRATURE_TRUNCATION, QUADRATURE_TRUNCATION)
             half = 0.5 * np.maximum(b - a, 0.0)
-            zi = (0.5 * (a + b))[..., None] + half[..., None] * base_nodes
-            weight = (weight * half)[..., None] * base_weights * np.exp(-0.5 * zi * zi)
-            weight = weight.reshape(count, -1) / math.sqrt(2.0 * math.pi)
-            z = np.concatenate((np.repeat(z, quad_points, axis=1),
-                                zi.reshape(count, -1, 1)), axis=2)
-        values[chunk] = np.sum(weight * (ndtr(b) - ndtr(a)), axis=1)
+            zi = (0.5 * (a + b))[:, None] + half[:, None] * base_nodes
+            weight = (weight * half)[:, None] * base_weights * np.exp(-0.5 * zi * zi)
+            weight = weight.reshape(-1) / math.sqrt(2.0 * math.pi)
+            z = np.concatenate((np.repeat(z, quad_points, axis=0), zi.reshape(-1, 1)), axis=1)
+        values[k] = np.sum(weight * (ndtr(b) - ndtr(a)))
     value = float(coef @ np.clip(values, 0.0, 1.0))
-    return McEstimate(min(max(value, 0.0), 1.0), 0.0, len(rows) * nodes, "deterministic")
+    return McEstimate(min(max(value, 0.0), 1.0), 0.0, len(rows) * quad_points ** (n - 1),
+                      "deterministic")
 
 
 def box_probability(r, sigma, intervals, cfg: IntegratorConfig,
@@ -404,47 +376,3 @@ def box_probability(r, sigma, intervals, cfg: IntegratorConfig,
         return _quadrature_probability(r, sigma, lo, hi, floor, cfg.quad_points)
     kernel = _qmc_probability if cfg.method is IntegratorMethod.SEQ_QMC else _mc_probability
     return kernel(r, sigma, lo, hi, floor, cfg.samples, stream)
-
-
-def check_product_bound(r, sigma, a, tail_intervals, cfg: IntegratorConfig,
-                 stream: RngStream | None = None):
-    """Evaluate both sides of the product bound for the leading coordinate.
-
-    lhs is the unnormalized integral of exp(-||R xi||^2 / 2 sigma^2) over
-    [-a, a] x tail; rhs is the one-dimensional Gaussian integral over
-    [-a, a] at rate r_11 times the tail integral taken with the trailing
-    (n-1) x (n-1) block of R.  lhs <= rhs always, with equality when R is
-    diagonal.  Both multi-dimensional integrals use the same backend; the
-    one-dimensional factor is closed form.
-    """
-    r = validate_upper_triangular(r)
-    n = r.shape[0]
-    if n < 2:
-        raise DimensionMismatchError("need dimension >= 2")
-    a = float(a)
-    if not a > 0.0:
-        raise ValueError("half width a must be positive")
-    tail_intervals = tuple(tail_intervals)
-    if len(tail_intervals) != n - 1:
-        raise DimensionMismatchError(
-            f"need {n - 1} tail intervals, got {len(tail_intervals)}"
-        )
-    sigma = validate_sigma(sigma)
-    sub = stream if stream is not None else RngStream(0)
-
-    full = box_probability(r, sigma, (symmetric(a),) + tail_intervals, cfg, sub.child(0))
-    scale_full = (2.0 * math.pi * sigma * sigma) ** (n / 2.0) / float(np.prod(np.diag(r)))
-    lhs = McEstimate(full.value * scale_full, full.stderr * scale_full,
-                     full.samples, full.seed)
-
-    r_tail = r[1:, 1:]
-    tail = box_probability(r_tail, sigma, tail_intervals, cfg, sub.child(1))
-    scale_tail = (2.0 * math.pi * sigma * sigma) ** ((n - 1) / 2.0) / float(
-        np.prod(np.diag(r_tail))
-    )
-    one_dim = (math.sqrt(2.0 * math.pi) * sigma / r[0, 0]) * float(
-        erf(r[0, 0] * a / (math.sqrt(2.0) * sigma))
-    )
-    rhs = McEstimate(one_dim * tail.value * scale_tail,
-                     one_dim * tail.stderr * scale_tail, tail.samples, tail.seed)
-    return lhs, rhs

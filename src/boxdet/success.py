@@ -25,7 +25,15 @@ from scipy.special import erf
 # Unused here, but perfbench/spans.py wraps success.ordered_map by name.
 from ._parallel import ordered_map  # noqa: F401
 from .errors import DimensionMismatchError
-from .gaussbox import FINITE, IntegratorConfig, McEstimate, box_probability, intervals_from_pattern
+from .gaussbox import (
+    FINITE,
+    FULL_LINE,
+    LEFT_INFINITE,
+    RIGHT_INFINITE,
+    IntegratorConfig,
+    McEstimate,
+    box_probability,
+)
 from .linalg import validate_upper_triangular
 from .model import BoundaryTag, BoxConstraint, validate_sigma
 from .rng import RngStream
@@ -45,14 +53,22 @@ def phi(zeta: float, sigma: float) -> float:
     return float(erf(zeta / (2.0 * math.sqrt(2.0) * sigma)))
 
 
-# Floor a of a coordinate's Babai factor a + (1 - a) phi(r_ii), per tag: the
-# clamp turns half (bound) or all (singleton) of the errors into successes.
-_TAG_FLOOR = {
-    BoundaryTag.INTERIOR: 0.0,
-    BoundaryTag.LOWER: 0.5,
-    BoundaryTag.UPPER: 0.5,
-    BoundaryTag.SINGLETON: 1.0,
+# Per tag: the interval of xi_i on which rounding succeeds, and the floor a
+# of the Babai factor a + (1 - a) phi(r_ii).  The clamp turns half (bound)
+# or all (singleton) of the errors into successes.
+_TAGS = {
+    BoundaryTag.LOWER: (LEFT_INFINITE, 0.5),
+    BoundaryTag.INTERIOR: (FINITE, 0.0),
+    BoundaryTag.UPPER: (RIGHT_INFINITE, 0.5),
+    BoundaryTag.SINGLETON: (FULL_LINE, 1.0),
 }
+
+
+def intervals_from_pattern(pattern) -> tuple:
+    """Canonical interval product for a boundary pattern: lower-bound
+    coordinates get (-inf, 1/2], interior [-1/2, 1/2], upper-bound
+    [-1/2, inf), singleton the full line."""
+    return tuple(_TAGS[tag][0] for tag in pattern)
 
 
 def _babai_product(r, sigma: float, floors, slopes) -> float:
@@ -75,7 +91,7 @@ def p_bb_deterministic(r, sigma: float, pattern) -> float:
     Per coordinate: (1 + phi(r_ii)) / 2 on a bound, phi(r_ii) in the
     interior, 1 on a singleton coordinate.
     """
-    floors = [_TAG_FLOOR[tag] for tag in pattern]
+    floors = [_TAGS[tag][1] for tag in pattern]
     return _babai_product(r, sigma, floors, [1.0 - a for a in floors])
 
 
@@ -116,8 +132,9 @@ def p_br_uniform(r, sigma: float, box: BoxConstraint, cfg: IntegratorConfig,
     singleton has g_i = 1.  E[prod_i g_i(xi_i)] is one floor-weighted
     ``box_probability`` of 16 n ``cfg.samples`` points (for QMC,
     n ``cfg.samples`` per randomization, rounded up to a power of two);
-    quadrature (n <= 4) ignores the point count and integrates the at most
-    3^n interval terms of the floors in one sweep.
+    quadrature (n <= 4) ignores the point count and sweeps each of the at
+    most 3^n products of the floors' interval terms.  ``stream`` is
+    required for the stochastic backends, as in ``box_probability``.
     """
     r = validate_upper_triangular(r)
     n = r.shape[0]
@@ -126,6 +143,4 @@ def p_br_uniform(r, sigma: float, box: BoxConstraint, cfg: IntegratorConfig,
             f"box dimension {box.dim} does not match matrix dimension {n}"
         )
     cfg = replace(cfg, samples=_UNIFORM_POINTS * n * cfg.samples)
-    return box_probability(r, sigma, (FINITE,) * n, cfg,
-                           stream if stream is not None else RngStream(0),
-                           1.0 / (box.widths + 1.0))
+    return box_probability(r, sigma, (FINITE,) * n, cfg, stream, 1.0 / (box.widths + 1.0))

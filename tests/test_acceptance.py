@@ -191,6 +191,15 @@ def test_criterion_6_pattern_enumeration_equals_point_sum():
             f"20 matrices, n=2, box [0,2]^2, worst relative difference={worst:.2e}")
 
 
+def _product_bound_sides(r, sigma, a, tail):
+    """Pr(|xi_1| <= a, xi_tail in T) and its bound phi(2 a r_11) Pr(xi'_tail in T),
+    where xi' uses the trailing block of R, as estimates with stderrs."""
+    full = bd.box_probability(r, sigma, (bd.Interval(-a, a),) + tail, QUAD)
+    one_dim = bd.phi(2.0 * a * r[0, 0], sigma)
+    tail_est = bd.box_probability(r[1:, 1:], sigma, tail, QUAD)
+    return full, (one_dim * tail_est.value, one_dim * tail_est.stderr)
+
+
 def test_criterion_7_integral_product_bound():
     rng = np.random.default_rng(77)
     kinds = [FINITE, LEFT_INFINITE, RIGHT_INFINITE]
@@ -201,16 +210,16 @@ def test_criterion_7_integral_product_bound():
         sigma = float(rng.uniform(0.3, 1.2))
         a = (0.25, 0.5, 1.0)[i % 3]
         tail = tuple(kinds[k] for k in rng.integers(0, 3, 2))
-        lhs, rhs = bd.check_product_bound(r, sigma, a, tail, QUAD)
+        lhs, (rhs, rhs_se) = _product_bound_sides(r, sigma, a, tail)
         # quadrature stderr is 0; allow roundoff/truncation slack
-        tol = 3 * math.hypot(lhs.stderr, rhs.stderr) + 1e-9 * rhs.value
-        worst_excess = max(worst_excess, lhs.value - rhs.value - tol)
+        tol = 3 * math.hypot(lhs.stderr, rhs_se) + 1e-9 * rhs
+        worst_excess = max(worst_excess, (lhs.value - rhs - tol) / rhs)
     diag = np.diag(rng.uniform(0.5, 2.0, 3))
-    lhs_d, rhs_d = bd.check_product_bound(diag, 0.8, 0.5, (FINITE, RIGHT_INFINITE), QUAD)
-    eq_err = abs(lhs_d.value - rhs_d.value) / rhs_d.value
+    lhs_d, (rhs_d, _) = _product_bound_sides(diag, 0.8, 0.5, (FINITE, RIGHT_INFINITE))
+    eq_err = abs(lhs_d.value - rhs_d) / rhs_d
     ok = worst_excess <= 0.0 and eq_err <= 1e-9
     _report(7, "integral product bound", ok,
-            f"50 instances, worst excess={worst_excess:.2e}, "
+            f"50 instances, worst excess relative to the bound={worst_excess:.2e}, "
             f"diagonal equality rel err={eq_err:.2e}")
 
 

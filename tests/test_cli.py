@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import time
@@ -12,7 +13,7 @@ from boxdet.cli import format_rows_csv, main, parse_box, read_matrix
 from boxdet.cli import InputError
 from boxdet.chart import render_chart
 from boxdet.experiment import ExperimentConfig, run_experiment
-from boxdet.model import BoxConstraint
+from boxdet.model import BoxConstraint, classify
 from boxdet.success import p_bb_uniform
 
 EX1_TEXT = "2 -1\n0 1\n"
@@ -155,6 +156,23 @@ class TestExactSp:
         assert values["P_D^BB lower bound"] == pytest.approx(0.261419, abs=1e-6)
         assert values["P_D^BB"] == pytest.approx(0.5818, abs=5e-4)
         assert values["P_D^BB upper bound"] == values["P_D^BB"]
+
+    @pytest.mark.parametrize("box", ["0..0,0..3", "0..1"])
+    def test_bounds_hold_for_every_admissible_pattern(self, ex1, capsys, box):
+        # Singleton and width-1 coordinates narrow the admissible patterns,
+        # so the bounds must come from the box, not from R alone.
+        bounds = parse_box(box, 2)
+        for point in itertools.product(*(range(lo, hi + 1) for lo, hi
+                                          in zip(bounds.lower, bounds.upper))):
+            letters = "".join(tag.value for tag in classify(np.array(point), bounds))
+            assert main(["exact-sp", ex1, "--sigma", "0.5", "--box", box,
+                         "--pattern", letters]) == 0
+            values = {}
+            for line in capsys.readouterr().out.strip().splitlines():
+                key, _, val = line.rpartition("=")
+                values[key.strip()] = float(val)
+            assert (values["P_D^BB lower bound"] <= values["P_D^BB"]
+                    <= values["P_D^BB upper bound"]), letters
 
     def test_pattern_length_mismatch_exits_2(self, ex1, capsys):
         assert main(["exact-sp", ex1, "--sigma", "1", "--box", "0..3",

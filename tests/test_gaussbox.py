@@ -26,14 +26,11 @@ from boxdet.gaussbox import (
     Interval,
     McEstimate,
     box_probability,
-    check_product_bound,
-    intervals_from_pattern,
-    symmetric,
 )
 from boxdet.linalg import qr_positive, validate_upper_triangular
 from boxdet.model import BoxConstraint, parse_pattern
 from boxdet.rng import RngStream
-from boxdet.success import p_br_uniform, phi
+from boxdet.success import intervals_from_pattern, p_br_uniform, phi
 
 EX1 = np.array([[2.0, -1.0], [0.0, 1.0]])
 QUAD = IntegratorConfig(method=IntegratorMethod.QUADRATURE)
@@ -60,11 +57,6 @@ class TestIntervals:
         ivs = intervals_from_pattern(parse_pattern("LIUS"))
         assert ivs == (LEFT_INFINITE, FINITE, RIGHT_INFINITE, FULL_LINE)
 
-    def test_symmetric(self):
-        assert symmetric(0.5) == Interval(-0.5, 0.5)
-        with pytest.raises(ValueError):
-            symmetric(0.0)
-
     def test_interval_count_checked(self):
         with pytest.raises(DimensionMismatchError):
             box_probability(np.eye(2), 1.0, (FINITE,), QUAD)
@@ -79,13 +71,14 @@ class TestConfig:
     def test_stochastic_needs_stream(self):
         with pytest.raises(InvalidConfigError):
             box_probability(np.eye(1), 1.0, (FINITE,), MC, None)
+        for cfg in (MC, QMC):
+            with pytest.raises(InvalidConfigError):
+                p_br_uniform(EX1, 1.0, BoxConstraint.cube(0, 3, 2), cfg, None)
 
     def test_sigma_must_be_finite(self):
         for sigma in (math.inf, math.nan, 0.0):
             with pytest.raises(ValueError, match="sigma"):
                 box_probability(EX1, sigma, (FINITE, FINITE), QUAD)
-            with pytest.raises(ValueError, match="sigma"):
-                check_product_bound(EX1, sigma, 0.5, (FINITE,), QUAD)
 
     def test_quad_points_bound(self, monkeypatch):
         # leggauss(m) builds an m x m matrix: a refused count never gets there.
@@ -272,7 +265,7 @@ class TestQmcBatch:
 
 
 class TestPrioritizedSweep:
-    KINDS = (FINITE, LEFT_INFINITE, RIGHT_INFINITE, symmetric(0.3), Interval(-0.2, 1.5))
+    KINDS = (FINITE, LEFT_INFINITE, RIGHT_INFINITE, Interval(-0.3, 0.3), Interval(-0.2, 1.5))
 
     def test_helper_returns_the_permuted_factor(self):
         rng = np.random.default_rng(57)
@@ -342,10 +335,10 @@ class TestPrioritizedSweep:
 
 
 class TestQuadratureBatch:
-    IVS = (FINITE, LEFT_INFINITE, symmetric(0.8))
+    IVS = (FINITE, LEFT_INFINITE, Interval(-0.8, 0.8))
     FLOORS = (0.75, 0.1, 0.0)
 
-    def test_rows_equal_single_products(self, monkeypatch):
+    def test_rows_equal_single_products(self):
         # Floors expand into one batch of interval terms per coordinate,
         # g = a 1(t <= hi) + (1 - 2a) 1(lo <= t <= hi) + a 1(t >= lo); with
         # a = 0.75 the middle coefficient is negative.
@@ -359,8 +352,6 @@ class TestQuadratureBatch:
         est = box_probability(r, 0.7, self.IVS, QUAD, None, self.FLOORS)
         assert est.value == pytest.approx(expected, rel=1e-14)
         assert est.samples == 9 * QUAD.quad_points ** 2
-        monkeypatch.setattr(gaussbox, "_SWEEP_CHUNK", 1)
-        assert box_probability(r, 0.7, self.IVS, QUAD, None, self.FLOORS) == est
 
     def test_ill_conditioned_factor(self):
         # R = [[1, 1], [0, 0.01]] puts the density on a narrow ridge.  With
@@ -457,15 +448,23 @@ class TestFloorWeights:
                     box_probability(EX1, 0.7, (FINITE, FINITE), cfg, RngStream(9), floors)
 
 
+def _product_bound_sides(r, sigma, a, tail):
+    """Both sides of Pr(|xi_1| <= a, xi_tail in T) <= phi(2 a r_11) Pr(xi'_tail in T),
+    where xi' uses the trailing block of R."""
+    lhs = box_probability(r, sigma, (Interval(-a, a),) + tail, QUAD).value
+    rhs = phi(2.0 * a * r[0, 0], sigma) * box_probability(r[1:, 1:], sigma, tail, QUAD).value
+    return lhs, rhs
+
+
 class TestProductBoundCheck:
     def test_diagonal_equality(self):
         r = np.diag([1.1, 0.8, 1.7])
-        lhs, rhs = check_product_bound(r, 0.9, 0.5, (FINITE, RIGHT_INFINITE), QUAD)
-        assert lhs.value == pytest.approx(rhs.value, rel=1e-10)
+        lhs, rhs = _product_bound_sides(r, 0.9, 0.5, (FINITE, RIGHT_INFINITE))
+        assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_example_matrix(self):
-        lhs, rhs = check_product_bound(EX1, 1.0, 0.5, (FINITE,), QUAD)
-        assert lhs.value <= rhs.value + 1e-9 * rhs.value
+        lhs, rhs = _product_bound_sides(EX1, 1.0, 0.5, (FINITE,))
+        assert lhs <= rhs + 1e-9 * rhs
 
     def test_random_instances(self):
         rng = np.random.default_rng(41)
@@ -475,12 +474,8 @@ class TestProductBoundCheck:
             sigma = float(rng.uniform(0.4, 1.2))
             a = [0.25, 0.5, 1.0][k % 3]
             tail = tuple(kinds[rng.integers(0, 3)] for _ in range(2))
-            lhs, rhs = check_product_bound(r, sigma, a, tail, QUAD)
-            assert lhs.value <= rhs.value * (1 + 1e-9)
-
-    def test_needs_two_dimensions(self):
-        with pytest.raises(DimensionMismatchError):
-            check_product_bound(np.eye(1), 1.0, 0.5, (), QUAD)
+            lhs, rhs = _product_bound_sides(r, sigma, a, tail)
+            assert lhs <= rhs * (1 + 1e-9)
 
 
 class TestMcEstimate:

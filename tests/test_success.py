@@ -200,6 +200,15 @@ class TestRoundingDeterministic:
                 p_bb_deterministic(r, sigma, pattern), abs=1e-9
             )
 
+    def test_every_tag_matches_babai_in_one_dimension(self):
+        # In one dimension the two detectors coincide, so each tag's
+        # rounding interval and Babai floor must describe the same event.
+        for tag in BoundaryTag:
+            for rii, sigma in ((0.5, 0.3), (1.7, 0.8), (2.0, 1.0)):
+                r = np.array([[rii]])
+                est = p_br_deterministic(r, sigma, (tag,), QUAD)
+                assert abs(est.value - p_bb_deterministic(r, sigma, (tag,))) <= 1e-12, tag
+
 
 class TestRoundingUniform:
     def test_scalar_matches_babai(self):
