@@ -7,37 +7,49 @@ empirical rates as markers.
 
 WIDTH, HEIGHT = 640, 440
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 50, 55
+BLUE, RED = "#1f77b4", "#d62728"
 
-
-def _x_scale(sigmas):
-    lo, hi = min(sigmas), max(sigmas)
-    span = (hi - lo) or 1.0
-    inner = WIDTH - MARGIN_L - MARGIN_R
-
-    def to_px(s):
-        return MARGIN_L + (s - lo) / span * inner
-
-    return to_px
+# (legend label, colour, mark, value of a row), in plot and legend order.
+SERIES = (
+    ("Theo. P_R^BB", BLUE, "solid", lambda row: row.theo_p_bb),
+    ("Theo. P_R^BR", RED, "dashed",
+     lambda row: None if row.theo_p_br is None else row.theo_p_br.value),
+    ("Exp. P_R^BB", BLUE, "circle", lambda row: row.emp_p_bb.value),
+    ("Exp. P_R^BR", RED, "square", lambda row: row.emp_p_br.value),
+)
+LINES = ("solid", "dashed")  # the marks drawn as a line through the points
 
 
 def _y_px(p):
-    inner = HEIGHT - MARGIN_T - MARGIN_B
-    return MARGIN_T + (1.0 - p) * inner
+    return MARGIN_T + (1.0 - p) * (HEIGHT - MARGIN_T - MARGIN_B)
 
 
-def _polyline(points, color, dashed=False):
-    pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
-    dash = ' stroke-dasharray="7,4"' if dashed else ""
-    return (
-        f'<polyline fill="none" stroke="{color}" stroke-width="1.8"{dash} '
-        f'points="{pts}"/>'
-    )
+def _mark(mark, colour, points):
+    """SVG elements of one series: a line through the points, or a marker
+    on each point."""
+    if mark in LINES:
+        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
+        dash = ' stroke-dasharray="7,4"' if mark == "dashed" else ""
+        return [f'<polyline fill="none" stroke="{colour}" stroke-width="1.8"{dash} '
+                f'points="{pts}"/>']
+    style = f'fill="none" stroke="{colour}" stroke-width="1.5"/>'
+    if mark == "circle":
+        return [f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4" {style}' for x, y in points]
+    return [f'<rect x="{x - 3.5:.2f}" y="{y - 3.5:.2f}" width="7" height="7" {style}'
+            for x, y in points]
 
 
 def render_chart(rows) -> str:
     """Render experiment rows (ascending sigma) as an SVG document."""
     sigmas = [row.sigma for row in rows]
-    to_px = _x_scale(sigmas)
+    lo = min(sigmas)
+    span = (max(sigmas) - lo) or 1.0
+
+    def to_px(s):
+        return MARGIN_L + (s - lo) / span * (WIDTH - MARGIN_L - MARGIN_R)
+
+    x0, x1 = MARGIN_L, WIDTH - MARGIN_R
+    y0, y1 = HEIGHT - MARGIN_B, MARGIN_T
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
@@ -46,98 +58,45 @@ def render_chart(rows) -> str:
         f'<text x="{WIDTH / 2:.0f}" y="24" text-anchor="middle" '
         'font-family="sans-serif" font-size="15">'
         "Average success probabilities versus σ</text>",
+        f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black"/>',
+        f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>',
     ]
-
-    # axes and grid
-    x0, x1 = MARGIN_L, WIDTH - MARGIN_R
-    y0, y1 = HEIGHT - MARGIN_B, MARGIN_T
-    parts.append(
-        f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black"/>'
-    )
-    parts.append(
-        f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>'
-    )
     for k in range(6):
         p = k / 5.0
         y = _y_px(p)
-        parts.append(
-            f'<line x1="{x0 - 4}" y1="{y:.2f}" x2="{x0}" y2="{y:.2f}" stroke="black"/>'
-        )
-        parts.append(
+        parts += [
+            f'<line x1="{x0 - 4}" y1="{y:.2f}" x2="{x0}" y2="{y:.2f}" stroke="black"/>',
             f'<line x1="{x0}" y1="{y:.2f}" x2="{x1}" y2="{y:.2f}" '
-            'stroke="lightgray" stroke-width="0.5"/>'
-        )
-        parts.append(
+            'stroke="lightgray" stroke-width="0.5"/>',
             f'<text x="{x0 - 8}" y="{y + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{p:.1f}</text>'
-        )
+            f'font-family="sans-serif" font-size="11">{p:.1f}</text>',
+        ]
     for s in sigmas:
         x = to_px(s)
-        parts.append(
-            f'<line x1="{x:.2f}" y1="{y0}" x2="{x:.2f}" y2="{y0 + 4}" stroke="black"/>'
-        )
-        parts.append(
+        parts += [
+            f'<line x1="{x:.2f}" y1="{y0}" x2="{x:.2f}" y2="{y0 + 4}" stroke="black"/>',
             f'<text x="{x:.2f}" y="{y0 + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{s:g}</text>'
-        )
-    parts.append(
+            f'font-family="sans-serif" font-size="11">{s:g}</text>',
+        ]
+    parts += [
         f'<text x="{(x0 + x1) / 2:.0f}" y="{HEIGHT - 14}" text-anchor="middle" '
-        'font-family="sans-serif" font-size="13">σ</text>'
-    )
-    parts.append(
+        'font-family="sans-serif" font-size="13">σ</text>',
         f'<text x="18" y="{(y0 + y1) / 2:.0f}" text-anchor="middle" '
         'font-family="sans-serif" font-size="13" '
         f'transform="rotate(-90 18 {(y0 + y1) / 2:.0f})">'
-        "Average success probability</text>"
-    )
+        "Average success probability</text>",
+    ]
 
-    # series
-    legend = []
-    bb_line = [(to_px(r.sigma), _y_px(r.theo_p_bb)) for r in rows]
-    parts.append(_polyline(bb_line, "#1f77b4"))
-    legend.append(("line", "#1f77b4", False, "Theo. P_R^BB"))
-    if all(r.theo_p_br is not None for r in rows):
-        br_line = [(to_px(r.sigma), _y_px(r.theo_p_br.value)) for r in rows]
-        parts.append(_polyline(br_line, "#d62728", dashed=True))
-        legend.append(("line", "#d62728", True, "Theo. P_R^BR"))
-    for r in rows:
-        x, y = to_px(r.sigma), _y_px(r.emp_p_bb.value)
-        parts.append(
-            f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4" fill="none" '
-            'stroke="#1f77b4" stroke-width="1.5"/>'
-        )
-    legend.append(("circle", "#1f77b4", False, "Exp. P_R^BB"))
-    for r in rows:
-        x, y = to_px(r.sigma), _y_px(r.emp_p_br.value)
-        parts.append(
-            f'<rect x="{x - 3.5:.2f}" y="{y - 3.5:.2f}" width="7" height="7" '
-            'fill="none" stroke="#d62728" stroke-width="1.5"/>'
-        )
-    legend.append(("square", "#d62728", True, "Exp. P_R^BR"))
-
-    lx, ly = x0 + 14, y1 + 10
-    for i, (kind, color, dashed, text) in enumerate(legend):
-        y = ly + 18 * i
-        if kind == "line":
-            dash = ' stroke-dasharray="7,4"' if dashed else ""
-            parts.append(
-                f'<line x1="{lx}" y1="{y}" x2="{lx + 26}" y2="{y}" '
-                f'stroke="{color}" stroke-width="1.8"{dash}/>'
-            )
-        elif kind == "circle":
-            parts.append(
-                f'<circle cx="{lx + 13}" cy="{y}" r="4" fill="none" '
-                f'stroke="{color}" stroke-width="1.5"/>'
-            )
-        else:
-            parts.append(
-                f'<rect x="{lx + 9.5}" y="{y - 3.5}" width="7" height="7" '
-                f'fill="none" stroke="{color}" stroke-width="1.5"/>'
-            )
-        parts.append(
-            f'<text x="{lx + 34}" y="{y + 4}" font-family="sans-serif" '
-            f'font-size="11">{text}</text>'
-        )
-
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    # A series with no value in some row is neither drawn nor listed.
+    legend, lx = [], x0 + 14
+    for label, colour, mark, value in SERIES:
+        values = [value(row) for row in rows]
+        if None in values:
+            continue
+        parts += _mark(mark, colour, [(to_px(s), _y_px(v)) for s, v in zip(sigmas, values)])
+        y = y1 + 10 + 18 * (len(legend) // 2)  # a glyph and a label per series
+        glyph = [(lx, y), (lx + 26, y)] if mark in LINES else [(lx + 13, y)]
+        legend += _mark(mark, colour, glyph)
+        legend.append(f'<text x="{lx + 34}" y="{y + 4}" font-family="sans-serif" '
+                      f'font-size="11">{label}</text>')
+    return "\n".join(parts + legend + ["</svg>"]) + "\n"

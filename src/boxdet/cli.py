@@ -126,23 +126,24 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def _pattern_from_args(args, box):
-    """The --pattern letters checked against the box; None without one."""
+def _problem_from_args(args):
+    """(R, box, pattern) of exact-sp and mc-sp: the R factor of the matrix
+    file, the --box, and the --pattern letters checked against the box
+    (None without one)."""
+    _, r = qr_positive(read_matrix(args.matrix))
+    box = parse_box(args.box, r.shape[0])
     if args.pattern is None:
-        return None
+        return r, box, None
     pattern = parse_pattern(args.pattern)
     try:
         validate_pattern_for_box(pattern, box)
     except ValueError as exc:
         raise InputError(str(exc))
-    return pattern
+    return r, box, pattern
 
 
 def cmd_exact_sp(args) -> int:
-    a = read_matrix(args.matrix)
-    _, r = qr_positive(a)
-    box = parse_box(args.box, r.shape[0])
-    pattern = _pattern_from_args(args, box)
+    r, box, pattern = _problem_from_args(args)
     print(f"P_R^BB = {p_bb_uniform(r, args.sigma, box):.6f}")
     # The box's extreme admissible patterns: a singleton coordinate is
     # always S, and a width-1 coordinate has no interior point.
@@ -157,12 +158,9 @@ def cmd_exact_sp(args) -> int:
 
 
 def cmd_mc_sp(args) -> int:
-    a = read_matrix(args.matrix)
-    _, r = qr_positive(a)
-    box = parse_box(args.box, r.shape[0])
+    r, box, pattern = _problem_from_args(args)
     cfg = IntegratorConfig(method=IntegratorMethod(args.method), samples=args.samples)
     stream = RngStream(args.seed)
-    pattern = _pattern_from_args(args, box)
     if pattern is not None:
         est = p_br_deterministic(r, args.sigma, pattern, cfg, stream)
         label = "P_D^BR"
@@ -188,8 +186,9 @@ def format_rows_csv(rows) -> str:
 
 def _check_writable_path(path) -> None:
     """Refuse, before any work, an output path whose directory is missing
-    or that is a directory itself."""
-    directory = os.path.dirname(os.path.abspath(path))
+    or that is a directory itself.  The directory is taken as the OS will
+    resolve it: ``missing/..`` is not normalized away."""
+    directory = os.path.dirname(path) or "."
     if not os.path.isdir(directory):
         raise InputError(f"cannot write {path}: no directory {directory}")
     if os.path.isdir(path):
@@ -197,8 +196,7 @@ def _check_writable_path(path) -> None:
 
 
 def _write_atomic(path, text) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
     umask = os.umask(0)
     os.umask(umask)
     try:
@@ -218,6 +216,8 @@ def cmd_experiment(args) -> int:
     for path in (args.out, args.svg):
         if path is not None:
             _check_writable_path(path)
+    if args.svg is not None and os.path.realpath(args.svg) == os.path.realpath(args.out):
+        raise InputError(f"cannot write {args.svg}: it is the same file as --out")
     rows = run_experiment(cfg)
     _write_atomic(args.out, format_rows_csv(rows))
     print(f"wrote {args.out}")

@@ -207,17 +207,20 @@ def _prioritized(r, sigma, lo, hi, floor):
 
     Greedy variable prioritization (Gibson, Glasbey and Elston 1994; Genz
     and Bretz 2009, sec. 4.1.3): a column-by-column Cholesky factorization
-    of Sigma = sigma^2 (R^T R)^{-1} picks next the remaining coordinate of
-    least conditional mass a + (1 - a) (Phi(beta) - Phi(alpha)), with the
-    limits standardized by its conditional sd and shifted by the
-    conditional means (1 - a) (phi(alpha) - phi(beta)) / mass of the
-    coordinates already picked; ties go to the lowest index.  The sweep
-    conditions the last column of R' first, so perm is that order reversed.
+    of (R^T R)^{-1}, the covariance in units of sigma, picks next the
+    remaining coordinate of least conditional mass
+    a + (1 - a) (Phi(beta) - Phi(alpha)), with the limits in units of sigma
+    shifted by the conditional means (1 - a) (phi(alpha) - phi(beta)) / mass
+    of the coordinates already picked, standardized by its conditional sd,
+    and clipped to +-40, where Phi is 0 or 1 and the density 0; ties go to
+    the lowest index.  The sweep conditions the last column of R' first,
+    so perm is that order reversed.
     """
     n = r.shape[0]
     inv = np.linalg.inv(r)
-    cov = sigma * sigma * (inv @ inv.T)
+    cov = inv @ inv.T  # units of sigma: sigma^2 would underflow for a tiny sigma
     var0 = np.diag(cov)
+    lo_s, hi_s = lo / sigma, hi / sigma
     factor = np.zeros((n, n))  # row: coordinate, column: step
     means = np.zeros(n)  # mean of each picked standardized coordinate
     rest, order = list(range(n)), []
@@ -228,7 +231,8 @@ def _prioritized(r, sigma, lo, hi, floor):
                          np.finfo(float).eps * var0[idx])
         sd = np.sqrt(var)
         shift = factor[idx, :k] @ means[:k]
-        alpha, beta = (lo[idx] - shift) / sd, (hi[idx] - shift) / sd
+        alpha = np.clip((lo_s[idx] - shift) / sd, -40.0, 40.0)
+        beta = np.clip((hi_s[idx] - shift) / sd, -40.0, 40.0)
         a = floor[idx]
         mass = a + (1.0 - a) * (ndtr(beta) - ndtr(alpha))
         j = int(np.argmin(mass))

@@ -104,9 +104,10 @@ def p_bb_uniform(r, sigma: float, box: BoxConstraint) -> float:
 
 
 def p_bb_bounds(r, sigma: float):
-    """Pattern-free lower and upper bounds on the deterministic Babai
-    success probability; the all-interior pattern attains the lower bound
-    and an all-boundary pattern the upper bound."""
+    """Lower and upper bounds on the deterministic Babai success
+    probability over the patterns of a box whose widths are all >= 2: the
+    all-interior pattern attains the lower bound, an all-boundary pattern
+    the upper.  ``boxdet exact-sp`` takes its bounds from any box itself."""
     n = validate_upper_triangular(r).shape[0]
     return (_babai_product(r, sigma, [0.0] * n, [1.0] * n),
             _babai_product(r, sigma, [0.5] * n, [0.5] * n))

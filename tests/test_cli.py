@@ -11,10 +11,12 @@ import pytest
 from boxdet import cli
 from boxdet.cli import format_rows_csv, main, parse_box, read_matrix
 from boxdet.cli import InputError
-from boxdet.chart import render_chart
-from boxdet.experiment import ExperimentConfig, run_experiment
+from boxdet.chart import SERIES, render_chart
+from boxdet.experiment import ExperimentConfig, ExperimentRow, run_experiment
+from boxdet.gaussbox import McEstimate
 from boxdet.model import BoxConstraint, classify
-from boxdet.success import p_bb_uniform
+from boxdet.linalg import qr_positive
+from boxdet.success import p_bb_bounds, p_bb_uniform
 
 EX1_TEXT = "2 -1\n0 1\n"
 REDUCED_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "figure1_reduced.json"
@@ -173,6 +175,17 @@ class TestExactSp:
                 values[key.strip()] = float(val)
             assert (values["P_D^BB lower bound"] <= values["P_D^BB"]
                     <= values["P_D^BB upper bound"]), letters
+
+    @pytest.mark.parametrize("box", ["0..3", "-1..1,0..2", "0..2,5..9"])
+    def test_bounds_are_p_bb_bounds_when_every_width_is_at_least_2(self, ex1, capsys,
+                                                                   box):
+        # No coordinate is forced to S or L, so the box-aware bounds are the
+        # box-free ones.
+        assert main(["exact-sp", ex1, "--sigma", "0.7", f"--box={box}"]) == 0
+        out = capsys.readouterr().out
+        lower, upper = p_bb_bounds(qr_positive(read_matrix(ex1))[1], 0.7)
+        assert f"P_D^BB lower bound = {lower:.6f}\n" in out
+        assert f"P_D^BB upper bound = {upper:.6f}\n" in out
 
     def test_pattern_length_mismatch_exits_2(self, ex1, capsys):
         assert main(["exact-sp", ex1, "--sigma", "1", "--box", "0..3",
@@ -400,6 +413,21 @@ class TestExperimentCommand:
                      "--out", str(tmp_path)]) == 2
         assert "is a directory" in capsys.readouterr().err
 
+    def test_parent_of_missing_directory_exits_2_before_sweep(self, tmp_path, capsys,
+                                                               no_sweep):
+        # The OS resolves missing/.. literally, so the write could never succeed.
+        path = str(tmp_path / "missing" / ".." / "f.csv")
+        assert main(["experiment", "--config", _config_file(tmp_path),
+                     "--out", path]) == 2
+        assert path in capsys.readouterr().err
+
+    def test_svg_onto_the_csv_exits_2_before_sweep(self, tmp_path, capsys, no_sweep):
+        out = str(tmp_path / "x.csv")
+        same = os.path.join(str(tmp_path), ".", "x.csv")
+        assert main(["experiment", "--config", _config_file(tmp_path),
+                     "--out", out, "--svg", same]) == 2
+        assert "same file" in capsys.readouterr().err
+
     @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
     def test_outputs_get_the_mode_open_would_give(self, tmp_path, umask):
         out, svg = tmp_path / "m.csv", tmp_path / "m.svg"
@@ -438,6 +466,40 @@ class TestExperimentCommand:
         text = render_chart(rows)
         assert text.startswith("<?xml")
         assert "Theo. P_R^BR" not in text
+
+
+class TestChart:
+    SIGMAS = (0.1, 0.25, 0.4, 0.55, 0.7)
+
+    @staticmethod
+    def _rows(curve):
+        def est(value):
+            return McEstimate(value, 0.001, 100, "seed=0")
+
+        return [ExperimentRow(s, 1.0 - s, est(0.95 - s) if curve else None,
+                              est(1.01 - s), est(0.9 - s)) for s in TestChart.SIGMAS]
+
+    @pytest.mark.parametrize("curve, digest", [
+        (True, "ca495032a5929d2ddbea4bf4e225089682178bb7a1b5bae1a027f5155467a9e6"),
+        (False, "9662dfcd5e9997461cf0b64d5a772d3f09bee65dbb5ec5a6fbc2ae54fcc474f6"),
+    ], ids=["curve", "no-curve"])
+    def test_render_is_pinned(self, curve, digest):
+        text = render_chart(self._rows(curve))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("curve", [True, False], ids=["curve", "no-curve"])
+    def test_series_marks_and_legend(self, curve):
+        text = render_chart(self._rows(curve))
+        lines = 2 if curve else 1
+        rows = len(self.SIGMAS)
+        assert text.count("<polyline") == 2 * lines  # plot and legend
+        assert text.count("<circle") == rows + 1
+        assert text.count('<rect x=') == rows + 1
+        labels = [label for label, *_ in SERIES if curve or label != "Theo. P_R^BR"]
+        positions = [text.index(f">{label}</text>") for label in labels]
+        assert positions == sorted(positions)
+        assert ("Theo. P_R^BR" in text) is curve
+        assert ('stroke="#d62728" stroke-width="1.8" stroke-dasharray' in text) is curve
 
 
 class TestNegativeSeed:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -231,6 +232,17 @@ class TestRoundingUniform:
     def test_small_noise_limit(self):
         est = p_br_uniform(EX1, 0.01, BoxConstraint([0, 0], [3, 3]), QUAD)
         assert est.value == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("sigma", [1e-160, 1e-300])
+    def test_qmc_tiny_sigma_is_one_without_warnings(self, sigma):
+        # sigma^2 underflows here; the QMC variable ordering must not use it.
+        box = BoxConstraint([0, 0], [3, 3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            uniform = p_br_uniform(EX1, sigma, box, QMC, RngStream(1))
+            fixed = p_br_deterministic(EX1, sigma, parse_pattern("LI"), QMC, RngStream(1))
+        assert uniform.value == 1.0
+        assert fixed.value == 1.0
 
     def test_matches_direct_point_sum(self):
         rng = np.random.default_rng(10)
