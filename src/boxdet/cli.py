@@ -188,6 +188,8 @@ def _check_writable_path(path) -> None:
     """Refuse, before any work, an output path whose directory is missing
     or that is a directory itself.  The directory is taken as the OS will
     resolve it: ``missing/..`` is not normalized away."""
+    if not path:
+        raise InputError("cannot write an empty output path")
     directory = os.path.dirname(path) or "."
     if not os.path.isdir(directory):
         raise InputError(f"cannot write {path}: no directory {directory}")
@@ -272,6 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(1, len(argv))):  # argparse takes "--box -1..1" for two options
+        if argv[i - 1] == "--box" and argv[i][1:2].isdigit():
+            argv[i - 1:i + 1] = [f"--box={argv[i]}"]
     args = parser.parse_args(argv)
     try:
         worker_count()  # refuse a malformed BOXDET_THREADS whether or not a pool starts

@@ -17,10 +17,10 @@ Everything is driven by substreams of a single seed, keyed on
 (matrix index, sigma index, block index), so results are bit-identical
 across repeat runs and worker counts.
 
-Parallelism: each sigma row maps once over its matrices.  One item is one
-matrix's whole cell (its trial counts and, when asked, its ``p_br_uniform``
-estimate); the maps inside an item run inline on the pool worker.  With a
-single matrix the row map runs inline and the trial batches are pooled.
+Parallelism: a sweep maps once over its matrices.  One item is a matrix's
+column: at every sigma its Babai probability, its trial counts and, when
+asked, its ``p_br_uniform`` estimate.  Rows reduce the columns in matrix
+order; the maps inside an item run inline on the pool worker.
 """
 
 import json
@@ -174,8 +174,8 @@ def _count_successes(a, q1, r, box, sigma, stream, trials):
     """
     n = a.shape[0]
     batch_trials = _BATCH_BLOCKS * _TRIAL_BLOCK
-
-    def run_batch(first):
+    br_hits = bb_hits = 0
+    for first in range(0, trials, batch_trials):
         size = min(batch_trials, trials - first)
         x = np.empty((size, n), dtype=np.int64)
         ytilde = np.empty((size, n))
@@ -186,21 +186,14 @@ def _count_successes(a, q1, r, box, sigma, stream, trials):
             x[rows] = sample_uniform_x(box, sub.child(0), count=count)
             v = sample_noise(sigma, n, sub.child(1), count=count)
             ytilde[rows] = (x[rows] @ a.T + v) @ q1
-        br = rounding_success_batch(r, ytilde, x, box.lower, box.upper)
-        bb = babai_success_batch(r, ytilde, x, box.lower, box.upper)
-        return int(br.sum()), int(bb.sum())
-
-    counts = ordered_map(run_batch, range(0, trials, batch_trials))
-    return sum(c[0] for c in counts), sum(c[1] for c in counts)
+        br_hits += int(rounding_success_batch(r, ytilde, x, box.lower, box.upper).sum())
+        bb_hits += int(babai_success_batch(r, ytilde, x, box.lower, box.upper).sum())
+    return br_hits, bb_hits
 
 
 def run_experiment(cfg: ExperimentConfig) -> list:
     """Full sweep; returns one row per noise level, in grid order."""
     root = _rng.RngStream(cfg.seed)
-    matrices = [
-        _draw_full_rank_matrix(cfg.n, root.child(0, m))
-        for m in range(cfg.num_matrices)
-    ]
     total_trials = cfg.num_matrices * cfg.trials_per_matrix
 
     def pooled(hits):
@@ -208,25 +201,27 @@ def run_experiment(cfg: ExperimentConfig) -> list:
         stderr = math.sqrt(p * (1.0 - p) / total_trials)
         return McEstimate(p, stderr, total_trials, root.label())
 
-    rows = []
-    for s_idx, sigma in enumerate(cfg.sigma_grid):
-        def cell(m):
-            a, q1, r = matrices[m]
+    def column(m):
+        """Matrix m's (theo_bb, theo_br, br_hits, bb_hits) at every sigma."""
+        a, q1, r = _draw_full_rank_matrix(cfg.n, root.child(0, m))
+        cells = []
+        for s_idx, sigma in enumerate(cfg.sigma_grid):
             theo_br = (p_br_uniform(r, sigma, cfg.box, cfg.integrator,
                                     root.child(2, m, s_idx))
                        if cfg.compute_exact_br else None)
             br, bb = _count_successes(a, q1, r, cfg.box, sigma,
                                       root.child(1, m, s_idx), cfg.trials_per_matrix)
-            return p_bb_uniform(r, sigma, cfg.box), theo_br, br, bb
+            cells.append((p_bb_uniform(r, sigma, cfg.box), theo_br, br, bb))
+        return cells
 
-        theo_bbs, ests, br_hits, bb_hits = zip(*ordered_map(cell, range(cfg.num_matrices)))
-        theo_bb = float(np.mean(theo_bbs))
-        theo_br = None
-        if cfg.compute_exact_br:
-            value = float(np.mean([e.value for e in ests]))
-            stderr = math.sqrt(sum(e.stderr ** 2 for e in ests)) / len(ests)
-            theo_br = McEstimate(value, stderr, sum(e.samples for e in ests),
-                                 root.label())
-        rows.append(ExperimentRow(sigma, theo_bb, theo_br,
+    columns = ordered_map(column, range(cfg.num_matrices))
+    rows = []
+    for s_idx, sigma in enumerate(cfg.sigma_grid):
+        theo_bbs, ests, br_hits, bb_hits = zip(*(col[s_idx] for col in columns))
+        theo_br = (McEstimate(float(np.mean([e.value for e in ests])),
+                              math.sqrt(sum(e.stderr ** 2 for e in ests)) / len(ests),
+                              sum(e.samples for e in ests), root.label())
+                   if cfg.compute_exact_br else None)
+        rows.append(ExperimentRow(sigma, float(np.mean(theo_bbs)), theo_br,
                                   pooled(sum(bb_hits)), pooled(sum(br_hits))))
     return rows

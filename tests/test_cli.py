@@ -206,6 +206,17 @@ class TestExactSp:
         assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("command", ["detect", "exact-sp", "mc-sp"])
+def test_spaced_box_may_start_with_a_minus_sign(ex1, y_zero, capsys, command):
+    # argparse alone reads the spaced "-1..1,0..2" as an option and exits 2.
+    head = {"detect": [ex1, y_zero], "exact-sp": [ex1, "--sigma", "0.7"],
+            "mc-sp": [ex1, "--sigma", "0.7", "--method", "quad"]}[command]
+    assert main([command, *head, "--box=-1..1,0..2"]) == 0
+    glued = capsys.readouterr().out
+    assert main([command, *head, "--box", "-1..1,0..2"]) == 0
+    assert capsys.readouterr().out == glued
+
+
 class TestMcSp:
     def test_pattern_estimate(self, ex1, capsys):
         code = main(["mc-sp", ex1, "--sigma", "1", "--box", "0..3",
@@ -405,6 +416,18 @@ class TestExperimentCommand:
             argv += [name, path]
         assert main(argv) == 2
         assert missing in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--out", "--svg"])
+    def test_empty_output_path_exits_2_before_sweep(self, tmp_path, capsys, no_sweep,
+                                                    flag):
+        paths = {"--out": str(tmp_path / "x.csv"), "--svg": str(tmp_path / "x.svg")}
+        paths[flag] = ""
+        argv = ["experiment", "--config", _config_file(tmp_path)]
+        for name, path in paths.items():
+            argv += [name, path]
+        assert main(argv) == 2
+        assert "empty output path" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     def test_output_directory_as_path_exits_2_before_sweep(self, tmp_path, capsys,

@@ -256,7 +256,9 @@ class TestRowMap:
             outputs.append(run_experiment(cfg))
         assert outputs[0] == outputs[1] == outputs[2]
 
-    def test_one_pool_per_row_and_none_on_a_worker(self, monkeypatch):
+    @staticmethod
+    def _pools_created(monkeypatch, cfg):
+        """For each executor the sweep makes: was it made on the main thread?"""
         created = []
 
         class CountingExecutor(_parallel.ThreadPoolExecutor):
@@ -266,7 +268,16 @@ class TestRowMap:
 
         monkeypatch.setattr(_parallel, "ThreadPoolExecutor", CountingExecutor)
         monkeypatch.setenv("BOXDET_THREADS", "2")
+        run_experiment(cfg)
+        return created
+
+    def test_one_pool_per_sweep_and_none_on_a_worker(self, monkeypatch):
         cfg = _config(num_matrices=3, trials_per_matrix=20000,
                       integrator=POOLED_QMC, sigma_grid=(0.2, 0.5, 0.8))
-        run_experiment(cfg)
-        assert created == [True] * 3
+        assert self._pools_created(monkeypatch, cfg) == [True]
+
+    def test_one_matrix_without_theory_pools_nothing(self, monkeypatch):
+        # Its one column runs inline, and its trial batches are a plain loop.
+        cfg = _config(num_matrices=1, trials_per_matrix=20000, compute_exact_br=False,
+                      sigma_grid=(0.2, 0.5, 0.8))
+        assert self._pools_created(monkeypatch, cfg) == []
