@@ -5,14 +5,20 @@ with R upper triangular and positive-diagonal, i.e. the normalized integral
 
     det(R) / (2 pi sigma^2)^{n/2} * integral_I exp(-||R xi||^2 / (2 sigma^2)).
 
+sigma enters only as a scale: the probability depends on the limits only
+through lo / sigma and hi / sigma.  ``box_probability`` divides the limits
+by sigma once, and every backend integrates t = xi / sigma ~
+N(0, (R^T R)^{-1}) against them; a limit past the float range becomes
+infinite, so an extreme sigma needs no special case.
+
 A coordinate may carry a floor weight a_i in [0, 1]: its indicator becomes
 g_i(t) = a_i + (1 - a_i) 1(t in I_i), and every backend computes
 E[prod_i g_i(xi_i)].  A plain box probability is the case a = 0.
 
 Three interchangeable backends:
 
-* ``MONTE_CARLO`` -- draw vtilde ~ N(0, sigma^2 I) and set xi = R^{-1} vtilde,
-  which has exactly the target law; average prod_i g_i(xi_i).  Unbiased;
+* ``MONTE_CARLO`` -- draw z ~ N(0, I) and set t = R^{-1} z, which has
+  exactly the target law; average prod_i g_i(t_i).  Unbiased;
   for a box probability the standard error is the binomial one.  Default,
   for robustness.
 * ``SEQ_QMC`` -- sequential conditioning with randomized Sobol points
@@ -20,7 +26,7 @@ Three interchangeable backends:
   the coordinate of least conditional mass first (Gibson, Glasbey and
   Elston 1994), and the sweep runs on the positive-diagonal R factor of
   numpy's QR of the column-permuted R, which gives the permuted problem
-  the same law.  The covariance factor sigma * R^{-1} is upper triangular,
+  the same law.  The covariance factor R^{-1} is upper triangular,
   so reversing the coordinate order makes it a lower-triangular Cholesky
   factor and the standard one-dimensional conditional sweep applies.  At
   each step the weight is multiplied by the conditional mass
@@ -31,9 +37,9 @@ Three interchangeable backends:
   matrix scramble plus digital shift), XORs its digits with one more
   random digital shift, and sweeps it in blocks of at most 2^14 points, so
   memory does not grow with the sample count.  The randomizations run on
-  the thread pool from 8192 points each, inline below that.  Standard
-  error from the spread over the randomizations.
-* ``QUADRATURE`` -- the same sweep in units of sigma, dimension <= 4, with
+  the thread pool.  Standard error from the spread over the
+  randomizations.
+* ``QUADRATURE`` -- the same sweep, dimension <= 4, with
   m <= 128 Gauss-Legendre nodes in place of Sobol points on each of the
   first n - 1 standardized conditional intervals.  These have unit
   variance whatever R is, so each is clipped to +-``QUADRATURE_TRUNCATION``
@@ -85,11 +91,6 @@ QUADRATURE_TRUNCATION = 10.0  # standardized conditional limits kept
 _MC_BLOCK = 1 << 16
 _QMC_RANDOMIZATIONS = 16
 _QMC_BITS = 30  # binary digits per Sobol coordinate
-# Points per randomization from which the 16 randomizations are pooled.
-# Below it the pool costs more than it saves: on 2 cores, an integral of
-# 4096 points per randomization took about as long pooled as inline at
-# n = 3..8, and one of 8192 points ran 1.0-1.5x faster pooled at n = 5, 8.
-_QMC_MAP_POINTS = 8192
 _SWEEP_CHUNK = 1 << 14  # QMC points per array
 
 
@@ -167,16 +168,16 @@ def _validate(r, sigma, intervals, floors, cfg, stream):
     return r, sigma, lo, hi, floor
 
 
-def _mc_probability(r, sigma, lo, hi, floor, samples, stream):
+def _mc_probability(r, lo, hi, floor, samples, stream):
     n = r.shape[0]
     blocks = [(index, min(_MC_BLOCK, samples - start))
               for index, start in enumerate(range(0, samples, _MC_BLOCK))]
 
     def sum_block(block):
         idx, size = block
-        v = sigma * standard_normal(stream.child(idx), (size, n))
-        xi = back_substitute(r, v.T)  # one column per sample
-        inside = (xi >= lo[:, None]) & (xi <= hi[:, None])
+        z = standard_normal(stream.child(idx), (size, n))
+        t = back_substitute(r, z.T)  # one column per sample
+        inside = (t >= lo[:, None]) & (t <= hi[:, None])
         if floor.any():
             g = np.prod(np.where(inside, 1.0, floor[:, None]), axis=0)
             return float(g.sum()), float(g @ g)
@@ -192,8 +193,8 @@ def _mc_probability(r, sigma, lo, hi, floor, samples, stream):
 
 
 def _permuted_factor(r, perm):
-    """Positive-diagonal R' of R[:, perm] = Q R'.  R' xi' = Q^T R xi with
-    xi' = xi[perm], so xi' ~ N(0, sigma^2 (R'^T R')^{-1}): the permuted
+    """Positive-diagonal R' of R[:, perm] = Q R'.  R' t' = Q^T R t with
+    t' = t[perm], so t' ~ N(0, (R'^T R')^{-1}): the permuted
     problem has the same law.  numpy's QR, not ``qr_positive``, whose rank
     tolerance would refuse factors that ``validate_upper_triangular``
     accepts."""
@@ -201,26 +202,24 @@ def _permuted_factor(r, perm):
     return np.where(np.diag(rp) < 0.0, -1.0, 1.0)[:, None] * rp
 
 
-def _prioritized(r, sigma, lo, hi, floor):
+def _prioritized(r, lo, hi, floor):
     """The interval product with its coordinates reordered for the
     conditional sweep: (perm, R', lo, hi, floor) of the permuted problem.
 
     Greedy variable prioritization (Gibson, Glasbey and Elston 1994; Genz
     and Bretz 2009, sec. 4.1.3): a column-by-column Cholesky factorization
-    of (R^T R)^{-1}, the covariance in units of sigma, picks next the
-    remaining coordinate of least conditional mass
-    a + (1 - a) (Phi(beta) - Phi(alpha)), with the limits in units of sigma
-    shifted by the conditional means (1 - a) (phi(alpha) - phi(beta)) / mass
-    of the coordinates already picked, standardized by its conditional sd,
+    of (R^T R)^{-1} picks next the remaining coordinate of least conditional
+    mass a + (1 - a) (Phi(beta) - Phi(alpha)), with the limits shifted by
+    the conditional means (1 - a) (phi(alpha) - phi(beta)) / mass of the
+    coordinates already picked, standardized by its conditional sd,
     and clipped to +-40, where Phi is 0 or 1 and the density 0; ties go to
     the lowest index.  The sweep conditions the last column of R' first,
     so perm is that order reversed.
     """
     n = r.shape[0]
     inv = np.linalg.inv(r)
-    cov = inv @ inv.T  # units of sigma: sigma^2 would underflow for a tiny sigma
+    cov = inv @ inv.T
     var0 = np.diag(cov)
-    lo_s, hi_s = lo / sigma, hi / sigma
     factor = np.zeros((n, n))  # row: coordinate, column: step
     means = np.zeros(n)  # mean of each picked standardized coordinate
     rest, order = list(range(n)), []
@@ -231,8 +230,8 @@ def _prioritized(r, sigma, lo, hi, floor):
                          np.finfo(float).eps * var0[idx])
         sd = np.sqrt(var)
         shift = factor[idx, :k] @ means[:k]
-        alpha = np.clip((lo_s[idx] - shift) / sd, -40.0, 40.0)
-        beta = np.clip((hi_s[idx] - shift) / sd, -40.0, 40.0)
+        alpha = np.clip((lo[idx] - shift) / sd, -40.0, 40.0)
+        beta = np.clip((hi[idx] - shift) / sd, -40.0, 40.0)
         a = floor[idx]
         mass = a + (1.0 - a) * (ndtr(beta) - ndtr(alpha))
         j = int(np.argmin(mass))
@@ -249,11 +248,11 @@ def _prioritized(r, sigma, lo, hi, floor):
     return perm, _permuted_factor(r, perm), lo[perm], hi[perm], floor[perm]
 
 
-def _qmc_probability(r, sigma, lo, hi, floor, samples, stream):
-    """SEQ_QMC estimate of E[prod_i g_i(xi_i)] for one interval product."""
+def _qmc_probability(r, lo, hi, floor, samples, stream):
+    """SEQ_QMC estimate of E[prod_i g_i(t_i)] for one interval product."""
     n = r.shape[0]
-    _, r, lo, hi, floor = _prioritized(r, sigma, lo, hi, floor)
-    chol = sigma * np.linalg.inv(r)
+    _, r, lo, hi, floor = _prioritized(r, lo, hi, floor)
+    chol = np.linalg.inv(r)
     # Reversing coordinates turns the upper-triangular factor into a
     # lower-triangular Cholesky factor for the standard conditional sweep.
     chol = chol[::-1, ::-1]
@@ -300,16 +299,14 @@ def _qmc_probability(r, sigma, lo, hi, floor, samples, stream):
             total += prob.sum()
         return total / npts
 
-    ks = range(_QMC_RANDOMIZATIONS)
-    means = np.array(ordered_map(sweep, ks) if npts >= _QMC_MAP_POINTS
-                     else [sweep(k) for k in ks])
+    means = np.array(ordered_map(sweep, range(_QMC_RANDOMIZATIONS)))
     stderr = means.std(ddof=1) / math.sqrt(_QMC_RANDOMIZATIONS)
     return McEstimate(float(np.clip(means.mean(), 0.0, 1.0)), float(stderr),
                       npts * _QMC_RANDOMIZATIONS, stream.label())
 
 
-def _quadrature_probability(r, sigma, lo, hi, floor, quad_points):
-    """QUADRATURE value of E[prod_i g_i(xi_i)] for one interval product.
+def _quadrature_probability(r, lo, hi, floor, quad_points):
+    """QUADRATURE value of E[prod_i g_i(t_i)] for one interval product.
 
     Each g_i is a sum of interval indicators, a 1(t <= hi) +
     (1 - 2a) 1(lo <= t <= hi) + a 1(t >= lo), without the terms of
@@ -330,9 +327,7 @@ def _quadrature_probability(r, sigma, lo, hi, floor, quad_points):
     base_nodes, base_weights = np.polynomial.legendre.leggauss(quad_points)
     values = np.empty(len(rows))
     for k, row in enumerate(rows):
-        # The sweep of _qmc_probability in units of sigma: t = xi / sigma has
-        # the law N(0, (R^T R)^{-1}), so no power of sigma can underflow.
-        lo_k, hi_k = (np.array([(l, h) for _, l, h in row[::-1]]) / sigma).T
+        lo_k, hi_k = np.array([(l, h) for _, l, h in row[::-1]]).T
         weight, z = np.ones(1), np.empty((1, 0))
         for i in range(n):
             shift = z @ chol[i, :i]
@@ -367,6 +362,8 @@ def box_probability(r, sigma, intervals, cfg: IntegratorConfig,
     factor of the others' marginal, and the backend integrates that.
     """
     r, sigma, lo, hi, floor = _validate(r, sigma, intervals, floors, cfg, stream)
+    with np.errstate(over="ignore"):  # a limit past the float range is infinite
+        lo, hi = lo / sigma, hi / sigma
     full = (floor == 1.0) | (np.isneginf(lo) & np.isposinf(hi))
     if full.all():
         return McEstimate(1.0, 0.0, 0, "deterministic" if cfg.method is
@@ -377,6 +374,6 @@ def box_probability(r, sigma, intervals, cfg: IntegratorConfig,
         r = r[-keep.size:, -keep.size:]
         lo, hi, floor = lo[keep], hi[keep], floor[keep]
     if cfg.method is IntegratorMethod.QUADRATURE:
-        return _quadrature_probability(r, sigma, lo, hi, floor, cfg.quad_points)
+        return _quadrature_probability(r, lo, hi, floor, cfg.quad_points)
     kernel = _qmc_probability if cfg.method is IntegratorMethod.SEQ_QMC else _mc_probability
-    return kernel(r, sigma, lo, hi, floor, cfg.samples, stream)
+    return kernel(r, lo, hi, floor, cfg.samples, stream)

@@ -50,7 +50,9 @@ def phi(zeta: float, sigma: float) -> float:
     if zeta < 0.0:
         raise ValueError("zeta must be nonnegative")
     sigma = validate_sigma(sigma)
-    return float(erf(zeta / (2.0 * math.sqrt(2.0) * sigma)))
+    # In Python floats: a numpy scalar zeta would warn on overflow at a
+    # subnormal sigma, where the quotient is inf and erf gives 1.
+    return float(erf(float(zeta) / (2.0 * math.sqrt(2.0) * sigma)))
 
 
 # Per tag: the interval of xi_i on which rounding succeeds, and the floor a
@@ -71,17 +73,16 @@ def intervals_from_pattern(pattern) -> tuple:
     return tuple(_TAGS[tag][0] for tag in pattern)
 
 
-def _babai_product(r, sigma: float, floors, slopes) -> float:
-    """prod_i (a_i + b_i phi(r_ii)) with floors a and slopes b: the
-    product form of every Babai success probability (Chang, Wen and Xie,
-    IEEE Trans. Inf. Theory 59(8), 2013).  Factors multiply in coordinate
-    order."""
+def _babai_product(r, sigma: float, floors) -> float:
+    """prod_i (a_i + (1 - a_i) phi(r_ii)) with floors a: the product form
+    of every Babai success probability (Chang, Wen and Xie, IEEE Trans.
+    Inf. Theory 59(8), 2013).  Factors multiply in coordinate order."""
     diag = np.diag(validate_upper_triangular(r))
     if len(floors) != diag.size:
         raise DimensionMismatchError(
             f"{len(floors)} coordinates given for matrix dimension {diag.size}"
         )
-    return math.prod(a + b * phi(rii, sigma) for rii, a, b in zip(diag, floors, slopes))
+    return math.prod(a + (1.0 - a) * phi(rii, sigma) for rii, a in zip(diag, floors))
 
 
 def p_bb_deterministic(r, sigma: float, pattern) -> float:
@@ -91,16 +92,14 @@ def p_bb_deterministic(r, sigma: float, pattern) -> float:
     Per coordinate: (1 + phi(r_ii)) / 2 on a bound, phi(r_ii) in the
     interior, 1 on a singleton coordinate.
     """
-    floors = [_TAGS[tag][1] for tag in pattern]
-    return _babai_product(r, sigma, floors, [1.0 - a for a in floors])
+    return _babai_product(r, sigma, [_TAGS[tag][1] for tag in pattern])
 
 
 def p_bb_uniform(r, sigma: float, box: BoxConstraint) -> float:
     """Success probability of the clamped Babai detector when the true
     vector is uniform over the box: the product of
     1/(w+1) + w/(w+1) * phi(r_ii) with w = upper - lower per coordinate."""
-    w = box.widths.astype(float)
-    return _babai_product(r, sigma, 1.0 / (w + 1.0), w / (w + 1.0))
+    return _babai_product(r, sigma, 1.0 / (box.widths + 1.0))
 
 
 def p_bb_bounds(r, sigma: float):
@@ -109,8 +108,7 @@ def p_bb_bounds(r, sigma: float):
     all-interior pattern attains the lower bound, an all-boundary pattern
     the upper.  ``boxdet exact-sp`` takes its bounds from any box itself."""
     n = validate_upper_triangular(r).shape[0]
-    return (_babai_product(r, sigma, [0.0] * n, [1.0] * n),
-            _babai_product(r, sigma, [0.5] * n, [0.5] * n))
+    return _babai_product(r, sigma, [0.0] * n), _babai_product(r, sigma, [0.5] * n)
 
 
 def p_br_deterministic(r, sigma: float, pattern, cfg: IntegratorConfig,

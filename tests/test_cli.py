@@ -91,8 +91,9 @@ class TestDetect:
         assert out == ["BR: 0 0", "BB: 0 0"]
 
     def test_single_mode_prints_bare_vector(self, ex1, y_zero, capsys):
-        assert main(["detect", ex1, y_zero, "--box", "0..3", "--mode", "rounding"]) == 0
-        assert capsys.readouterr().out.strip() == "0 0"
+        for mode in ("rounding", "babai"):
+            assert main(["detect", ex1, y_zero, "--box", "0..3", "--mode", mode]) == 0
+            assert capsys.readouterr().out.strip() == "0 0"
 
     def test_bils_mode(self, ex1, y_zero, capsys):
         assert main(["detect", ex1, y_zero, "--box", "0..3", "--mode", "bils"]) == 0
@@ -126,6 +127,18 @@ class TestDetect:
         bad.write_text("2 -1\nzz 1\n")
         assert main(["detect", str(bad), y_zero, "--box", "0..3"]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, box, message", [
+        ("\n \n", "0..3", "holds no numeric rows"),
+        (EX1_TEXT, "0..2.5", "bounds must be integers"),
+    ], ids=["empty-matrix", "fractional-bound"])
+    def test_unusable_input_exits_2(self, tmp_path, y_zero, capsys, text, box, message):
+        a = tmp_path / "a.txt"
+        a.write_text(text)
+        assert main(["detect", str(a), y_zero, "--box", box]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
 
     def test_dimension_mismatch_exits_2(self, ex1, tmp_path):
         y = tmp_path / "y3.txt"
@@ -268,6 +281,21 @@ class TestMcSp:
         assert main(["mc-sp", ex1, "--sigma", "1e-300", "--box", "0..3",
                      "--pattern", "LL", "--method", "quad"]) == 0
         assert capsys.readouterr().out.startswith("P_D^BR = 1.000000 +/- 0.000000")
+
+    @pytest.mark.parametrize("argv, line", [
+        (["mc-sp", "--sigma", "1e308", "--method", "mc", "--pattern", "II"], "P_D^BR = 0.000000"),
+        (["mc-sp", "--sigma", "1e308", "--method", "qmc", "--samples", "2048"],
+         "P_R^BR = 0.062500"),  # only the floors (1/4)^2 remain
+        (["mc-sp", "--sigma", "1e-320", "--method", "qmc", "--samples", "2048"],
+         "P_R^BR = 1.000000"),
+        (["mc-sp", "--sigma", "1e-320", "--method", "quad"], "P_R^BR = 1.000000"),
+        (["exact-sp", "--sigma", "1e-320"], "P_R^BB = 1.000000"),
+    ], ids=["mc-1e308", "qmc-1e308", "qmc-1e-320", "quad-1e-320", "exact-1e-320"])
+    def test_extreme_sigma_prints_the_limit(self, ex1, capsys, argv, line):
+        # The suite turns a RuntimeWarning into an error, so an overflow
+        # on the way fails here.
+        assert main(argv[:1] + [ex1, "--box", "0..3"] + argv[1:]) == 0
+        assert capsys.readouterr().out.startswith(line)
 
     def test_ill_conditioned_quadrature(self, tmp_path, capsys):
         # The density of R = [[1, 1], [0, 0.01]] lies on a narrow ridge;
@@ -463,6 +491,15 @@ class TestExperimentCommand:
         for path in (out, svg):
             assert path.stat().st_mode & 0o777 == 0o666 & ~umask
 
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="refused"):
+            cli._write_atomic(str(tmp_path / "out.csv"), "text\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_reduced_sweep_digest(self, tmp_path):
         # Pins the sampling and both detector kernels: any change to their
         # numbers moves this digest of configs/figure1_reduced.json's CSV.
@@ -548,7 +585,7 @@ class TestNegativeSeed:
     ["mc-sp", "{a}", "--sigma", "1", "--box", "0..3", "--method", "quad"],
 ])
 def test_bad_thread_count_exits_2_without_a_pool(ex1, capsys, monkeypatch, argv):
-    # neither integral starts a pool: 128 QMC points per randomization run inline
+    # refused before any integral: the QMC one would pool, the quadrature one not
     monkeypatch.setenv("BOXDET_THREADS", "abc")
     assert main([ex1 if arg == "{a}" else arg for arg in argv]) == 2
     captured = capsys.readouterr()

@@ -68,6 +68,12 @@ class TestConfig:
             IntegratorConfig(method=IntegratorMethod.MONTE_CARLO, samples=10)
         IntegratorConfig(method=IntegratorMethod.QUADRATURE, samples=10)
 
+    def test_method_may_be_given_by_value(self):
+        # The benchmark workloads build their configs this way.
+        assert IntegratorConfig(method="qmc") == IntegratorConfig(method=IntegratorMethod.SEQ_QMC)
+        with pytest.raises(ValueError):
+            IntegratorConfig(method="simpson")
+
     def test_stochastic_needs_stream(self):
         with pytest.raises(InvalidConfigError):
             box_probability(np.eye(1), 1.0, (FINITE,), MC, None)
@@ -136,17 +142,27 @@ class TestBoxProbability:
             ]
             assert values[0] <= values[1] <= values[2]
 
-    def test_quadrature_at_extreme_sigma(self):
-        # sigma^2 and sigma^n leave the float range here; the quadrature
-        # works in units of sigma and still gets the limits 1 and 0.  32
-        # nodes resolve a clipped full line to about 4e-8.
-        quad = IntegratorConfig(method=IntegratorMethod.QUADRATURE, quad_points=32)
+    @pytest.mark.parametrize("method", list(IntegratorMethod), ids=lambda m: m.value)
+    def test_extreme_sigma_gives_the_limit(self, method):
+        # sigma^2 and sigma^n leave the float range here, and at 1e-320 so
+        # do the limits in units of sigma.  Every backend still gets the
+        # limit, without a RuntimeWarning.  32 quadrature nodes resolve a
+        # clipped full line to about 4e-8.
+        cfg = IntegratorConfig(method=method, samples=4096, quad_points=32)
         r = np.diag([0.7, 1.3, 2.1, 1.0])
-        assert box_probability(r, 1e-100, (FINITE,) * 4, quad).value == pytest.approx(
-            1.0, abs=1e-6)
-        assert box_probability(EX1, 1e-300, (LEFT_INFINITE,) * 2, quad).value == pytest.approx(
-            1.0, abs=1e-6)
-        assert box_probability(r, 1e300, (FINITE,) * 4, quad).value == 0.0
+        for r_, sigma, ivs, floors, limit in [
+            (r, 1e-100, (FINITE,) * 4, None, 1.0),
+            (EX1, 1e-300, (LEFT_INFINITE,) * 2, None, 1.0),
+            (EX1, 1e-320, (FINITE,) * 2, None, 1.0),
+            (r, 1e300, (FINITE,) * 4, None, 0.0),
+            (EX1, 1e308, (FINITE,) * 2, None, 0.0),
+            (EX1, 1e308, (FINITE,) * 2, [0.25, 0.25], 1.0 / 16.0),  # the floors remain
+        ]:
+            value = box_probability(r_, sigma, ivs, cfg, RngStream(0), floors).value
+            if limit == 0.0:
+                assert value == 0.0
+            else:
+                assert value == pytest.approx(limit, abs=1e-6)
 
     def test_mc_stderr_is_binomial(self):
         est = box_probability(np.eye(1), 1.0, (FINITE,), MC, RngStream(3))
@@ -276,12 +292,11 @@ class TestPrioritizedSweep:
                     if spread:
                         r[np.diag_indices(n)] = 10.0 ** rng.uniform(-6.0, 6.0, n)
                     ivs = [self.KINDS[k] for k in rng.integers(0, len(self.KINDS), n)]
-                    lo = np.array([iv.lo for iv in ivs])
-                    hi = np.array([iv.hi for iv in ivs])
                     floor = np.where(rng.random(n) < 0.5, 0.0, rng.random(n))
                     sigma = float(10.0 ** rng.uniform(-2.0, 1.0))
-                    perm, rp, lo_p, hi_p, floor_p = gaussbox._prioritized(
-                        r, sigma, lo, hi, floor)
+                    lo = np.array([iv.lo for iv in ivs]) / sigma  # limits in units of sigma
+                    hi = np.array([iv.hi for iv in ivs]) / sigma
+                    perm, rp, lo_p, hi_p, floor_p = gaussbox._prioritized(r, lo, hi, floor)
                     assert sorted(perm.tolist()) == list(range(n))
                     validate_upper_triangular(rp)
                     gram = r[:, perm].T @ r[:, perm]
@@ -295,10 +310,10 @@ class TestPrioritizedSweep:
         # The sweep conditions the last column first, so perm is the
         # greedy order (least mass first) reversed; ties keep index order.
         ivs = np.array([0.9, 0.2, 0.5])
-        perm = gaussbox._prioritized(np.eye(3), 1.0, -ivs, ivs, np.zeros(3))[0]
+        perm = gaussbox._prioritized(np.eye(3), -ivs, ivs, np.zeros(3))[0]
         assert perm.tolist() == [0, 2, 1]
         same = np.full(3, 0.5)
-        perm = gaussbox._prioritized(np.eye(3), 1.0, -same, same, np.zeros(3))[0]
+        perm = gaussbox._prioritized(np.eye(3), -same, same, np.zeros(3))[0]
         assert perm.tolist() == [2, 1, 0]
 
     def test_column_permuted_twin_agrees(self):
