@@ -1,10 +1,13 @@
 """Success-probability sweep over a noise grid with random square models.
 
 Protocol: draw ``num_matrices`` square matrices with i.i.d. standard
-normal entries; for every noise level in the grid, run
-``trials_per_matrix`` detection trials per matrix (uniform true vector,
-fresh Gaussian noise, both clamped detectors) and pool the success counts
-into empirical rates with binomial standard errors.  The closed-form
+normal entries; run ``trials_per_matrix`` detection trials per matrix
+(uniform true vector, Gaussian noise, both clamped detectors) at every
+noise level in the grid, and pool the success counts into empirical rates
+with binomial standard errors.  The noise levels share their draws: a
+trial draws x and a unit normal z once, and at each sigma observes
+A x + sigma z.  Each row's rate and stderr are those of independent
+trials, but adjacent rows are positively correlated.  The closed-form
 Babai probability is averaged over the matrices for the theoretical
 curve; the rounding-detector curve is optionally estimated the same way
 by ``p_br_uniform``.
@@ -13,9 +16,10 @@ Pooling note: with equal trial counts per matrix, the pooled empirical
 rate coincides with the average of per-matrix rates; the pooled binomial
 standard error is reported.
 
-Everything is driven by substreams of a single seed, keyed on
-(matrix index, sigma index, block index), so results are bit-identical
-across repeat runs and worker counts.
+Everything is driven by substreams of a single seed: the trials on
+(matrix index, block index), the theoretical rounding cells on
+(matrix index, sigma index).  So results are bit-identical across repeat
+runs and worker counts.
 
 Parallelism: a sweep maps once over its matrices.  One item is a matrix's
 column: at every sigma its Babai probability, its trial counts and, when
@@ -39,11 +43,13 @@ from .model import BoxConstraint, sample_noise, sample_uniform_x
 from .success import p_bb_uniform, p_br_uniform
 
 _TRIAL_BLOCK = 4096
-# Trial blocks per detector call.  At n = 8 a batch's x and ytilde are
-# 512 KB arrays each, so they stay in a 2 MB L2 cache with the detectors'
-# temporaries.  On 2 cores, 3 or 4 blocks ran no faster and raised the peak
-# memory; projecting a whole matrix's trials at once let OpenBLAS thread
-# the matmul and was 1.6x slower.
+# Trial blocks per batch of draws, and so per detector call.  At n = 8 a
+# batch's x, z, x A^T and ytilde are 512 KB arrays each.  On 2 cores the
+# 8-sigma, 10-matrix, 32768-trial sweep took 0.52-0.64 s with 2 blocks
+# against 0.60-0.77 s with 1 and 0.68-0.80 s with 4 (eight runs each),
+# at a peak RSS of 109 MB against 105 MB and 115-118 MB.  Projecting a
+# whole matrix's trials at once let OpenBLAS thread the matmul and was
+# 1.6x slower.
 _BATCH_BLOCKS = 2
 
 DEFAULT_EXPERIMENT_INTEGRATOR = IntegratorConfig(
@@ -165,30 +171,37 @@ def _draw_full_rank_matrix(n: int, stream: _rng.RngStream):
     raise RankDeficientError("could not draw a full-rank matrix in 64 attempts")
 
 
-def _count_successes(a, q1, r, box, sigma, stream, trials):
-    """(rounding, Babai) success counts of ``trials`` trials on one matrix.
+def _count_successes(a, q1, r, box, sigma_grid, stream, trials):
+    """(rounding, Babai) success counts of ``trials`` trials on one matrix,
+    one pair per sigma of ``sigma_grid``.
 
-    Trial block ``k`` (``_TRIAL_BLOCK`` trials) draws from
-    ``stream.child(k)``; the blocks of a batch are written into one pair of
-    (batch, n) arrays that each detector scans once.
+    Trial block ``k`` (``_TRIAL_BLOCK`` trials) draws x from
+    ``stream.child(k).child(0)`` and a unit normal z from
+    ``stream.child(k).child(1)``; at every sigma the block observes
+    ytilde = (x A^T + sigma z) Q1.  sigma z is ``sample_noise(sigma, ...)``'s
+    draw on that stream, so each row keeps its law.  The blocks of a batch
+    are written into one pair of (batch, n) arrays, and at each sigma each
+    detector scans the batch once.
     """
     n = a.shape[0]
     batch_trials = _BATCH_BLOCKS * _TRIAL_BLOCK
-    br_hits = bb_hits = 0
+    hits = [[0, 0] for _ in sigma_grid]
     for first in range(0, trials, batch_trials):
         size = min(batch_trials, trials - first)
         x = np.empty((size, n), dtype=np.int64)
-        ytilde = np.empty((size, n))
+        z = np.empty((size, n))
         for start in range(0, size, _TRIAL_BLOCK):
             rows = slice(start, min(start + _TRIAL_BLOCK, size))
             count = rows.stop - start
             sub = stream.child((first + start) // _TRIAL_BLOCK)
             x[rows] = sample_uniform_x(box, sub.child(0), count=count)
-            v = sample_noise(sigma, n, sub.child(1), count=count)
-            ytilde[rows] = (x[rows] @ a.T + v) @ q1
-        br_hits += int(rounding_success_batch(r, ytilde, x, box.lower, box.upper).sum())
-        bb_hits += int(babai_success_batch(r, ytilde, x, box.lower, box.upper).sum())
-    return br_hits, bb_hits
+            z[rows] = sample_noise(1.0, n, sub.child(1), count=count)
+        signal = x @ a.T
+        for cell, sigma in zip(hits, sigma_grid):
+            ytilde = (signal + sigma * z) @ q1
+            cell[0] += int(rounding_success_batch(r, ytilde, x, box.lower, box.upper).sum())
+            cell[1] += int(babai_success_batch(r, ytilde, x, box.lower, box.upper).sum())
+    return [tuple(cell) for cell in hits]
 
 
 def run_experiment(cfg: ExperimentConfig) -> list:
@@ -204,14 +217,14 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     def column(m):
         """Matrix m's (theo_bb, theo_br, br_hits, bb_hits) at every sigma."""
         a, q1, r = _draw_full_rank_matrix(cfg.n, root.child(0, m))
+        counts = _count_successes(a, q1, r, cfg.box, cfg.sigma_grid,
+                                  root.child(1, m), cfg.trials_per_matrix)
         cells = []
         for s_idx, sigma in enumerate(cfg.sigma_grid):
             theo_br = (p_br_uniform(r, sigma, cfg.box, cfg.integrator,
                                     root.child(2, m, s_idx))
                        if cfg.compute_exact_br else None)
-            br, bb = _count_successes(a, q1, r, cfg.box, sigma,
-                                      root.child(1, m, s_idx), cfg.trials_per_matrix)
-            cells.append((p_bb_uniform(r, sigma, cfg.box), theo_br, br, bb))
+            cells.append((p_bb_uniform(r, sigma, cfg.box), theo_br, *counts[s_idx]))
         return cells
 
     columns = ordered_map(column, range(cfg.num_matrices))

@@ -230,8 +230,9 @@ def _prioritized(r, lo, hi, floor):
                          np.finfo(float).eps * var0[idx])
         sd = np.sqrt(var)
         shift = factor[idx, :k] @ means[:k]
-        alpha = np.clip((lo[idx] - shift) / sd, -40.0, 40.0)
-        beta = np.clip((hi[idx] - shift) / sd, -40.0, 40.0)
+        with np.errstate(over="ignore"):  # an infinite quotient clips to +-40
+            alpha = np.clip((lo[idx] - shift) / sd, -40.0, 40.0)
+            beta = np.clip((hi[idx] - shift) / sd, -40.0, 40.0)
         a = floor[idx]
         mass = a + (1.0 - a) * (ndtr(beta) - ndtr(alpha))
         j = int(np.argmin(mass))
@@ -257,8 +258,9 @@ def _qmc_probability(r, lo, hi, floor, samples, stream):
     # lower-triangular Cholesky factor for the standard conditional sweep.
     chol = chol[::-1, ::-1]
     lo, hi, floor = lo[::-1], hi[::-1], floor[::-1]
-    d0 = ndtr(lo[0] / chol[0, 0])
-    e0 = ndtr(hi[0] / chol[0, 0])
+    with np.errstate(over="ignore"):  # ndtr(+-inf) is exact
+        d0 = ndtr(lo[0] / chol[0, 0])
+        e0 = ndtr(hi[0] / chol[0, 0])
     mass0 = floor[0] + (1.0 - floor[0]) * (e0 - d0)
     if n == 1:
         return McEstimate(float(mass0), 0.0, 0, stream.label())
@@ -292,8 +294,11 @@ def _qmc_probability(r, lo, hi, floor, samples, stream):
                     u = np.where(u < d, t / a, np.where(u > e, (t - (1.0 - a) * (e - d)) / a, u))
                 y[:, i - 1] = ndtri(np.clip(u, 1e-300, u_top))
                 shift = y[:, :i] @ chol[i, :i]
-                d = ndtr((lo[i] - shift) / chol[i, i])
-                e = ndtr((hi[i] - shift) / chol[i, i])
+                # ndtr(+-inf) is exact.  errstate is per thread, so it is
+                # set here, on the pool's worker.
+                with np.errstate(over="ignore"):
+                    d = ndtr((lo[i] - shift) / chol[i, i])
+                    e = ndtr((hi[i] - shift) / chol[i, i])
                 mass = floor[i] + (1.0 - floor[i]) * np.maximum(e - d, 0.0)
                 prob = prob * mass
             total += prob.sum()
@@ -331,8 +336,9 @@ def _quadrature_probability(r, lo, hi, floor, quad_points):
         weight, z = np.ones(1), np.empty((1, 0))
         for i in range(n):
             shift = z @ chol[i, :i]
-            a = (lo_k[i] - shift) / chol[i, i]
-            b = (hi_k[i] - shift) / chol[i, i]
+            with np.errstate(over="ignore"):  # ndtr and the clip take +-inf
+                a = (lo_k[i] - shift) / chol[i, i]
+                b = (hi_k[i] - shift) / chol[i, i]
             if i == n - 1:
                 break  # the last coordinate is closed form
             a = np.clip(a, -QUADRATURE_TRUNCATION, QUADRATURE_TRUNCATION)

@@ -297,6 +297,17 @@ class TestMcSp:
         assert main(argv[:1] + [ex1, "--box", "0..3"] + argv[1:]) == 0
         assert capsys.readouterr().out.startswith(line)
 
+    @pytest.mark.parametrize("method", ["qmc", "quad"])
+    def test_large_diagonal_near_the_overflow_edge(self, tmp_path, capsys, method):
+        # The limits in units of sigma stay finite, but dividing them by a
+        # conditional sd below 1 overflows to an infinite limit, which is
+        # exact; the suite turns a RuntimeWarning into an error.
+        path = tmp_path / "d.txt"
+        path.write_text("100 0\n0 100\n")
+        assert main(["mc-sp", str(path), "--sigma", "1e-307", "--box", "0..3",
+                     "--method", method]) == 0
+        assert capsys.readouterr().out.startswith("P_R^BR = 1.000000")
+
     def test_ill_conditioned_quadrature(self, tmp_path, capsys):
         # The density of R = [[1, 1], [0, 0.01]] lies on a narrow ridge;
         # the LU value is the 1-D integral of phi(v) Phi(0.5 + 100 v) over
@@ -506,7 +517,7 @@ class TestExperimentCommand:
         out = tmp_path / "reduced.csv"
         assert main(["experiment", "--config", str(REDUCED_CONFIG), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "75a02d4e16ad1fb1dfa414be9a4d6d3fcecb45892c473ec34149a55d8fd307bb")
+            "aecf029755885e287f310cacdd52dd7b9991e3c9ece422925e5bb8a88b72f05e")
 
     def test_csv_round_trip(self, tmp_path):
         cfg = ExperimentConfig.from_json_file(_config_file(tmp_path))

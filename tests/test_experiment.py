@@ -147,7 +147,8 @@ class TestConfig:
 
 def _counts(a, sigma, stream, trials):
     q1, r = qr_positive(a)
-    return _count_successes(a, q1, r, BOX3, sigma, stream, trials)
+    (counts,) = _count_successes(a, q1, r, BOX3, (sigma,), stream, trials)
+    return counts
 
 
 class TestCountSuccesses:
@@ -163,16 +164,17 @@ class TestCountSuccesses:
 
     def test_identity_model_matches_closed_form(self):
         # at A = I the empirical Babai rate must track the closed form
-        n, sigma, trials = 8, 0.2, 100_000
+        n, grid, trials = 8, (0.1, 0.2, 0.3), 100_000
         a = np.eye(n)
         q1, r = qr_positive(a)
         box = BoxConstraint.cube(0, 3, n)
-        br, bb = _count_successes(a, q1, r, box, sigma, RngStream(9), trials)
-        expected = p_bb_uniform(r, sigma, box)
-        rate = bb / trials
-        se = math.sqrt(expected * (1 - expected) / trials)
-        assert abs(rate - expected) <= 30 * se / 10  # 3 standard errors
-        assert br == bb  # detectors coincide for diagonal R
+        counts = _count_successes(a, q1, r, box, grid, RngStream(9), trials)
+        for sigma, (br, bb) in zip(grid, counts):
+            expected = p_bb_uniform(r, sigma, box)
+            rate = bb / trials
+            se = math.sqrt(expected * (1 - expected) / trials)
+            assert abs(rate - expected) <= 30 * se / 10  # 3 standard errors
+            assert br == bb  # detectors coincide for diagonal R
 
 
 class TestRunExperiment:
@@ -209,20 +211,35 @@ class TestRunExperiment:
         assert all(row.theo_p_br is None for row in rows)
         assert all(row.emp_p_br.samples > 0 for row in rows)
 
+    def test_shared_draws_make_rates_monotone_in_sigma(self):
+        # A detector succeeds exactly when sigma times the trial's scaled
+        # noise lies in a product of intervals containing 0.  The sigma rows
+        # share their draws, so a trial that fails at one sigma fails at
+        # every larger one, even on a grid finer than the binomial noise.
+        grid = tuple(0.300 + 0.001 * k for k in range(8))
+        rows = run_experiment(_config(n=4, box=BoxConstraint.cube(0, 3, 4),
+                                      sigma_grid=grid, trials_per_matrix=20_000,
+                                      compute_exact_br=False))
+        for rates in ([row.emp_p_bb.value for row in rows],
+                      [row.emp_p_br.value for row in rows]):
+            assert all(b <= a for a, b in zip(rates, rates[1:]))
 
-def _per_block_counts(a, q1, r, box, sigma, stream, trials):
-    """The trial loop one 4096-trial block at a time: block k draws x from
-    stream.child(k).child(0) and the noise from stream.child(k).child(1)."""
-    br = bb = 0
+
+def _per_block_counts(a, q1, r, box, sigma_grid, stream, trials):
+    """The trial loop one 4096-trial block and one sigma at a time: block k
+    draws x from stream.child(k).child(0) and, at every sigma, the noise
+    sample_noise(sigma, ...) from stream.child(k).child(1)."""
+    counts = [[0, 0] for _ in sigma_grid]
     for index, start in enumerate(range(0, trials, 4096)):
         size = min(4096, trials - start)
         sub = stream.child(index)
-        x = sample_uniform_x(box, sub.child(0), count=size)
-        v = sample_noise(sigma, a.shape[0], sub.child(1), count=size)
-        ytilde = (x @ a.T + v) @ q1
-        br += int(rounding_success_batch(r, ytilde, x, box.lower, box.upper).sum())
-        bb += int(babai_success_batch(r, ytilde, x, box.lower, box.upper).sum())
-    return br, bb
+        for cell, sigma in zip(counts, sigma_grid):
+            x = sample_uniform_x(box, sub.child(0), count=size)
+            v = sample_noise(sigma, a.shape[0], sub.child(1), count=size)
+            ytilde = (x @ a.T + v) @ q1
+            cell[0] += int(rounding_success_batch(r, ytilde, x, box.lower, box.upper).sum())
+            cell[1] += int(babai_success_batch(r, ytilde, x, box.lower, box.upper).sum())
+    return [tuple(cell) for cell in counts]
 
 
 class TestBatchedCounts:
@@ -233,10 +250,9 @@ class TestBatchedCounts:
         q1, r = qr_positive(a)
         lower = np.arange(n) % 3 - 1
         box = BoxConstraint(lower, lower + np.array([3, 1, 0, 2, 5, 1, 4, 2][:n]))
-        for sigma in (0.05, 0.3, 0.9):
-            stream = RngStream(trials).child(n)
-            assert (_count_successes(a, q1, r, box, sigma, stream, trials)
-                    == _per_block_counts(a, q1, r, box, sigma, stream, trials))
+        grid, stream = (0.05, 0.3, 0.9), RngStream(trials).child(n)
+        assert (_count_successes(a, q1, r, box, grid, stream, trials)
+                == _per_block_counts(a, q1, r, box, grid, stream, trials))
 
 
 # 16384 QMC points per randomization at n = 3, so the integral pools when it
