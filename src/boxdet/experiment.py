@@ -181,7 +181,8 @@ def _count_successes(a, q1, r, box, sigma_grid, stream, trials):
     ytilde = (x A^T + sigma z) Q1.  sigma z is ``sample_noise(sigma, ...)``'s
     draw on that stream, so each row keeps its law.  The blocks of a batch
     are written into one pair of (batch, n) arrays, and at each sigma each
-    detector scans the batch once.
+    detector scans the batch once.  A sigma whose observations overflow
+    float64 raises ``InvalidConfigError``.
     """
     n = a.shape[0]
     batch_trials = _BATCH_BLOCKS * _TRIAL_BLOCK
@@ -198,8 +199,15 @@ def _count_successes(a, q1, r, box, sigma_grid, stream, trials):
             z[rows] = sample_noise(1.0, n, sub.child(1), count=count)
         signal = x @ a.T
         for cell, sigma in zip(hits, sigma_grid):
-            ytilde = (signal + sigma * z) @ q1
-            cell[0] += int(rounding_success_batch(r, ytilde, x, box.lower, box.upper).sum())
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below
+                ytilde = (signal + sigma * z) @ q1
+            try:  # back_substitute refuses a non-finite ytilde
+                cell[0] += int(rounding_success_batch(r, ytilde, x, box.lower, box.upper).sum())
+            except ValueError:
+                if np.all(np.isfinite(ytilde)):
+                    raise
+                raise InvalidConfigError(
+                    f"sigma {sigma:g}: the simulated observations overflow float64") from None
             cell[1] += int(babai_success_batch(r, ytilde, x, box.lower, box.upper).sum())
     return [tuple(cell) for cell in hits]
 

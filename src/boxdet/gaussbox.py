@@ -202,6 +202,14 @@ def _permuted_factor(r, perm):
     return np.where(np.diag(rp) < 0.0, -1.0, 1.0)[:, None] * rp
 
 
+def _standardized(lo, hi, shift, sd):
+    """(lo - shift) / sd and (hi - shift) / sd.  An overflow gives an infinite
+    quotient, exact for ndtr and the clips.  errstate is per thread, so set
+    here it also holds on the pool's workers that run the QMC sweep."""
+    with np.errstate(over="ignore"):
+        return (lo - shift) / sd, (hi - shift) / sd
+
+
 def _prioritized(r, lo, hi, floor):
     """The interval product with its coordinates reordered for the
     conditional sweep: (perm, R', lo, hi, floor) of the permuted problem.
@@ -229,10 +237,8 @@ def _prioritized(r, lo, hi, floor):
         var = np.maximum(var0[idx] - np.sum(factor[idx, :k] ** 2, axis=1),
                          np.finfo(float).eps * var0[idx])
         sd = np.sqrt(var)
-        shift = factor[idx, :k] @ means[:k]
-        with np.errstate(over="ignore"):  # an infinite quotient clips to +-40
-            alpha = np.clip((lo[idx] - shift) / sd, -40.0, 40.0)
-            beta = np.clip((hi[idx] - shift) / sd, -40.0, 40.0)
+        alpha, beta = np.clip(_standardized(lo[idx], hi[idx], factor[idx, :k] @ means[:k], sd),
+                              -40.0, 40.0)
         a = floor[idx]
         mass = a + (1.0 - a) * (ndtr(beta) - ndtr(alpha))
         j = int(np.argmin(mass))
@@ -258,9 +264,7 @@ def _qmc_probability(r, lo, hi, floor, samples, stream):
     # lower-triangular Cholesky factor for the standard conditional sweep.
     chol = chol[::-1, ::-1]
     lo, hi, floor = lo[::-1], hi[::-1], floor[::-1]
-    with np.errstate(over="ignore"):  # ndtr(+-inf) is exact
-        d0 = ndtr(lo[0] / chol[0, 0])
-        e0 = ndtr(hi[0] / chol[0, 0])
+    d0, e0 = map(ndtr, _standardized(lo[0], hi[0], 0.0, chol[0, 0]))
     mass0 = floor[0] + (1.0 - floor[0]) * (e0 - d0)
     if n == 1:
         return McEstimate(float(mass0), 0.0, 0, stream.label())
@@ -293,12 +297,7 @@ def _qmc_probability(r, lo, hi, floor, samples, stream):
                 if a > 0.0:
                     u = np.where(u < d, t / a, np.where(u > e, (t - (1.0 - a) * (e - d)) / a, u))
                 y[:, i - 1] = ndtri(np.clip(u, 1e-300, u_top))
-                shift = y[:, :i] @ chol[i, :i]
-                # ndtr(+-inf) is exact.  errstate is per thread, so it is
-                # set here, on the pool's worker.
-                with np.errstate(over="ignore"):
-                    d = ndtr((lo[i] - shift) / chol[i, i])
-                    e = ndtr((hi[i] - shift) / chol[i, i])
+                d, e = map(ndtr, _standardized(lo[i], hi[i], y[:, :i] @ chol[i, :i], chol[i, i]))
                 mass = floor[i] + (1.0 - floor[i]) * np.maximum(e - d, 0.0)
                 prob = prob * mass
             total += prob.sum()
@@ -335,10 +334,7 @@ def _quadrature_probability(r, lo, hi, floor, quad_points):
         lo_k, hi_k = np.array([(l, h) for _, l, h in row[::-1]]).T
         weight, z = np.ones(1), np.empty((1, 0))
         for i in range(n):
-            shift = z @ chol[i, :i]
-            with np.errstate(over="ignore"):  # ndtr and the clip take +-inf
-                a = (lo_k[i] - shift) / chol[i, i]
-                b = (hi_k[i] - shift) / chol[i, i]
+            a, b = _standardized(lo_k[i], hi_k[i], z @ chol[i, :i], chol[i, i])
             if i == n - 1:
                 break  # the last coordinate is closed form
             a = np.clip(a, -QUADRATURE_TRUNCATION, QUADRATURE_TRUNCATION)

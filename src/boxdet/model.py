@@ -164,19 +164,24 @@ def parse_pattern(text: str) -> tuple:
         raise ValueError(f"invalid pattern character {exc.args[0]!r}; use L, I, U, S") from None
 
 
+def admissible_tags(width) -> tuple:
+    """Boundary tags a coordinate of the given width (upper - lower) can
+    carry: SINGLETON exactly on width 0, INTERIOR only from width 2."""
+    if width == 0:
+        return (BoundaryTag.SINGLETON,)
+    if width == 1:
+        return (BoundaryTag.LOWER, BoundaryTag.UPPER)
+    return (BoundaryTag.LOWER, BoundaryTag.INTERIOR, BoundaryTag.UPPER)
+
+
 def validate_pattern_for_box(pattern, box: BoxConstraint) -> tuple:
-    """Check a pattern's structural invariants against a box: SINGLETON
-    exactly on width-0 coordinates, INTERIOR only where width >= 2."""
+    """Check that a pattern has one of its box's ``admissible_tags`` per coordinate."""
     pattern = tuple(pattern)
     if len(pattern) != box.dim:
         raise DimensionMismatchError(
             f"pattern length {len(pattern)} does not match box dimension {box.dim}"
         )
     for i, (tag, w) in enumerate(zip(pattern, box.widths)):
-        if (w == 0) != (tag is BoundaryTag.SINGLETON):
-            raise ValueError(
-                f"coordinate {i}: SINGLETON is required exactly when lower == upper"
-            )
-        if tag is BoundaryTag.INTERIOR and w < 2:
-            raise ValueError(f"coordinate {i}: INTERIOR needs upper - lower >= 2")
+        if tag not in admissible_tags(w):
+            raise ValueError(f"coordinate {i}: tag {tag.value} is not admissible on width {w}")
     return pattern

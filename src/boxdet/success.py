@@ -35,7 +35,7 @@ from .gaussbox import (
     box_probability,
 )
 from .linalg import validate_upper_triangular
-from .model import BoundaryTag, BoxConstraint, validate_sigma
+from .model import BoundaryTag, BoxConstraint, admissible_tags, validate_sigma
 from .rng import RngStream
 
 _UNIFORM_POINTS = 16  # points of a uniform cell per coordinate and cfg.samples
@@ -102,13 +102,15 @@ def p_bb_uniform(r, sigma: float, box: BoxConstraint) -> float:
     return _babai_product(r, sigma, 1.0 / (box.widths + 1.0))
 
 
-def p_bb_bounds(r, sigma: float):
-    """Lower and upper bounds on the deterministic Babai success
-    probability over the patterns of a box whose widths are all >= 2: the
-    all-interior pattern attains the lower bound, an all-boundary pattern
-    the upper.  ``boxdet exact-sp`` takes its bounds from any box itself."""
+def p_bb_bounds(r, sigma: float, box: BoxConstraint | None = None):
+    """Lower and upper bounds on the deterministic Babai success probability
+    over the box's admissible patterns: the products at each coordinate's
+    lowest and highest admissible floor.  Without a box every width counts
+    as >= 2, so the bounds are the all-interior and all-boundary products."""
     n = validate_upper_triangular(r).shape[0]
-    return _babai_product(r, sigma, [0.0] * n), _babai_product(r, sigma, [0.5] * n)
+    floors = [[_TAGS[tag][1] for tag in admissible_tags(w)]
+              for w in ([2] * n if box is None else box.widths)]
+    return tuple(_babai_product(r, sigma, [pick(f) for f in floors]) for pick in (min, max))
 
 
 def p_br_deterministic(r, sigma: float, pattern, cfg: IntegratorConfig,

@@ -19,6 +19,16 @@ from boxdet.linalg import qr_positive
 from boxdet.success import p_bb_bounds, p_bb_uniform
 
 EX1_TEXT = "2 -1\n0 1\n"
+EX3_TEXT = "1.5 0.3 -0.4\n0.2 1.1 0.6\n-0.3 0.5 0.9\n"
+# (matrix, box, pattern) of the pinned exact-sp runs: mixed widths 0-5.
+EXACT_SP_CASES = [
+    (EX1_TEXT, "0..3", None), (EX1_TEXT, "0..3", "LL"), (EX1_TEXT, "0..1", None),
+    (EX1_TEXT, "0..0,0..3", None), (EX1_TEXT, "-1..1,0..2", None),
+    (EX1_TEXT, "0..1,0..0", None), (EX1_TEXT, "2..3,5..9", None),
+    (EX3_TEXT, "0..1,0..0,0..5", None), (EX3_TEXT, "0..0,0..0,0..0", None),
+    (EX3_TEXT, "0..1,0..1,0..1", None), (EX3_TEXT, "0..2,0..1,3..3", "IUS"),
+]
+EXACT_SP_DIGEST = "dd2c45d6a64f726628730314704deb20d387fb9532ce1b53a891b37e6e36d3a5"
 REDUCED_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "figure1_reduced.json"
 
 
@@ -189,16 +199,26 @@ class TestExactSp:
             assert (values["P_D^BB lower bound"] <= values["P_D^BB"]
                     <= values["P_D^BB upper bound"]), letters
 
-    @pytest.mark.parametrize("box", ["0..3", "-1..1,0..2", "0..2,5..9"])
-    def test_bounds_are_p_bb_bounds_when_every_width_is_at_least_2(self, ex1, capsys,
-                                                                   box):
-        # No coordinate is forced to S or L, so the box-aware bounds are the
-        # box-free ones.
+    @pytest.mark.parametrize("box", ["0..3", "-1..1,0..2", "0..2,5..9", "0..0,0..3",
+                                     "0..1", "0..1,0..0", "2..3,5..9"])
+    def test_bounds_are_p_bb_bounds_of_the_box(self, ex1, capsys, box):
         assert main(["exact-sp", ex1, "--sigma", "0.7", f"--box={box}"]) == 0
         out = capsys.readouterr().out
-        lower, upper = p_bb_bounds(qr_positive(read_matrix(ex1))[1], 0.7)
+        lower, upper = p_bb_bounds(qr_positive(read_matrix(ex1))[1], 0.7, parse_box(box, 2))
         assert f"P_D^BB lower bound = {lower:.6f}\n" in out
         assert f"P_D^BB upper bound = {upper:.6f}\n" in out
+
+    def test_mixed_width_output_bytes_are_pinned(self, tmp_path, capsys):
+        # The sha256 of the stdout of every case, in order: any printed
+        # digit that moves changes it.
+        outputs = []
+        for text, box, pattern in EXACT_SP_CASES:
+            path = tmp_path / "r.txt"
+            path.write_text(text)
+            extra = ["--pattern", pattern] if pattern else []
+            assert main(["exact-sp", str(path), "--sigma", "0.7", f"--box={box}", *extra]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert hashlib.sha256("".join(outputs).encode()).hexdigest() == EXACT_SP_DIGEST
 
     def test_pattern_length_mismatch_exits_2(self, ex1, capsys):
         assert main(["exact-sp", ex1, "--sigma", "1", "--box", "0..3",
@@ -399,6 +419,18 @@ class TestExperimentCommand:
         path.write_text(json.dumps({"n": 2}))
         assert main(["experiment", "--config", str(path), "--out",
                      str(tmp_path / "x.csv")]) == 2
+
+    def test_sigma_whose_observations_overflow_exits_2(self, tmp_path, capsys):
+        # At sigma 1e308, sigma z overflows float64 for |z| > 1.8.  The suite
+        # turns a RuntimeWarning into an error, so the sweep must not warn.
+        cfg = _config_file(tmp_path, n=8, sigma_grid=[0.1, 1e308], trials_per_matrix=5000,
+                           compute_exact_br=False)
+        out = tmp_path / "x.csv"
+        assert main(["experiment", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == ("boxdet: sigma 1e+308: the simulated observations "
+                                "overflow float64\n")
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = _config_file(tmp_path, sead=7)

@@ -10,6 +10,7 @@ from boxdet.model import (
     MAX_BOUND,
     BoundaryTag,
     BoxConstraint,
+    admissible_tags,
     classify,
     parse_pattern,
     sample_noise,
@@ -124,6 +125,12 @@ class TestPatternParsing:
         box = BoxConstraint([0], [1])
         with pytest.raises(ValueError):
             validate_pattern_for_box(parse_pattern("I"), box)
+
+    @pytest.mark.parametrize("width", [0, 1, 2, 5])
+    def test_admissible_tags_are_the_tags_of_the_points(self, width):
+        box = BoxConstraint([0], [width])
+        tags = {classify([x], box)[0] for x in range(width + 1)}
+        assert set(admissible_tags(np.int64(width))) == tags
 
 
 class TestModels:

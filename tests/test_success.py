@@ -170,6 +170,29 @@ class TestBabaiBounds:
         assert upper - lower == pytest.approx((1 - phi(1.0, 1.0)) / 2, rel=1e-12)
         assert upper >= lower
 
+    def test_box_bounds_are_the_extremes_over_the_box_points(self):
+        # The patterns come from classify on every point, not from the
+        # admissibility rule that p_bb_bounds reads.
+        rng = np.random.default_rng(19)
+        for _ in range(60):
+            n = int(rng.integers(1, 5))
+            r = _random_triangular(rng, n)
+            sigma = float(rng.uniform(0.2, 1.5))
+            lower = rng.integers(-2, 3, n)
+            box = BoxConstraint(lower, lower + rng.integers(0, 4, n))
+            values = [p_bb_deterministic(r, sigma, classify(np.array(point), box))
+                      for point in itertools.product(*map(range, box.lower, box.upper + 1))]
+            assert p_bb_bounds(r, sigma, box) == (min(values), max(values))
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_without_a_box_is_a_cube_of_width_3(self, n):
+        r = _random_triangular(np.random.default_rng(n), n)
+        assert p_bb_bounds(r, 0.7) == p_bb_bounds(r, 0.7, BoxConstraint.cube(0, 3, n))
+
+    def test_box_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            p_bb_bounds(EX1, 1.0, BoxConstraint.cube(0, 3, 3))
+
 
 class TestRoundingDeterministic:
     def test_example_quadrature(self):
