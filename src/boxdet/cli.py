@@ -9,10 +9,11 @@ Exit codes: 0 success, 2 usage/input error, 3 resource guard tripped
 (brute-force box too large).
 
 Matrix and vector files are plain text, one row per line,
-whitespace-separated decimals.
+whitespace-separated finite decimals.
 """
 
 import argparse
+import math
 import os
 import sys
 import tempfile
@@ -58,6 +59,8 @@ def read_matrix(path) -> np.ndarray:
                 row = [float(tok) for tok in stripped.split()]
             except ValueError:
                 raise InputError(f"{path} line {lineno}: could not parse {stripped!r}")
+            if not all(map(math.isfinite, row)):
+                raise InputError(f"{path} line {lineno}: non-finite value in {stripped!r}")
             if width is None:
                 width = len(row)
             elif len(row) != width:
@@ -68,10 +71,6 @@ def read_matrix(path) -> np.ndarray:
     if not rows:
         raise InputError(f"{path}: file holds no numeric rows")
     return np.asarray(rows, dtype=float)
-
-
-def read_vector(path) -> np.ndarray:
-    return read_matrix(path).reshape(-1)
 
 
 def parse_box(spec: str, dim: int) -> BoxConstraint:
@@ -97,54 +96,43 @@ def parse_box(spec: str, dim: int) -> BoxConstraint:
         raise InputError(str(exc))
 
 
-def _format_vec(x) -> str:
-    return " ".join(str(int(v)) for v in x)
+def _problem(args):
+    """(Q1, R, box): the thin QR of the matrix file, and its --box."""
+    q1, r = qr_positive(read_matrix(args.matrix))
+    return q1, r, parse_box(args.box, r.shape[0])
 
 
-def _reduced_from_files(matrix_path, y_path):
-    a = read_matrix(matrix_path)
-    y = read_vector(y_path)
-    if y.size != a.shape[0]:
-        raise InputError(
-            f"observation length {y.size} does not match matrix rows {a.shape[0]}"
-        )
-    q1, r = qr_positive(a)
-    return r, q1.T @ y
+def _pattern(args, box):
+    """The --pattern letters checked against the box, or None without one."""
+    if args.pattern is None:
+        return None
+    pattern = parse_pattern(args.pattern)
+    validate_pattern_for_box(pattern, box)
+    return pattern
+
+
+# --mode: the (label, detector) of each printed line
+_DETECTORS = {"rounding": [("", box_rounding)], "babai": [("", box_babai)],
+              "both": [("BR: ", box_rounding), ("BB: ", box_babai)],
+              "bils": [("", bils_brute_force)]}
 
 
 def cmd_detect(args) -> int:
-    r, ytilde = _reduced_from_files(args.matrix, args.y)
-    box = parse_box(args.box, r.shape[0])
-    if args.mode == "rounding":
-        print(_format_vec(box_rounding(r, ytilde, box)))
-    elif args.mode == "babai":
-        print(_format_vec(box_babai(r, ytilde, box)))
-    elif args.mode == "bils":
-        print(_format_vec(bils_brute_force(r, ytilde, box)))
-    else:
-        print(f"BR: {_format_vec(box_rounding(r, ytilde, box))}")
-        print(f"BB: {_format_vec(box_babai(r, ytilde, box))}")
+    q1, r, box = _problem(args)
+    y = read_matrix(args.y).reshape(-1)
+    if y.size != q1.shape[0]:
+        raise InputError(
+            f"observation length {y.size} does not match matrix rows {q1.shape[0]}"
+        )
+    ytilde = q1.T @ y
+    for label, detector in _DETECTORS[args.mode]:
+        print(label + " ".join(str(int(v)) for v in detector(r, ytilde, box)))
     return 0
 
 
-def _problem_from_args(args):
-    """(R, box, pattern) of exact-sp and mc-sp: the R factor of the matrix
-    file, the --box, and the --pattern letters checked against the box
-    (None without one)."""
-    _, r = qr_positive(read_matrix(args.matrix))
-    box = parse_box(args.box, r.shape[0])
-    if args.pattern is None:
-        return r, box, None
-    pattern = parse_pattern(args.pattern)
-    try:
-        validate_pattern_for_box(pattern, box)
-    except ValueError as exc:
-        raise InputError(str(exc))
-    return r, box, pattern
-
-
 def cmd_exact_sp(args) -> int:
-    r, box, pattern = _problem_from_args(args)
+    _, r, box = _problem(args)
+    pattern = _pattern(args, box)
     print(f"P_R^BB = {p_bb_uniform(r, args.sigma, box):.6f}")
     lower, upper = p_bb_bounds(r, args.sigma, box)
     print(f"P_D^BB lower bound = {lower:.6f}")
@@ -155,7 +143,8 @@ def cmd_exact_sp(args) -> int:
 
 
 def cmd_mc_sp(args) -> int:
-    r, box, pattern = _problem_from_args(args)
+    _, r, box = _problem(args)
+    pattern = _pattern(args, box)
     cfg = IntegratorConfig(method=IntegratorMethod(args.method), samples=args.samples)
     stream = RngStream(args.seed)
     if pattern is not None:
@@ -183,8 +172,9 @@ def format_rows_csv(rows) -> str:
 
 def _check_writable_path(path) -> None:
     """Refuse, before any work, an output path whose directory is missing
-    or that is a directory itself.  The directory is taken as the OS will
-    resolve it: ``missing/..`` is not normalized away."""
+    or refuses new files, or that is a directory itself.  The directory is
+    taken as the OS will resolve it: ``missing/..`` is not normalized away.
+    The probe is the temp file ``_write_atomic`` makes, removed at once."""
     if not path:
         raise InputError("cannot write an empty output path")
     directory = os.path.dirname(path) or "."
@@ -192,6 +182,12 @@ def _check_writable_path(path) -> None:
         raise InputError(f"cannot write {path}: no directory {directory}")
     if os.path.isdir(path):
         raise InputError(f"cannot write {path}: it is a directory")
+    try:
+        fd, probe = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
+    os.close(fd)
+    os.unlink(probe)
 
 
 def _write_atomic(path, text) -> None:
@@ -233,29 +229,26 @@ def build_parser() -> argparse.ArgumentParser:
         "success probabilities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    problem = argparse.ArgumentParser(add_help=False)
+    problem.add_argument("matrix", help="model matrix file (text rows)")
+    problem.add_argument("--box", required=True, help="integer box, e.g. 0..3")
+    probability = argparse.ArgumentParser(add_help=False)
+    probability.add_argument("--sigma", type=float, required=True)
+    probability.add_argument("--pattern", help="per-coordinate letters L/I/U/S")
 
-    p = sub.add_parser("detect", help="run detectors on one instance")
-    p.add_argument("matrix", help="model matrix file (text rows)")
+    p = sub.add_parser("detect", parents=[problem], help="run detectors on one instance")
     p.add_argument("y", help="observation vector file")
-    p.add_argument("--box", required=True, help="integer box, e.g. 0..3")
-    p.add_argument("--mode", choices=["rounding", "babai", "both", "bils"],
-                   default="both")
+    p.add_argument("--mode", choices=list(_DETECTORS), default="both")
     p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("exact-sp", help="closed-form success probabilities")
-    p.add_argument("matrix")
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--box", required=True)
-    p.add_argument("--pattern", help="per-coordinate letters L/I/U/S")
+    p = sub.add_parser("exact-sp", parents=[problem, probability],
+                       help="closed-form success probabilities")
     p.set_defaults(func=cmd_exact_sp)
 
-    p = sub.add_parser("mc-sp", help="integral success probabilities")
-    p.add_argument("matrix")
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--box", required=True)
+    p = sub.add_parser("mc-sp", parents=[problem, probability],
+                       help="integral success probabilities")
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pattern", help="per-coordinate letters L/I/U/S")
     p.add_argument("--method", choices=[m.value for m in IntegratorMethod],
                    default="mc")
     p.set_defaults(func=cmd_mc_sp)

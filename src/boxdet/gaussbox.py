@@ -24,9 +24,9 @@ Three interchangeable backends:
 * ``SEQ_QMC`` -- sequential conditioning with randomized Sobol points
   (Genz 1992).  The coordinates are first prioritized: a greedy order puts
   the coordinate of least conditional mass first (Gibson, Glasbey and
-  Elston 1994), and the sweep runs on the positive-diagonal R factor of
-  numpy's QR of the column-permuted R, which gives the permuted problem
-  the same law.  The covariance factor R^{-1} is upper triangular,
+  Elston 1994), and the sweep runs on ``linalg.permuted_factor``, the
+  positive-diagonal R factor of the column-permuted R, whose law is the
+  same.  The covariance factor R^{-1} is upper triangular,
   so reversing the coordinate order makes it a lower-triangular Cholesky
   factor and the standard one-dimensional conditional sweep applies.  At
   each step the weight is multiplied by the conditional mass
@@ -58,8 +58,8 @@ has g_i = 1; every backend integrates it out exactly, by taking the
 marginal of the others, before the quadrature dimension cap applies.
 
 QMC and quadrature take the factor R^{-1} from numpy's LAPACK
-(``np.linalg.inv``), and the permuted factors from its QR
-(``np.linalg.qr``); at these sizes neither starts a BLAS worker.  Nothing
+(``np.linalg.inv``), and ``linalg.permuted_factor`` takes the permuted
+factors from its QR; at these sizes neither starts a BLAS worker.  Nothing
 here calls scipy's LAPACK: scipy bundles a second OpenBLAS whose worker
 thread busy-waits after each call and takes a core from the pool.
 """
@@ -80,7 +80,7 @@ from .errors import (
     InvalidConfigError,
     QuadratureDimensionError,
 )
-from .linalg import back_substitute, validate_upper_triangular
+from .linalg import back_substitute, permuted_factor, validate_upper_triangular
 from .model import validate_sigma
 from .rng import RngStream, standard_normal
 
@@ -192,16 +192,6 @@ def _mc_probability(r, lo, hi, floor, samples, stream):
     return McEstimate(p, math.sqrt(max(var, 0.0) / samples), samples, stream.label())
 
 
-def _permuted_factor(r, perm):
-    """Positive-diagonal R' of R[:, perm] = Q R'.  R' t' = Q^T R t with
-    t' = t[perm], so t' ~ N(0, (R'^T R')^{-1}): the permuted
-    problem has the same law.  numpy's QR, not ``qr_positive``, whose rank
-    tolerance would refuse factors that ``validate_upper_triangular``
-    accepts."""
-    rp = np.triu(np.linalg.qr(r[:, perm], mode="r"))
-    return np.where(np.diag(rp) < 0.0, -1.0, 1.0)[:, None] * rp
-
-
 def _standardized(lo, hi, shift, sd):
     """(lo - shift) / sd and (hi - shift) / sd.  An overflow gives an infinite
     quotient, exact for ndtr and the clips.  errstate is per thread, so set
@@ -252,7 +242,7 @@ def _prioritized(r, lo, hi, floor):
         # mass is 0 in floating point far out in a tail, beyond Phi's range.
         means[k] = (1.0 - a[j]) * phi_gap / mass[j] if mass[j] > 0.0 else 0.0
     perm = np.array(order[::-1])
-    return perm, _permuted_factor(r, perm), lo[perm], hi[perm], floor[perm]
+    return perm, permuted_factor(r, perm), lo[perm], hi[perm], floor[perm]
 
 
 def _qmc_probability(r, lo, hi, floor, samples, stream):
@@ -372,7 +362,7 @@ def box_probability(r, sigma, intervals, cfg: IntegratorConfig,
                           IntegratorMethod.QUADRATURE else stream.label())
     if full.any():
         keep = np.flatnonzero(~full)
-        r = _permuted_factor(r, np.concatenate((np.flatnonzero(full), keep)))
+        r = permuted_factor(r, np.concatenate((np.flatnonzero(full), keep)))
         r = r[-keep.size:, -keep.size:]
         lo, hi, floor = lo[keep], hi[keep], floor[keep]
     if cfg.method is IntegratorMethod.QUADRATURE:

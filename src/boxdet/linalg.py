@@ -78,13 +78,24 @@ def qr_positive(a):
             f"matrix is rank deficient at tolerance {rank_tol:g} (|r_ii| min "
             f"{np.min(np.abs(diag)):.3e}, max {scale:.3e})"
         )
-    flip = np.where(diag < 0.0, -1.0, 1.0)
-    r = flip[:, None] * r
-    q1 = q1 * flip[None, :]
-    # The factorization leaves exact zeros below the diagonal only by
-    # construction; enforce it so downstream triangular code can rely on it.
-    r = np.triu(r)
-    return q1, r
+    flip, r = _positive_rows(r)
+    return q1 * flip[None, :], r
+
+
+def permuted_factor(r, perm) -> np.ndarray:
+    """Positive-diagonal R' of R[:, perm] = Q R'.  R' t' = Q^T R t with
+    t' = t[perm], so t' ~ N(0, (R'^T R')^{-1}) when t ~ N(0, (R^T R)^{-1}):
+    the permuted problem has the same law.  No rank tolerance, unlike
+    :func:`qr_positive`: it would refuse factors that
+    :func:`validate_upper_triangular` accepts."""
+    return _positive_rows(np.linalg.qr(r[:, perm], mode="r"))[1]
+
+
+def _positive_rows(r):
+    """The row signs that make the QR factor r's diagonal positive, and
+    the flipped factor with the zeros below its diagonal made exact."""
+    flip = np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    return flip, np.triu(flip[:, None] * r)
 
 
 def back_substitute(r, b) -> np.ndarray:

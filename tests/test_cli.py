@@ -2,6 +2,8 @@ import hashlib
 import itertools
 import json
 import os
+import re
+import tempfile
 import time
 from pathlib import Path
 
@@ -79,6 +81,13 @@ class TestFileParsing:
         path = tmp_path / "ragged.txt"
         path.write_text("1 2\n3\n")
         with pytest.raises(InputError, match="line 2"):
+            read_matrix(str(path))
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_value_is_named(self, tmp_path, token):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"1 2\n3 {token}\n")
+        with pytest.raises(InputError, match=re.escape(f"{path} line 2: non-finite")):
             read_matrix(str(path))
 
     def test_parse_box(self):
@@ -248,6 +257,39 @@ def test_spaced_box_may_start_with_a_minus_sign(ex1, y_zero, capsys, command):
     glued = capsys.readouterr().out
     assert main([command, *head, "--box", "-1..1,0..2"]) == 0
     assert capsys.readouterr().out == glued
+
+
+@pytest.mark.parametrize("command", ["detect", "exact-sp", "mc-sp"])
+def test_non_finite_matrix_value_exits_2_naming_file_and_line(tmp_path, y_zero, capsys,
+                                                              command):
+    a = tmp_path / "a.txt"
+    a.write_text("2 -1\nnan 1\n")
+    head = {"detect": [str(a), y_zero], "exact-sp": [str(a), "--sigma", "0.7"],
+            "mc-sp": [str(a), "--sigma", "0.7", "--method", "quad"]}[command]
+    assert main([command, *head, "--box", "0..3"]) == 2
+    captured = capsys.readouterr()
+    assert f"{a} line 2: non-finite value" in captured.err
+    assert captured.out == ""
+
+
+def test_infinite_observation_exits_2_naming_file_and_line(ex1, tmp_path, capsys):
+    # Refused as read, before q1.T @ y could warn.
+    y = tmp_path / "y.txt"
+    y.write_text("0\ninf\n")
+    assert main(["detect", ex1, str(y), "--box", "0..3"]) == 2
+    captured = capsys.readouterr()
+    assert f"{y} line 2: non-finite value" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["detect", "exact-sp", "mc-sp"])
+def test_problem_arguments_share_their_help(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main([command, "-h"])
+    assert info.value.code == 0
+    usage = capsys.readouterr().out
+    assert "model matrix file (text rows)" in usage
+    assert "integer box, e.g. 0..3" in usage
 
 
 class TestMcSp:
@@ -533,6 +575,29 @@ class TestExperimentCommand:
             os.umask(previous)
         for path in (out, svg):
             assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+
+    @pytest.mark.parametrize("flag", ["--out", "--svg"])
+    def test_directory_refusing_files_exits_2_before_sweep(self, tmp_path, capsys,
+                                                           monkeypatch, no_sweep, flag):
+        locked = tmp_path / "locked"
+        locked.mkdir()
+        real = tempfile.mkstemp
+
+        def mkstemp(*args, dir=None, **kwargs):
+            if dir == str(locked):
+                raise PermissionError(13, "Permission denied")
+            return real(*args, dir=dir, **kwargs)
+
+        monkeypatch.setattr(tempfile, "mkstemp", mkstemp)
+        paths = {"--out": str(tmp_path / "x.csv"), "--svg": str(tmp_path / "x.svg")}
+        paths[flag] = str(locked / "x.out")
+        argv = ["experiment", "--config", _config_file(tmp_path)]
+        for name, path in paths.items():
+            argv += [name, path]
+        assert main(argv) == 2
+        assert f"cannot write {paths[flag]}: Permission denied" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "locked"]
+        assert list(locked.iterdir()) == []
 
     def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
         def refuse(src, dst):

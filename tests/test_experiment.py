@@ -5,9 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from boxdet import _parallel
+from boxdet import _parallel, experiment
 from boxdet.detectors import babai_success_batch, rounding_success_batch
-from boxdet.errors import InvalidConfigError
+from boxdet.errors import InvalidConfigError, RankDeficientError
 from boxdet.experiment import (
     DEFAULT_EXPERIMENT_INTEGRATOR,
     ExperimentConfig,
@@ -50,6 +50,10 @@ class TestConfig:
         for bad in ((0.0, 0.5), (0.2, math.inf), (math.nan,), (-math.inf, 0.2)):
             with pytest.raises(InvalidConfigError):
                 _config(sigma_grid=bad)
+
+    def test_n_positive(self):
+        with pytest.raises(InvalidConfigError, match="n must be at least 1"):
+            _config(n=0)
 
     def test_counts_positive(self):
         with pytest.raises(InvalidConfigError):
@@ -175,6 +179,46 @@ class TestCountSuccesses:
             se = math.sqrt(expected * (1 - expected) / trials)
             assert abs(rate - expected) <= 30 * se / 10  # 3 standard errors
             assert br == bb  # detectors coincide for diagonal R
+
+    def test_other_value_error_passes_through(self, monkeypatch):
+        # Only a non-finite observation reads as a sigma overflow.
+        def refuse(*args):
+            raise ValueError("not an overflow")
+
+        monkeypatch.setattr(experiment, "rounding_success_batch", refuse)
+        with pytest.raises(ValueError, match="not an overflow") as info:
+            _counts(np.eye(3), 0.3, RngStream(4), 100)
+        assert type(info.value) is ValueError
+
+
+class TestDrawFullRankMatrix:
+    @staticmethod
+    def _singular_draws(monkeypatch, singular):
+        """Patch the matrix draw so that its first ``singular`` calls return
+        a rank-deficient matrix; return the list of the streams drawn."""
+        real, streams = experiment._rng.standard_normal, []
+
+        def draw(stream, shape):
+            streams.append(stream)
+            return np.ones(shape) if len(streams) <= singular else real(stream, shape)
+
+        monkeypatch.setattr(experiment._rng, "standard_normal", draw)
+        return streams
+
+    def test_redraws_after_a_rank_deficient_draw(self, monkeypatch):
+        stream = RngStream(5)
+        second = experiment._rng.standard_normal(stream.child(1), (3, 3))
+        streams = self._singular_draws(monkeypatch, 1)
+        a, q1, r = experiment._draw_full_rank_matrix(3, stream)
+        assert streams == [stream.child(0), stream.child(1)]
+        np.testing.assert_array_equal(a, second)
+        np.testing.assert_allclose(q1 @ r, a, atol=1e-12)
+
+    def test_refuses_after_64_attempts(self, monkeypatch):
+        streams = self._singular_draws(monkeypatch, 64)
+        with pytest.raises(RankDeficientError, match="64 attempts"):
+            experiment._draw_full_rank_matrix(3, RngStream(5))
+        assert len(streams) == 64
 
 
 class TestRunExperiment:

@@ -61,6 +61,11 @@ class TestIntervals:
         with pytest.raises(DimensionMismatchError):
             box_probability(np.eye(2), 1.0, (FINITE,), QUAD)
 
+    @pytest.mark.parametrize("empty", [Interval(0.5, 0.5), Interval(1.0, -1.0)])
+    def test_empty_interval_rejected(self, empty):
+        with pytest.raises(ValueError, match="lo < hi"):
+            box_probability(np.eye(2), 1.0, (FINITE, empty), QUAD)
+
 
 class TestConfig:
     def test_stochastic_needs_samples(self):

@@ -3,7 +3,12 @@ import pytest
 import scipy.linalg
 
 from boxdet.errors import DimensionMismatchError, RankDeficientError
-from boxdet.linalg import back_substitute, qr_positive, validate_upper_triangular
+from boxdet.linalg import (
+    back_substitute,
+    permuted_factor,
+    qr_positive,
+    validate_upper_triangular,
+)
 
 EX1 = np.array([[2.0, -1.0], [0.0, 1.0]])
 
@@ -66,6 +71,26 @@ class TestQrPositive:
             qr_positive(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+class TestPermutedFactor:
+    def test_is_qr_positive_of_the_permuted_columns(self):
+        # One sign rule: on a full-rank factor both functions give the same bits.
+        rng = np.random.default_rng(3)
+        for n in range(1, 7):
+            _, r = qr_positive(rng.standard_normal((n, n)))
+            perm = rng.permutation(n)
+            rp = permuted_factor(r, perm)
+            np.testing.assert_array_equal(rp, qr_positive(r[:, perm])[1])
+            validate_upper_triangular(rp)
+
+    def test_keeps_no_rank_tolerance(self):
+        r = np.diag([1.0, 1e-14])
+        with pytest.raises(RankDeficientError):
+            qr_positive(r)
+        rp = permuted_factor(r, [1, 0])
+        validate_upper_triangular(rp)
+        np.testing.assert_allclose(rp.T @ rp, np.diag([1e-28, 1.0]), rtol=1e-12)
+
+
 class TestBackSubstitute:
     def test_identity(self):
         np.testing.assert_array_equal(back_substitute(np.eye(2), [3.0, 4.0]), [3.0, 4.0])
@@ -87,6 +112,11 @@ class TestBackSubstitute:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             back_substitute(np.eye(2), [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(DimensionMismatchError, match="square"):
+            back_substitute(np.ones(shape), [1.0, 2.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_right_hand_side(self, bad):
@@ -133,6 +163,11 @@ class TestBackSubstitute:
 class TestValidateUpperTriangular:
     def test_accepts_valid(self):
         validate_upper_triangular(EX1)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (3,)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(DimensionMismatchError, match="square"):
+            validate_upper_triangular(np.ones(shape))
 
     def test_rejects_subdiagonal_entries(self):
         with pytest.raises(ValueError):

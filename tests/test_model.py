@@ -34,6 +34,10 @@ class TestBoxConstraint:
         with pytest.raises(DimensionMismatchError):
             BoxConstraint([0, 0], [1])
 
+    def test_empty_box_rejected(self):
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            BoxConstraint([], [])
+
     def test_bounds_exact_in_float64_accepted(self):
         box = BoxConstraint([-MAX_BOUND, 0], [MAX_BOUND, 0])
         assert box.widths.tolist() == [2 * MAX_BOUND, 0]
@@ -90,6 +94,11 @@ class TestClassify:
     def test_out_of_box(self):
         with pytest.raises(OutOfBoxError):
             classify([4, 0], BoxConstraint([0, 0], [3, 3]))
+
+    @pytest.mark.parametrize("xhat", [[0], [0, 0, 0]])
+    def test_wrong_length_rejected(self, xhat):
+        with pytest.raises(DimensionMismatchError, match="does not match box dimension 2"):
+            classify(xhat, BoxConstraint([0, 0], [3, 3]))
 
     def test_total_on_box(self):
         box = BoxConstraint([0, 0], [3, 2])
