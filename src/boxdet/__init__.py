@@ -2,10 +2,9 @@
 Monte Carlo success probabilities, and a reproducible simulation harness.
 """
 
-from .detectors import bils_brute_force, box_babai, box_rounding
+from .detectors import box_babai, box_rounding
 from .errors import (
     BoxdetError,
-    BoxTooLargeError,
     DimensionMismatchError,
     InvalidConfigError,
     OutOfBoxError,

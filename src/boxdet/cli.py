@@ -5,8 +5,7 @@ prints the closed-form success probabilities, ``mc-sp`` the integral
 ones, and ``experiment`` runs a configured sweep and writes CSV plus an
 optional SVG chart.
 
-Exit codes: 0 success, 2 usage/input error, 3 resource guard tripped
-(brute-force box too large).
+Exit codes: 0 success, 2 usage/input error.
 
 Matrix and vector files are plain text, one row per line,
 whitespace-separated finite decimals.
@@ -22,8 +21,8 @@ import numpy as np
 
 from ._parallel import worker_count
 from .chart import render_chart
-from .detectors import bils_brute_force, box_babai, box_rounding
-from .errors import BoxdetError, BoxTooLargeError
+from .detectors import box_babai, box_rounding
+from .errors import BoxdetError
 from .experiment import ExperimentConfig, run_experiment
 from .gaussbox import IntegratorConfig, IntegratorMethod
 from .linalg import qr_positive
@@ -113,8 +112,7 @@ def _pattern(args, box):
 
 # --mode: the (label, detector) of each printed line
 _DETECTORS = {"rounding": [("", box_rounding)], "babai": [("", box_babai)],
-              "both": [("BR: ", box_rounding), ("BB: ", box_babai)],
-              "bils": [("", bils_brute_force)]}
+              "both": [("BR: ", box_rounding), ("BB: ", box_babai)]}
 
 
 def cmd_detect(args) -> int:
@@ -272,9 +270,6 @@ def main(argv=None) -> int:
     try:
         worker_count()  # refuse a malformed BOXDET_THREADS whether or not a pool starts
         return args.func(args)
-    except BoxTooLargeError as exc:
-        print(f"boxdet: {exc}", file=sys.stderr)
-        return 3
     except (BoxdetError, ValueError, OSError) as exc:
         print(f"boxdet: {exc}", file=sys.stderr)
         return 2

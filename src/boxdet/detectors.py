@@ -1,4 +1,4 @@
-"""Suboptimal detectors for the reduced model, plus a brute-force search.
+"""The box-constrained rounding and Babai detectors for the reduced model.
 
 Each detector has one implementation, a batch kernel over many
 observations that share one R and one box, returning the detected x:
@@ -8,10 +8,10 @@ observations that share one R and one box, returning the detected x:
 * ``babai_batch``: back-substitution from the last coordinate with
   per-coordinate rounding (and clamping) before moving on.
 
-The single-instance functions ``box_rounding``, ``box_babai`` and
-``bils_brute_force`` take one reduced observation (R, ytilde) and a box,
-validate them, and run a kernel on a batch of one.  The kernels with
-bounds of +-inf are the ordinary (unclamped) detectors.
+The single-instance functions ``box_rounding`` and ``box_babai`` take one
+reduced observation (R, ytilde) and a box, validate them, and run a kernel
+on a batch of one.  The kernels with bounds of +-inf are the ordinary
+(unclamped) detectors.
 
 Rounding uses the smaller-magnitude tie rule: exact half-integers round
 toward zero.  Round-then-clamp is literally equivalent to the three-way
@@ -19,17 +19,11 @@ case split (stay, clamp low, clamp high) under that tie rule; the tests
 assert the equivalence explicitly.
 """
 
-import math
-
 import numpy as np
 
-from .errors import BoxTooLargeError, DimensionMismatchError
+from .errors import DimensionMismatchError
 from .linalg import as_vector, back_substitute, validate_upper_triangular
 from .model import BoxConstraint
-
-BRUTE_FORCE_MAX_POINTS = 10 ** 6
-# Box points scored per array pass of the brute-force search.
-_SEARCH_CHUNK = 2 ** 16
 
 
 def _round_and_clamp(t: np.ndarray, lower, upper) -> np.ndarray:
@@ -63,31 +57,6 @@ def babai_batch(r, ytilde_batch, lower, upper) -> np.ndarray:
         ci = (y[i] - np.einsum("j,jk->k", r[i, i + 1:], x[i + 1:])) / r[i, i]
         x[i] = _round_and_clamp(ci, lower[i], upper[i])
     return x.T
-
-
-def _search_batch(r, ytilde_batch, lower, upper) -> np.ndarray:
-    """Exhaustive minimizer of ||ytilde - R x||^2 over the box, for a
-    (1, n) batch.
-
-    Box points are scored in lexicographic order, a chunk at a time, and
-    only a strictly smaller cost replaces the best so far, so ties go to the
-    lexicographically smallest x.
-    """
-    shape = tuple(int(w) + 1 for w in upper - lower)
-    total = math.prod(shape)
-    if total > BRUTE_FORCE_MAX_POINTS:
-        raise BoxTooLargeError(
-            f"box has {total} points, brute force capped at {BRUTE_FORCE_MAX_POINTS}"
-        )
-    best_cost, best_x = np.inf, None
-    for start in range(0, total, _SEARCH_CHUNK):
-        flat = np.arange(start, min(start + _SEARCH_CHUNK, total))
-        x = lower[:, None] + np.array(np.unravel_index(flat, shape))  # (n, chunk)
-        cost = np.sum((ytilde_batch.T - r @ x) ** 2, axis=0)
-        k = np.argmin(cost)
-        if cost[k] < best_cost:
-            best_cost, best_x = cost[k], x[:, k]
-    return best_x[None, :]
 
 
 # The kernels return transposed views of (n, count) arrays.  Comparing in
@@ -129,13 +98,3 @@ def box_rounding(r, ytilde, box: BoxConstraint) -> np.ndarray:
 def box_babai(r, ytilde, box: BoxConstraint) -> np.ndarray:
     """Babai detector with each coordinate clamped into the box."""
     return _detect_one(babai_batch, r, ytilde, box)
-
-
-def bils_brute_force(r, ytilde, box: BoxConstraint) -> np.ndarray:
-    """Box-constrained integer least squares by exhaustive search: the
-    minimizer of ||ytilde - R x||^2 over the box (``detect --mode bils``).
-
-    Ties are broken toward the lexicographically smallest vector.  Guarded
-    by :data:`BRUTE_FORCE_MAX_POINTS`.
-    """
-    return _detect_one(_search_batch, r, ytilde, box)

@@ -17,10 +17,6 @@ class OutOfBoxError(BoxdetError, ValueError):
     """An integer vector violates its box constraint."""
 
 
-class BoxTooLargeError(BoxdetError, ValueError):
-    """Brute-force enumeration guard tripped."""
-
-
 class QuadratureDimensionError(BoxdetError, ValueError):
     """Tensor quadrature requested above its dimension cap."""
 

@@ -37,7 +37,7 @@ from . import rng as _rng
 from ._parallel import ordered_map
 from .detectors import babai_success_batch, rounding_success_batch
 from .errors import InvalidConfigError, RankDeficientError
-from .gaussbox import IntegratorConfig, IntegratorMethod, McEstimate
+from .gaussbox import QUADRATURE_MAX_DIM, IntegratorConfig, IntegratorMethod, McEstimate
 from .linalg import qr_positive
 from .model import BoxConstraint, sample_noise, sample_uniform_x
 from .success import p_bb_uniform, p_br_uniform
@@ -101,6 +101,12 @@ class ExperimentConfig:
             raise InvalidConfigError("counts must be at least 1")
         if self.seed < 0:
             raise InvalidConfigError(f"seed must be a non-negative integer, got {self.seed}")
+        # Width-0 coordinates are integrated out, so only the others count.
+        wide = int(np.count_nonzero(self.box.widths))
+        if (self.compute_exact_br and self.integrator.method is IntegratorMethod.QUADRATURE
+                and wide > QUADRATURE_MAX_DIM):
+            raise InvalidConfigError(f"quadrature supports dimension <= {QUADRATURE_MAX_DIM}, "
+                                     f"got {wide} coordinates of width >= 1")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":

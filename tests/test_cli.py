@@ -114,9 +114,14 @@ class TestDetect:
             assert main(["detect", ex1, y_zero, "--box", "0..3", "--mode", mode]) == 0
             assert capsys.readouterr().out.strip() == "0 0"
 
-    def test_bils_mode(self, ex1, y_zero, capsys):
-        assert main(["detect", ex1, y_zero, "--box", "0..3", "--mode", "bils"]) == 0
-        assert capsys.readouterr().out.strip() == "0 0"
+    def test_removed_bils_mode_is_an_invalid_choice(self, ex1, y_zero, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["detect", ex1, y_zero, "--box", "0..3", "--mode", "bils"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bils'" in err
+        choices = err[err.index("choose from"):]
+        assert all(mode in choices for mode in ("rounding", "babai", "both"))
 
     def test_clamping_instance(self, ex1, tmp_path, capsys):
         # ytilde = (-1.2, -0.4) with Q1 = I: rounding clamps to the box,
@@ -166,14 +171,6 @@ class TestDetect:
 
     def test_missing_file_exits_2(self, y_zero):
         assert main(["detect", "/nonexistent.txt", y_zero, "--box", "0..3"]) == 2
-
-    def test_bils_guard_exits_3(self, tmp_path, capsys):
-        a = tmp_path / "a3.txt"
-        a.write_text("1 0 0\n0 1 0\n0 0 1\n")
-        y = tmp_path / "y3.txt"
-        y.write_text("0\n0\n0\n")
-        code = main(["detect", str(a), str(y), "--box", "0..100", "--mode", "bils"])
-        assert code == 3
 
 
 class TestExactSp:
@@ -510,6 +507,28 @@ class TestExperimentCommand:
         assert main(["experiment", "--config", cfg, "--out",
                      str(tmp_path / "x.csv")]) == 2
         assert "quad_points must be between 2 and 128" in capsys.readouterr().err
+
+    def test_quadrature_above_its_cap_exits_2_before_trials(self, tmp_path, capsys,
+                                                             monkeypatch):
+        def never(*args):
+            raise AssertionError("trials ran before the quadrature cap was checked")
+
+        monkeypatch.setattr("boxdet.experiment._count_successes", never)
+        cfg = _config_file(tmp_path, n=5, integrator={"method": "quad"})
+        assert main(["experiment", "--config", cfg, "--out",
+                     str(tmp_path / "x.csv")]) == 2
+        assert "quadrature supports dimension <= 4, got 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides", [
+        {"box": {"lower": [0, 0, 0, 0, 2], "upper": [3, 3, 3, 3, 2]}},
+        {"compute_exact_br": False},
+    ], ids=["singleton-coordinate", "no-theory-curve"])
+    def test_quadrature_cap_counts_only_integrated_coordinates(self, tmp_path, overrides):
+        cfg = _config_file(tmp_path, n=5, integrator={"method": "quad", "quad_points": 8},
+                           **overrides)
+        out = tmp_path / "x.csv"
+        assert main(["experiment", "--config", cfg, "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 3
 
     @pytest.fixture
     def no_sweep(self, monkeypatch):

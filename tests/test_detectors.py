@@ -1,19 +1,15 @@
-import itertools
-
 import numpy as np
 import pytest
 
 from boxdet.detectors import (
-    _SEARCH_CHUNK,
     babai_batch,
     babai_success_batch,
-    bils_brute_force,
     box_babai,
     box_rounding,
     rounding_batch,
     rounding_success_batch,
 )
-from boxdet.errors import BoxTooLargeError, DimensionMismatchError
+from boxdet.errors import DimensionMismatchError
 from boxdet.linalg import back_substitute
 from boxdet.model import BoxConstraint
 
@@ -142,55 +138,6 @@ class TestOrdinaryDetectors:
             np.testing.assert_array_equal(
                 _unclamped(babai_batch, r, ytilde), box_babai(r, ytilde, wide)
             )
-
-
-class TestBruteForce:
-    def test_noiseless_optimum(self):
-        xhat = np.array([1, 3])
-        np.testing.assert_array_equal(bils_brute_force(EX1, EX1 @ xhat, BOX03), xhat)
-
-    def test_scalar_nearest_point(self):
-        assert bils_brute_force([[1.0]], [1.4], BoxConstraint([0], [3]))[0] == 1
-
-    def test_tie_breaks_lexicographically_smallest(self):
-        # 0 and 1 are equidistant
-        assert bils_brute_force([[1.0]], [0.5], BoxConstraint([0], [3]))[0] == 0
-
-    def test_matches_exhaustive_loop(self):
-        # Dyadic R and ytilde make every cost exact, so exact ties are common;
-        # min() keeps the first minimum of the lexicographic enumeration.
-        rng = np.random.default_rng(13)
-        for _ in range(100):
-            n = int(rng.integers(1, 5))
-            r = np.triu(rng.integers(-2, 3, (n, n)) / 2.0)
-            r[np.diag_indices(n)] = 2.0 ** rng.integers(-1, 2, n)
-            lower = rng.integers(-2, 1, n)
-            box = BoxConstraint(lower, lower + rng.integers(0, 4, n))
-            ytilde = rng.integers(-8, 9, n) / 4.0
-            points = itertools.product(*(range(lo, hi + 1) for lo, hi in zip(box.lower, box.upper)))
-            expected = min(points, key=lambda x: np.sum((ytilde - r @ x) ** 2))
-            np.testing.assert_array_equal(bils_brute_force(r, ytilde, box), expected)
-
-    def test_tie_across_chunks(self):
-        # The two nearest points are the last of one chunk and the first of the next.
-        box = BoxConstraint([0], [3 * _SEARCH_CHUNK])
-        ytilde = [_SEARCH_CHUNK - 0.5]
-        assert bils_brute_force([[1.0]], ytilde, box)[0] == _SEARCH_CHUNK - 1
-
-    def test_optimality_dominates_detectors(self):
-        rng = np.random.default_rng(5)
-        for _ in range(40):
-            n = int(rng.integers(1, 5))
-            r, box = _random_instance(rng, n, lo=0, hi=3)
-            ytilde = rng.standard_normal(n) * 2
-            best = bils_brute_force(r, ytilde, box)
-            cost = lambda x: np.sum((ytilde - r @ x) ** 2)
-            assert cost(best) <= cost(box_babai(r, ytilde, box)) + 1e-12
-            assert cost(best) <= cost(box_rounding(r, ytilde, box)) + 1e-12
-
-    def test_box_guard(self):
-        with pytest.raises(BoxTooLargeError):
-            bils_brute_force(np.eye(3), np.zeros(3), BoxConstraint([0, 0, 0], [100, 100, 100]))
 
 
 class TestDetectorProperties:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from boxdet.detectors import bils_brute_force, box_babai, box_rounding
+from boxdet.detectors import box_babai, box_rounding
 from boxdet.errors import DimensionMismatchError, OutOfBoxError
 from boxdet.model import (
     MAX_BOUND,
@@ -145,7 +145,7 @@ class TestPatternParsing:
 class TestModels:
     """The detectors check the reduced model (R, ytilde) they are given."""
 
-    DETECTORS = (box_rounding, box_babai, bils_brute_force)
+    DETECTORS = (box_rounding, box_babai)
     BOX = BoxConstraint.cube(0, 3, 2)
 
     def test_reduced_model_validates(self):

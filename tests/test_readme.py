@@ -1,9 +1,13 @@
-"""The README's library example runs and prints what its comments say."""
+"""The README's library example runs and prints what its comments say, and
+its CLI examples parse."""
 
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
+
+from boxdet import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -19,3 +23,16 @@ def test_library_example_runs():
     assert lines[0] == "[0 0]"
     assert abs(float(lines[1]) - 0.5818) <= 5e-4  # criterion 1's closed form
     assert "stderr=0.0" in lines[2]
+
+
+def test_cli_examples_parse():
+    # Parsed, not run: the example files do not exist.
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## CLI"):]
+    block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1)
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()
+                if line.startswith("boxdet ")]
+    assert commands
+    parser = cli.build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv[1:]).command == argv[1]
