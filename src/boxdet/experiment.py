@@ -5,12 +5,13 @@ normal entries; run ``trials_per_matrix`` detection trials per matrix
 (uniform true vector, Gaussian noise, both clamped detectors) at every
 noise level in the grid, and pool the success counts into empirical rates
 with binomial standard errors.  The noise levels share their draws: a
-trial draws x and a unit normal z once, and at each sigma observes
-A x + sigma z.  Each row's rate and stderr are those of independent
-trials, but adjacent rows are positively correlated.  The closed-form
-Babai probability is averaged over the matrices for the theoretical
-curve; the rounding-detector curve is optionally estimated the same way
-by ``p_br_uniform``.
+trial draws x and a unit normal z once, observes A x + sigma z at each
+sigma, and is decided at every sigma by one noise solve
+(``detectors.failure_scales``).  Each row's rate and stderr are those of
+independent trials, but adjacent rows are positively correlated.  The
+closed-form Babai probability is averaged over the matrices for the
+theoretical curve; the rounding-detector curve is optionally estimated
+the same way by ``p_br_uniform``.
 
 Pooling note: with equal trial counts per matrix, the pooled empirical
 rate coincides with the average of per-matrix rates; the pooled binomial
@@ -35,7 +36,8 @@ import numpy as np
 
 from . import rng as _rng
 from ._parallel import ordered_map
-from .detectors import babai_success_batch, rounding_success_batch
+# The success_batch kernels are unused here, but perfbench/spans.py wraps them by name.
+from .detectors import babai_success_batch, failure_scales, rounding_success_batch  # noqa: F401
 from .errors import InvalidConfigError, RankDeficientError
 from .gaussbox import QUADRATURE_MAX_DIM, IntegratorConfig, IntegratorMethod, McEstimate
 from .linalg import qr_positive
@@ -43,13 +45,9 @@ from .model import BoxConstraint, sample_noise, sample_uniform_x
 from .success import p_bb_uniform, p_br_uniform
 
 _TRIAL_BLOCK = 4096
-# Trial blocks per batch of draws, and so per detector call.  At n = 8 a
-# batch's x, z, x A^T and ytilde are 512 KB arrays each.  On 2 cores the
-# 8-sigma, 10-matrix, 32768-trial sweep took 0.52-0.64 s with 2 blocks
-# against 0.60-0.77 s with 1 and 0.68-0.80 s with 4 (eight runs each),
-# at a peak RSS of 109 MB against 105 MB and 115-118 MB.  Projecting a
-# whole matrix's trials at once let OpenBLAS thread the matmul and was
-# 1.6x slower.
+# Trial blocks per batch.  On 2 cores the n = 8, 8-sigma, 10 x 32768-trial
+# sweep took 0.12-0.16 s (peak RSS 108 MB) with 2, 0.13-0.23 s (105-107) with
+# 1, 0.19-0.28 s (119-120) with 4 and 0.21-0.31 s (131-135) with 8; 16 runs each.
 _BATCH_BLOCKS = 2
 
 DEFAULT_EXPERIMENT_INTEGRATOR = IntegratorConfig(
@@ -177,45 +175,33 @@ def _draw_full_rank_matrix(n: int, stream: _rng.RngStream):
     raise RankDeficientError("could not draw a full-rank matrix in 64 attempts")
 
 
-def _count_successes(a, q1, r, box, sigma_grid, stream, trials):
+def _count_successes(q1, r, box, sigma_grid, stream, trials):
     """(rounding, Babai) success counts of ``trials`` trials on one matrix,
     one pair per sigma of ``sigma_grid``.
 
     Trial block ``k`` (``_TRIAL_BLOCK`` trials) draws x from
     ``stream.child(k).child(0)`` and a unit normal z from
-    ``stream.child(k).child(1)``; at every sigma the block observes
-    ytilde = (x A^T + sigma z) Q1.  sigma z is ``sample_noise(sigma, ...)``'s
-    draw on that stream, so each row keeps its law.  The blocks of a batch
-    are written into one pair of (batch, n) arrays, and at each sigma each
-    detector scans the batch once.  A sigma whose observations overflow
-    float64 raises ``InvalidConfigError``.
+    ``stream.child(k).child(1)``; at each sigma it observes
+    (x A^T + sigma z) Q1 = x R^T + sigma v with v = z Q1.  A batch of blocks
+    forms v once, and a sigma's successes are the trials whose
+    ``failure_scales`` are at most 1/(2 sigma).  A sigma at which sigma v
+    overflows raises ``InvalidConfigError``.
     """
-    n = a.shape[0]
-    batch_trials = _BATCH_BLOCKS * _TRIAL_BLOCK
-    hits = [[0, 0] for _ in sigma_grid]
-    for first in range(0, trials, batch_trials):
-        size = min(batch_trials, trials - first)
-        x = np.empty((size, n), dtype=np.int64)
-        z = np.empty((size, n))
-        for start in range(0, size, _TRIAL_BLOCK):
-            rows = slice(start, min(start + _TRIAL_BLOCK, size))
-            count = rows.stop - start
-            sub = stream.child((first + start) // _TRIAL_BLOCK)
-            x[rows] = sample_uniform_x(box, sub.child(0), count=count)
-            z[rows] = sample_noise(1.0, n, sub.child(1), count=count)
-        signal = x @ a.T
+    n = r.shape[0]
+    hits = np.zeros((len(sigma_grid), 2), dtype=np.int64)
+    for first in range(0, trials, _BATCH_BLOCKS * _TRIAL_BLOCK):
+        starts = range(first, min(first + _BATCH_BLOCKS * _TRIAL_BLOCK, trials), _TRIAL_BLOCK)
+        blocks = [(stream.child(s // _TRIAL_BLOCK), min(_TRIAL_BLOCK, trials - s)) for s in starts]
+        x = np.concatenate([sample_uniform_x(box, sub.child(0), count=c) for sub, c in blocks])
+        v = np.concatenate([sample_noise(1.0, n, sub.child(1), count=c) for sub, c in blocks]) @ q1
+        k_br, k_bb = failure_scales(r, v, x, box.lower, box.upper)
+        v_max = float(np.max(np.abs(v)))
         for cell, sigma in zip(hits, sigma_grid):
-            with np.errstate(over="ignore", invalid="ignore"):  # refused below
-                ytilde = (signal + sigma * z) @ q1
-            try:  # back_substitute refuses a non-finite ytilde
-                cell[0] += int(rounding_success_batch(r, ytilde, x, box.lower, box.upper).sum())
-            except ValueError:
-                if np.all(np.isfinite(ytilde)):
-                    raise
+            if not math.isfinite(sigma * v_max):  # Python floats overflow without a warning
                 raise InvalidConfigError(
-                    f"sigma {sigma:g}: the simulated observations overflow float64") from None
-            cell[1] += int(babai_success_batch(r, ytilde, x, box.lower, box.upper).sum())
-    return [tuple(cell) for cell in hits]
+                    f"sigma {sigma:g}: the simulated observations overflow float64")
+            cell += [np.count_nonzero(k <= 0.5 / sigma) for k in (k_br, k_bb)]
+    return [tuple(map(int, cell)) for cell in hits]
 
 
 def run_experiment(cfg: ExperimentConfig) -> list:
@@ -230,8 +216,8 @@ def run_experiment(cfg: ExperimentConfig) -> list:
 
     def column(m):
         """Matrix m's (theo_bb, theo_br, br_hits, bb_hits) at every sigma."""
-        a, q1, r = _draw_full_rank_matrix(cfg.n, root.child(0, m))
-        counts = _count_successes(a, q1, r, cfg.box, cfg.sigma_grid,
+        _, q1, r = _draw_full_rank_matrix(cfg.n, root.child(0, m))
+        counts = _count_successes(q1, r, cfg.box, cfg.sigma_grid,
                                   root.child(1, m), cfg.trials_per_matrix)
         cells = []
         for s_idx, sigma in enumerate(cfg.sigma_grid):

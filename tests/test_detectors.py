@@ -6,6 +6,7 @@ from boxdet.detectors import (
     babai_success_batch,
     box_babai,
     box_rounding,
+    failure_scales,
     rounding_batch,
     rounding_success_batch,
 )
@@ -230,3 +231,39 @@ class TestBatchAgainstSingle:
             shifted[::3, -1] += 1
             flags = success(r, ytilde, shifted, box.lower, box.upper)
             np.testing.assert_array_equal(flags, np.arange(self.COUNT) % 3 != 0)
+
+
+class TestFailureScales:
+    """sigma * k <= 1/2 is each detector's success flag, trial by trial."""
+
+    SIGMAS = (0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_flags_equal_the_detectors(self, n):
+        rng = np.random.default_rng([31, n])
+        r, _ = _random_instance(rng, n)
+        lower = rng.integers(-3, 1, n)
+        upper = lower + np.array([1, 0, 2, 1, 4, 0, 3, 2])[:n]
+        count = 3000
+        x = lower + rng.integers(0, upper - lower + 1, (count, n))
+        v = rng.standard_normal((count, n))
+        k_br, k_bb = failure_scales(r, v, x, lower, upper)
+        outcomes = set()
+        for sigma in self.SIGMAS:
+            ytilde = x @ r.T + sigma * v
+            for k, success in ((k_br, rounding_success_batch), (k_bb, babai_success_batch)):
+                flags = success(r, ytilde, x, lower, upper)
+                np.testing.assert_array_equal(sigma * k <= 0.5, flags)
+                outcomes.update(flags.tolist())
+        assert outcomes == {True, False}
+
+    def test_diagonal_r_gives_equal_scales(self):
+        rng = np.random.default_rng(5)
+        n = 6
+        r = np.diag(rng.uniform(0.3, 3.0, n))
+        lower = np.array([-2, 0, 1, -1, 0, 3])
+        upper = lower + np.array([3, 0, 1, 2, 5, 1])
+        x = lower + rng.integers(0, upper - lower + 1, (2000, n))
+        k_br, k_bb = failure_scales(r, rng.standard_normal((2000, n)), x, lower, upper)
+        np.testing.assert_array_equal(k_br, k_bb)
+        assert np.all(k_br >= 0.0)

@@ -1,11 +1,12 @@
 import math
 import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from boxdet import _parallel, experiment
+from boxdet import _parallel, detectors, experiment
 from boxdet.detectors import babai_success_batch, rounding_success_batch
 from boxdet.errors import InvalidConfigError, RankDeficientError
 from boxdet.experiment import (
@@ -151,7 +152,7 @@ class TestConfig:
 
 def _counts(a, sigma, stream, trials):
     q1, r = qr_positive(a)
-    (counts,) = _count_successes(a, q1, r, BOX3, (sigma,), stream, trials)
+    (counts,) = _count_successes(q1, r, BOX3, (sigma,), stream, trials)
     return counts
 
 
@@ -172,7 +173,7 @@ class TestCountSuccesses:
         a = np.eye(n)
         q1, r = qr_positive(a)
         box = BoxConstraint.cube(0, 3, n)
-        counts = _count_successes(a, q1, r, box, grid, RngStream(9), trials)
+        counts = _count_successes(q1, r, box, grid, RngStream(9), trials)
         for sigma, (br, bb) in zip(grid, counts):
             expected = p_bb_uniform(r, sigma, box)
             rate = bb / trials
@@ -180,15 +181,15 @@ class TestCountSuccesses:
             assert abs(rate - expected) <= 30 * se / 10  # 3 standard errors
             assert br == bb  # detectors coincide for diagonal R
 
-    def test_other_value_error_passes_through(self, monkeypatch):
-        # Only a non-finite observation reads as a sigma overflow.
-        def refuse(*args):
-            raise ValueError("not an overflow")
-
-        monkeypatch.setattr(experiment, "rounding_success_batch", refuse)
-        with pytest.raises(ValueError, match="not an overflow") as info:
-            _counts(np.eye(3), 0.3, RngStream(4), 100)
-        assert type(info.value) is ValueError
+    def test_overflow_boundary(self):
+        # sigma v stays finite at 1e300 and overflows at 1e308 for |v| > 1.8.
+        a = np.random.default_rng(2).standard_normal((3, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            counts = _counts(a, 1e300, RngStream(4), 1000)
+        assert all(0 <= hits <= 1000 for hits in counts)
+        with pytest.raises(InvalidConfigError, match="sigma 1e\\+308: .* overflow float64"):
+            _counts(a, 1e308, RngStream(4), 1000)
 
 
 class TestDrawFullRankMatrix:
@@ -255,6 +256,24 @@ class TestRunExperiment:
         assert all(row.theo_p_br is None for row in rows)
         assert all(row.emp_p_br.samples > 0 for row in rows)
 
+    def test_solves_do_not_grow_with_the_grid(self, monkeypatch):
+        # Each batch reads every sigma off one solve of its noise.
+        solves = []
+        real = detectors.back_substitute
+
+        def counting(*args):
+            solves.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(detectors, "back_substitute", counting)
+        totals = []
+        for grid in ((0.3,), tuple(0.1 * k for k in range(1, 9))):
+            solves.clear()
+            run_experiment(_config(num_matrices=1, trials_per_matrix=20000,
+                                   sigma_grid=grid, compute_exact_br=False))
+            totals.append(len(solves))
+        assert totals[0] == totals[1] > 0
+
     def test_shared_draws_make_rates_monotone_in_sigma(self):
         # A detector succeeds exactly when sigma times the trial's scaled
         # noise lies in a product of intervals containing 0.  The sigma rows
@@ -295,7 +314,7 @@ class TestBatchedCounts:
         lower = np.arange(n) % 3 - 1
         box = BoxConstraint(lower, lower + np.array([3, 1, 0, 2, 5, 1, 4, 2][:n]))
         grid, stream = (0.05, 0.3, 0.9), RngStream(trials).child(n)
-        assert (_count_successes(a, q1, r, box, grid, stream, trials)
+        assert (_count_successes(q1, r, box, grid, stream, trials)
                 == _per_block_counts(a, q1, r, box, grid, stream, trials))
 
 
