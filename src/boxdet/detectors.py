@@ -74,16 +74,16 @@ def babai_success_batch(r, ytilde_batch, xhat_batch, lower, upper) -> np.ndarray
     return np.all(x.T == xhat_batch.T, axis=0)
 
 
-def failure_scales(r, v, x, lower, upper):
-    """Per-trial (k_br, k_bb) of true vectors x and unit noises v, both
-    (count, n): on ytilde = x R^T + sigma v a detector is right iff
-    sigma k <= 1/2, ties (of measure zero) aside.  Rounding sees
-    R^{-1} ytilde = x + sigma e with e = R^{-1} v; Babai's step i, given the
-    later coordinates right, sees x_i + sigma e_i with e_i = v_i / r_ii.
-    So k is the largest over i of 0, e_i if x_i < upper_i, -e_i if x_i > lower_i.
+def failure_scales(r, v, up, down):
+    """Per-trial (k_br, k_bb) of (count, n) unit noises v on true vectors x with
+    (n, count) masks up = x < upper, down = x > lower (``model.boundary_masks``):
+    on ytilde = x R^T + sigma v a detector is right iff sigma k <= 1/2, ties (of
+    measure zero) aside.  Rounding sees R^{-1} ytilde = x + sigma e with
+    e = R^{-1} v; Babai's step i, given the later coordinates right, sees
+    x_i + sigma e_i with e_i = v_i / r_ii.  So k is the largest over i of 0,
+    e_i if up_i, -e_i if down_i.
     """
-    v, x = np.ascontiguousarray(v.T), np.ascontiguousarray(x.T)  # rows, as in back_substitute
-    up, down = x < np.reshape(upper, (-1, 1)), x > np.reshape(lower, (-1, 1))
+    v = np.ascontiguousarray(v.T)  # rows, as in back_substitute
     return tuple(np.maximum((e * up).max(axis=0), -(e * down).min(axis=0))  # a masked term is the 0
                  for e in (back_substitute(r, v), v / np.diag(r)[:, None]))
 

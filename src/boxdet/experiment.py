@@ -36,18 +36,18 @@ import numpy as np
 
 from . import rng as _rng
 from ._parallel import ordered_map
-# The success_batch kernels are unused here, but perfbench/spans.py wraps them by name.
+# The success_batch kernels and samplers are unused, but perfbench/spans.py wraps them by name.
 from .detectors import babai_success_batch, failure_scales, rounding_success_batch  # noqa: F401
 from .errors import InvalidConfigError, RankDeficientError
 from .gaussbox import QUADRATURE_MAX_DIM, IntegratorConfig, IntegratorMethod, McEstimate
 from .linalg import qr_positive
-from .model import BoxConstraint, sample_noise, sample_uniform_x
+from .model import BoxConstraint, boundary_masks, sample_noise, sample_uniform_x  # noqa: F401
 from .success import p_bb_uniform, p_br_uniform
 
 _TRIAL_BLOCK = 4096
-# Trial blocks per batch.  On 2 cores the n = 8, 8-sigma, 10 x 32768-trial
-# sweep took 0.12-0.16 s (peak RSS 108 MB) with 2, 0.13-0.23 s (105-107) with
-# 1, 0.19-0.28 s (119-120) with 4 and 0.21-0.31 s (131-135) with 8; 16 runs each.
+# Trial blocks per batch.  On 2 cores the n = 8, 8-sigma, 10 x 32768-trial sweep
+# took a median 0.098 s (peak RSS 109 MB) with 2, 0.109 s (105-107) with 1, 0.102 s
+# (114) with 3, 0.161 s (118-119) with 4 and 0.163 s (135-137) with 8; 16 runs each.
 _BATCH_BLOCKS = 2
 
 DEFAULT_EXPERIMENT_INTEGRATOR = IntegratorConfig(
@@ -171,7 +171,7 @@ def _draw_full_rank_matrix(n: int, stream: _rng.RngStream):
             q1, r = qr_positive(a)
         except RankDeficientError:
             continue
-        return a, q1, r
+        return q1, r
     raise RankDeficientError("could not draw a full-rank matrix in 64 attempts")
 
 
@@ -179,23 +179,27 @@ def _count_successes(q1, r, box, sigma_grid, stream, trials):
     """(rounding, Babai) success counts of ``trials`` trials on one matrix,
     one pair per sigma of ``sigma_grid``.
 
-    Trial block ``k`` (``_TRIAL_BLOCK`` trials) draws x from
-    ``stream.child(k).child(0)`` and a unit normal z from
-    ``stream.child(k).child(1)``; at each sigma it observes
+    Trial block ``k`` (``_TRIAL_BLOCK`` trials) draws the uniforms of x
+    (``sample_uniform_x``) from ``stream.child(k).child(0)`` and a unit
+    normal z from ``stream.child(k).child(1)``; at each sigma it observes
     (x A^T + sigma z) Q1 = x R^T + sigma v with v = z Q1.  A batch of blocks
-    forms v once, and a sigma's successes are the trials whose
-    ``failure_scales`` are at most 1/(2 sigma).  A sigma at which sigma v
-    overflows raises ``InvalidConfigError``.
+    draws both into one reused buffer, forms v once and reads x's
+    ``boundary_masks`` off the uniforms; a sigma's successes are the trials
+    whose ``failure_scales`` are at most 1/(2 sigma).  A sigma at which
+    sigma v overflows raises ``InvalidConfigError``.
     """
-    n = r.shape[0]
+    n, batch = r.shape[0], _BATCH_BLOCKS * _TRIAL_BLOCK
     hits = np.zeros((len(sigma_grid), 2), dtype=np.int64)
-    for first in range(0, trials, _BATCH_BLOCKS * _TRIAL_BLOCK):
-        starts = range(first, min(first + _BATCH_BLOCKS * _TRIAL_BLOCK, trials), _TRIAL_BLOCK)
-        blocks = [(stream.child(s // _TRIAL_BLOCK), min(_TRIAL_BLOCK, trials - s)) for s in starts]
-        x = np.concatenate([sample_uniform_x(box, sub.child(0), count=c) for sub, c in blocks])
-        v = np.concatenate([sample_noise(1.0, n, sub.child(1), count=c) for sub, c in blocks]) @ q1
-        k_br, k_bb = failure_scales(r, v, x, box.lower, box.upper)
-        v_max = float(np.max(np.abs(v)))
+    buffer = np.empty((2, min(batch, trials), n))  # x uniforms, then z
+    for first in range(0, trials, batch):
+        u, z = buffer[:, :trials - first]  # fewer rows in a partial last batch
+        for s in range(0, len(u), _TRIAL_BLOCK):
+            sub, rows = stream.child((first + s) // _TRIAL_BLOCK), slice(s, s + _TRIAL_BLOCK)
+            _rng.uniform(sub.child(0), out=u[rows])
+            _rng.standard_normal(sub.child(1), out=z[rows])
+        v = z @ q1
+        k_br, k_bb = failure_scales(r, v, *boundary_masks(box, u))
+        v_max = float(max(v.max(), -v.min()))
         for cell, sigma in zip(hits, sigma_grid):
             if not math.isfinite(sigma * v_max):  # Python floats overflow without a warning
                 raise InvalidConfigError(
@@ -216,7 +220,7 @@ def run_experiment(cfg: ExperimentConfig) -> list:
 
     def column(m):
         """Matrix m's (theo_bb, theo_br, br_hits, bb_hits) at every sigma."""
-        _, q1, r = _draw_full_rank_matrix(cfg.n, root.child(0, m))
+        q1, r = _draw_full_rank_matrix(cfg.n, root.child(0, m))
         counts = _count_successes(q1, r, cfg.box, cfg.sigma_grid,
                                   root.child(1, m), cfg.trials_per_matrix)
         cells = []

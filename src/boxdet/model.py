@@ -144,6 +144,15 @@ def sample_uniform_x(box: BoxConstraint, stream: _rng.RngStream, count: int):
     return box.lower + np.minimum((u * (widths + 1)).astype(np.int64), widths)
 
 
+def boundary_masks(box: BoxConstraint, u):
+    """(x < upper, x > lower), as C-contiguous (dim, count) masks, of the x that
+    ``sample_uniform_x`` makes from the (count, dim) uniforms u.  They read its
+    product t = u (w + 1): x < upper iff t < w, and x > lower iff t >= 1."""
+    widths = box.widths[:, None]
+    t = np.multiply(u.T, widths + 1, out=np.empty(u.shape[::-1]))
+    return t < widths, t >= 1.0
+
+
 def sample_noise(sigma: float, length: int, stream: _rng.RngStream, count: int):
     """Draw ``count`` i.i.d. N(0, sigma^2 I) noise vectors of ``length``
     entries, as a (count, length) array.

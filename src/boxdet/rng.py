@@ -48,12 +48,14 @@ class RngStream:
         return f"seed={self.seed} stream={'/'.join(str(i) for i in self.path)}"
 
 
-def uniform(stream: RngStream, size) -> np.ndarray:
-    """Uniform deviates in [0, 1) from the stream's Philox counter."""
-    return stream.generator().random(size)
+def uniform(stream: RngStream, size=None, out=None) -> np.ndarray:
+    """Uniform deviates in [0, 1) from the stream's Philox counter, of shape
+    ``size`` or into a C-contiguous ``out``, with the bits of its shape."""
+    return stream.generator().random(size, out=out)
 
 
-def standard_normal(stream: RngStream, size) -> np.ndarray:
-    """Standard normal deviates via inverse CDF of the uniform stream."""
-    u = np.maximum(uniform(stream, size), _U_MIN)
-    return ndtri(u)
+def standard_normal(stream: RngStream, size=None, out=None) -> np.ndarray:
+    """Standard normal deviates via inverse CDF of the uniform stream, made
+    in place (in ``out`` when given)."""
+    u = uniform(stream, size, out)
+    return ndtri(np.maximum(u, _U_MIN, out=u), out=u)

@@ -12,7 +12,8 @@ from boxdet.detectors import (
 )
 from boxdet.errors import DimensionMismatchError
 from boxdet.linalg import back_substitute
-from boxdet.model import BoxConstraint
+from boxdet.model import BoxConstraint, boundary_masks, sample_uniform_x
+from boxdet.rng import RngStream, uniform
 
 EX1 = np.array([[2.0, -1.0], [0.0, 1.0]])
 BOX03 = BoxConstraint([0, 0], [3, 3])
@@ -233,6 +234,15 @@ class TestBatchAgainstSingle:
             np.testing.assert_array_equal(flags, np.arange(self.COUNT) % 3 != 0)
 
 
+def _trials(box, count, seed):
+    """count true vectors of ``sample_uniform_x`` and their (n, count)
+    masks x < upper, x > lower, as ``boundary_masks`` reads them off the
+    same uniforms."""
+    stream = RngStream(seed)
+    u = uniform(stream, (count, box.dim))
+    return sample_uniform_x(box, stream, count), boundary_masks(box, u)
+
+
 class TestFailureScales:
     """sigma * k <= 1/2 is each detector's success flag, trial by trial."""
 
@@ -245,9 +255,9 @@ class TestFailureScales:
         lower = rng.integers(-3, 1, n)
         upper = lower + np.array([1, 0, 2, 1, 4, 0, 3, 2])[:n]
         count = 3000
-        x = lower + rng.integers(0, upper - lower + 1, (count, n))
+        x, masks = _trials(BoxConstraint(lower, upper), count, n)
         v = rng.standard_normal((count, n))
-        k_br, k_bb = failure_scales(r, v, x, lower, upper)
+        k_br, k_bb = failure_scales(r, v, *masks)
         outcomes = set()
         for sigma in self.SIGMAS:
             ytilde = x @ r.T + sigma * v
@@ -263,7 +273,7 @@ class TestFailureScales:
         r = np.diag(rng.uniform(0.3, 3.0, n))
         lower = np.array([-2, 0, 1, -1, 0, 3])
         upper = lower + np.array([3, 0, 1, 2, 5, 1])
-        x = lower + rng.integers(0, upper - lower + 1, (2000, n))
-        k_br, k_bb = failure_scales(r, rng.standard_normal((2000, n)), x, lower, upper)
+        _, masks = _trials(BoxConstraint(lower, upper), 2000, 6)
+        k_br, k_bb = failure_scales(r, rng.standard_normal((2000, n)), *masks)
         np.testing.assert_array_equal(k_br, k_bb)
         assert np.all(k_br >= 0.0)

@@ -210,10 +210,9 @@ class TestDrawFullRankMatrix:
         stream = RngStream(5)
         second = experiment._rng.standard_normal(stream.child(1), (3, 3))
         streams = self._singular_draws(monkeypatch, 1)
-        a, q1, r = experiment._draw_full_rank_matrix(3, stream)
+        q1, r = experiment._draw_full_rank_matrix(3, stream)
         assert streams == [stream.child(0), stream.child(1)]
-        np.testing.assert_array_equal(a, second)
-        np.testing.assert_allclose(q1 @ r, a, atol=1e-12)
+        np.testing.assert_allclose(q1 @ r, second, atol=1e-12)
 
     def test_refuses_after_64_attempts(self, monkeypatch):
         streams = self._singular_draws(monkeypatch, 64)
@@ -308,14 +307,18 @@ def _per_block_counts(a, q1, r, box, sigma_grid, stream, trials):
 class TestBatchedCounts:
     @pytest.mark.parametrize("n", [1, 3, 8])
     @pytest.mark.parametrize("trials", [1, 4095, 4097, 16385, 50001])
-    def test_match_per_block_loop(self, n, trials):
+    def test_match_per_block_loop(self, monkeypatch, n, trials):
         a = np.random.default_rng([21, n]).standard_normal((n, n))
         q1, r = qr_positive(a)
         lower = np.arange(n) % 3 - 1
         box = BoxConstraint(lower, lower + np.array([3, 1, 0, 2, 5, 1, 4, 2][:n]))
         grid, stream = (0.05, 0.3, 0.9), RngStream(trials).child(n)
-        assert (_count_successes(q1, r, box, grid, stream, trials)
-                == _per_block_counts(a, q1, r, box, grid, stream, trials))
+        expected = _per_block_counts(a, q1, r, box, grid, stream, trials)
+        # Batches of 1, 2 and 3 blocks cut these trial counts into full and
+        # partial last batches, with and without a partial last block.
+        for blocks in (1, 2, 3):
+            monkeypatch.setattr(experiment, "_BATCH_BLOCKS", blocks)
+            assert _count_successes(q1, r, box, grid, stream, trials) == expected
 
 
 # 16384 QMC points per randomization at n = 3, so the integral pools when it

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from boxdet import model
 from boxdet.detectors import box_babai, box_rounding
 from boxdet.errors import DimensionMismatchError, OutOfBoxError
 from boxdet.model import (
@@ -11,6 +12,7 @@ from boxdet.model import (
     BoundaryTag,
     BoxConstraint,
     admissible_tags,
+    boundary_masks,
     classify,
     parse_pattern,
     sample_noise,
@@ -220,3 +222,32 @@ class TestSampling:
         for sigma in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match="finite"):
                 sample_noise(sigma, 2, RngStream(0), count=3)
+
+
+class TestBoundaryMasks:
+    """boundary_masks(box, u) is (x < upper, x > lower) of the x that
+    sample_uniform_x makes from the same uniforms u, bit for bit."""
+
+    @staticmethod
+    def _check(monkeypatch, box, u):
+        monkeypatch.setattr(model._rng, "uniform", lambda stream, size: u)
+        x = sample_uniform_x(box, RngStream(0), count=u.shape[0])
+        up, down = boundary_masks(box, u)
+        assert up.flags.c_contiguous and down.flags.c_contiguous
+        np.testing.assert_array_equal(up, (x < box.upper).T)
+        np.testing.assert_array_equal(down, (x > box.lower).T)
+
+    @pytest.mark.parametrize("width", range(6))
+    def test_at_cut_points_and_their_neighbours(self, monkeypatch, width):
+        # x steps at u = k/(w+1); the product u (w+1) may round either way there.
+        cuts = np.arange(width + 2) / (width + 1)
+        u = np.concatenate([cuts, np.nextafter(cuts, -1.0), np.nextafter(cuts, 2.0)])
+        u = np.sort(u[(u >= 0.0) & (u < 1.0)])
+        self._check(monkeypatch, BoxConstraint([-3], [-3 + width]), u[:, None])
+
+    def test_random_uniforms(self, monkeypatch):
+        # Widths 0 to 5, negative and positive bounds, and the widest box.
+        box = BoxConstraint([4, -1, 0, -7, 2, -2, -MAX_BOUND],
+                            [4, 0, 2, -4, 6, 3, MAX_BOUND])
+        u = RngStream(8).generator().random((100_000, box.dim))
+        self._check(monkeypatch, box, u)

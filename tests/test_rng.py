@@ -1,0 +1,45 @@
+import numpy as np
+import pytest
+from scipy.special import ndtri
+
+from boxdet import rng
+from boxdet.rng import RngStream, standard_normal, uniform
+
+
+class TestOut:
+    """Drawing into ``out`` gives the bits of the size form."""
+
+    @pytest.mark.parametrize("draw", [uniform, standard_normal])
+    @pytest.mark.parametrize("shape", [(1, 1), (4095, 8), (3, 1000), (17,)])
+    def test_out_equals_size_form(self, draw, shape):
+        stream = RngStream(4, (1, 2))
+        out = np.empty(shape)
+        assert draw(stream, out=out) is out
+        np.testing.assert_array_equal(out, draw(stream, shape))
+
+    def test_two_streams_fill_row_slices_of_one_buffer(self):
+        # The sweep's layout: uniforms and normals of several streams in
+        # row slices of one (2, rows, n) buffer.
+        streams = [RngStream(9, (1, k)) for k in range(3)]
+        sizes = (4096, 4096, 1809)
+        buffer = np.full((2, sum(sizes), 8), np.nan)
+        first = 0
+        for stream, size in zip(streams, sizes):
+            rows = slice(first, first + size)
+            uniform(stream.child(0), out=buffer[0, rows])
+            standard_normal(stream.child(1), out=buffer[1, rows])
+            first += size
+        np.testing.assert_array_equal(buffer[0], np.concatenate(
+            [uniform(s.child(0), (size, 8)) for s, size in zip(streams, sizes)]))
+        np.testing.assert_array_equal(buffer[1], np.concatenate(
+            [standard_normal(s.child(1), (size, 8)) for s, size in zip(streams, sizes)]))
+
+    def test_zero_uniform_stays_finite_in_place(self, monkeypatch):
+        # An exact 0 from random() is clipped to 2^-53 before the inverse CDF.
+        def zeros(stream, size=None, out=None):
+            out[...] = 0.0
+            return out
+
+        monkeypatch.setattr(rng, "uniform", zeros)
+        out = standard_normal(RngStream(1), out=np.empty(5))
+        np.testing.assert_array_equal(out, np.full(5, ndtri(2.0 ** -53)))
