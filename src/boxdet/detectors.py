@@ -1,12 +1,15 @@
 """The box-constrained rounding and Babai detectors for the reduced model.
 
-Each detector has one implementation, a batch kernel over many
-observations that share one R and one box, returning the detected x:
+Each detector has a batch kernel over many observations that share one R
+and one box, returning the detected x:
 
 * ``rounding_batch``: componentwise rounding of d = R^{-1} ytilde, then
   clamping;
 * ``babai_batch``: back-substitution from the last coordinate with
   per-coordinate rounding (and clamping) before moving on.
+
+The sweep takes a second path, ``failure_scales``: one solve of a trial's
+unit noise gives the k with which each detector is right iff sigma k <= 1/2.
 
 The single-instance functions ``box_rounding`` and ``box_babai`` take one
 reduced observation (R, ytilde) and a box, validate them, and run a kernel

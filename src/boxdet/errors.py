@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the constructors' integer check."""
+
+from numbers import Integral
 
 
 class BoxdetError(Exception):
@@ -23,3 +25,10 @@ class QuadratureDimensionError(BoxdetError, ValueError):
 
 class InvalidConfigError(BoxdetError, ValueError):
     """An integrator or experiment configuration is inconsistent."""
+
+
+def require_int(value, key: str):
+    """``value``, which must be an integer (a numpy one too, but not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise InvalidConfigError(f"{key} must be an integer, got {value!r}")
+    return value

@@ -79,6 +79,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidConfigError,
     QuadratureDimensionError,
+    require_int,
 )
 from .linalg import back_substitute, permuted_factor, validate_upper_triangular
 from .model import validate_sigma
@@ -119,6 +120,8 @@ class IntegratorConfig:
     def __post_init__(self):
         if not isinstance(self.method, IntegratorMethod):
             object.__setattr__(self, "method", IntegratorMethod(self.method))
+        require_int(self.samples, "samples")
+        require_int(self.quad_points, "quad_points")
         if self.method is not IntegratorMethod.QUADRATURE and self.samples < 1000:
             raise InvalidConfigError("stochastic methods need samples >= 1000")
         if not 2 <= self.quad_points <= QUADRATURE_MAX_POINTS:

@@ -45,7 +45,8 @@ def _bounds(values, name: str) -> np.ndarray:
     an oversized one cannot overflow."""
     values = np.asarray(values, dtype=object).reshape(-1)
     for value in values:
-        if not (isinstance(value, (int, np.integer)) or float(value).is_integer()):
+        if isinstance(value, (bool, np.bool_)) or not (
+                isinstance(value, (int, np.integer)) or float(value).is_integer()):
             raise ValueError(f"box {name} bound {value} is not an integer")
         if not -MAX_BOUND <= value <= MAX_BOUND:
             raise ValueError(

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
+from .errors import InvalidConfigError, require_int
+
 # random() returns doubles in [0, 1); clip away an exact 0 so the inverse
 # normal CDF stays finite (probability 2^-53 per draw).
 _U_MIN = 2.0 ** -53
@@ -32,8 +34,8 @@ class RngStream:
     path: tuple = ()
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        if require_int(self.seed, "seed") < 0:
+            raise InvalidConfigError(f"seed must be a non-negative integer, got {self.seed}")
 
     def child(self, *indices: int) -> "RngStream":
         return RngStream(self.seed, self.path + tuple(int(i) for i in indices))

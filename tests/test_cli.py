@@ -1,10 +1,12 @@
 import hashlib
 import itertools
 import json
+import math
 import os
 import re
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -459,17 +461,22 @@ class TestExperimentCommand:
         assert main(["experiment", "--config", str(path), "--out",
                      str(tmp_path / "x.csv")]) == 2
 
-    def test_sigma_whose_observations_overflow_exits_2(self, tmp_path, capsys):
-        # At sigma 1e308, sigma z overflows float64 for |z| > 1.8.  The suite
-        # turns a RuntimeWarning into an error, so the sweep must not warn.
-        cfg = _config_file(tmp_path, n=8, sigma_grid=[0.1, 1e308], trials_per_matrix=5000,
-                           compute_exact_br=False)
+    def test_sigma_whose_observations_overflow_gives_the_limit(self, tmp_path, capsys):
+        # At sigma 1e308, sigma z would overflow float64 for |z| > 1.8, but the
+        # sweep never forms it.  Every warning is an error here.  Both curves
+        # reach the large-sigma limit prod 1/(w_i + 1) = 4^-4.
+        cfg = _config_file(tmp_path, n=4, sigma_grid=[0.3, 1e308], trials_per_matrix=5000)
         out = tmp_path / "x.csv"
-        assert main(["experiment", "--config", cfg, "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and not out.exists()
-        assert captured.err == ("boxdet: sigma 1e+308: the simulated observations "
-                                "overflow float64\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["experiment", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        row = out.read_text().splitlines()[2].split(",")
+        assert float(row[0]) == 1e308
+        assert row[1] == row[2] == "0.003906"
+        limit, trials = 0.25 ** 4, 2 * 5000
+        for rate in (row[4], row[6]):
+            assert abs(float(rate) - limit) <= 3 * math.sqrt(limit * (1 - limit) / trials)
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = _config_file(tmp_path, sead=7)

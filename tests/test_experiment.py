@@ -1,3 +1,4 @@
+import itertools
 import math
 import threading
 import warnings
@@ -140,6 +141,25 @@ class TestConfig:
         with pytest.raises(InvalidConfigError, match=key):
             ExperimentConfig.from_dict({**doc, **override})
 
+    @pytest.mark.parametrize("key, build", [
+        ("num_matrices", lambda: _config(num_matrices=2.5)),
+        ("trials_per_matrix", lambda: _config(trials_per_matrix=100.0)),
+        ("seed", lambda: _config(seed=1.5)),
+        ("compute_exact_br", lambda: _config(compute_exact_br="no")),
+        ("n", lambda: _config(n=True, box=BoxConstraint.cube(0, 3, 1))),
+        ("samples", lambda: IntegratorConfig(method="mc", samples=1e5)),
+        ("quad_points", lambda: IntegratorConfig(method="quad", quad_points=8.0)),
+    ])
+    def test_constructors_reject_wrong_types(self, key, build):
+        # Library callers get the checks of the JSON reader, not a TypeError
+        # in the middle of the sweep.
+        with pytest.raises(InvalidConfigError, match=key):
+            build()
+
+    def test_numpy_integers_accepted(self):
+        cfg = _config(n=np.int64(3), seed=np.uint8(12), num_matrices=np.int32(2))
+        assert cfg == _config()
+
     def test_from_dict_rejects_garbage(self):
         with pytest.raises(InvalidConfigError):
             ExperimentConfig.from_dict({"n": 2})
@@ -182,14 +202,19 @@ class TestCountSuccesses:
             assert br == bb  # detectors coincide for diagonal R
 
     def test_overflow_boundary(self):
-        # sigma v stays finite at 1e300 and overflows at 1e308 for |v| > 1.8.
+        # sigma v would overflow float64 at 1e308 for |v| > 1.8, but no trial
+        # forms it: at every such sigma the rates are the large-sigma limit
+        # prod 1/(w_i + 1), the chance that x is the corner the clamp picks.
         a = np.random.default_rng(2).standard_normal((3, 3))
+        q1, r = qr_positive(a)
+        trials, limit = 20_000, 0.25 ** 3
+        se = math.sqrt(limit * (1 - limit) / trials)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            counts = _counts(a, 1e300, RngStream(4), 1000)
-        assert all(0 <= hits <= 1000 for hits in counts)
-        with pytest.raises(InvalidConfigError, match="sigma 1e\\+308: .* overflow float64"):
-            _counts(a, 1e308, RngStream(4), 1000)
+            counts = _count_successes(q1, r, BOX3, (1e300, 1e308, 1.7e308),
+                                      RngStream(4), trials)
+        for hits in itertools.chain(*counts):
+            assert abs(hits / trials - limit) <= 3 * se
 
 
 class TestDrawFullRankMatrix:
@@ -254,6 +279,14 @@ class TestRunExperiment:
         rows = run_experiment(_config(compute_exact_br=False))
         assert all(row.theo_p_br is None for row in rows)
         assert all(row.emp_p_br.samples > 0 for row in rows)
+
+    def test_sigma_past_the_float_range_gives_the_limit(self):
+        # Both theoretical curves reach prod 1/(w_i + 1) = 4^-4 to the bit.
+        box = BoxConstraint.cube(0, 3, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = run_experiment(_config(n=4, box=box, sigma_grid=(0.3, 1e308)))
+        assert rows[1].theo_p_bb == rows[1].theo_p_br.value == 0.25 ** 4
 
     def test_solves_do_not_grow_with_the_grid(self, monkeypatch):
         # Each batch reads every sigma off one solve of its noise.

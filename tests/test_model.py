@@ -61,6 +61,7 @@ class TestBoxConstraint:
         ([0, math.nan], [3, 3], "box lower bound nan is not an integer"),
         ([0], [math.inf], "box upper bound inf is not an integer"),
         ([-math.inf], [0], "box lower bound -inf is not an integer"),
+        ([False, 0], [True, 3], "box lower bound False is not an integer"),
     ])
     def test_non_integral_bound_named(self, lower, upper, message):
         with pytest.raises(ValueError, match=message):

@@ -1,13 +1,15 @@
 """The README's library example runs and prints what its comments say, and
-its CLI examples parse."""
+its CLI examples and its JSON config parse."""
 
 import contextlib
 import io
+import json
 import re
 import shlex
 from pathlib import Path
 
 from boxdet import cli
+from boxdet.experiment import ExperimentConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -36,3 +38,11 @@ def test_cli_examples_parse():
     parser = cli.build_parser()
     for argv in commands:
         assert parser.parse_args(argv[1:]).command == argv[1]
+
+
+def test_json_config_parses():
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("### Experiment configuration (JSON)"):]
+    block = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
+    cfg = ExperimentConfig.from_dict(json.loads(block))
+    assert cfg.n == cfg.box.dim == 8

@@ -3,6 +3,7 @@ import pytest
 from scipy.special import ndtri
 
 from boxdet import rng
+from boxdet.errors import InvalidConfigError
 from boxdet.rng import RngStream, standard_normal, uniform
 
 
@@ -43,3 +44,15 @@ class TestOut:
         monkeypatch.setattr(rng, "uniform", zeros)
         out = standard_normal(RngStream(1), out=np.empty(5))
         np.testing.assert_array_equal(out, np.full(5, ndtri(2.0 ** -53)))
+
+
+class TestSeed:
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "3", True, False, -1, None])
+    def test_refused_before_any_draw(self, seed):
+        # InvalidConfigError is a ValueError, so the ValueError contract holds.
+        with pytest.raises(InvalidConfigError, match="seed"):
+            RngStream(seed)
+
+    def test_numpy_integer_draws_as_its_value(self):
+        np.testing.assert_array_equal(uniform(RngStream(np.int64(7), (1,)), 4),
+                                      uniform(RngStream(7, (1,)), 4))
