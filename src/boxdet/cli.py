@@ -155,13 +155,19 @@ def cmd_mc_sp(args) -> int:
     return 0
 
 
+def _format_sigma(sigma: float) -> str:
+    """Six decimals, or repr where those would not read back as sigma."""
+    text = f"{sigma:.6f}"
+    return text if float(text) == sigma else repr(sigma)
+
+
 def format_rows_csv(rows) -> str:
     lines = [CSV_HEADER]
     for row in rows:
         theo_br = f"{row.theo_p_br.value:.6f}" if row.theo_p_br is not None else ""
         theo_br_se = f"{row.theo_p_br.stderr:.6f}" if row.theo_p_br is not None else ""
         lines.append(
-            f"{row.sigma:.6f},{row.theo_p_bb:.6f},{theo_br},{theo_br_se},"
+            f"{_format_sigma(row.sigma)},{row.theo_p_bb:.6f},{theo_br},{theo_br_se},"
             f"{row.emp_p_bb.value:.6f},{row.emp_p_bb.stderr:.6f},"
             f"{row.emp_p_br.value:.6f},{row.emp_p_br.stderr:.6f}"
         )

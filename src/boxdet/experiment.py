@@ -82,6 +82,10 @@ class ExperimentConfig:
         if not isinstance(self.compute_exact_br, bool):
             raise InvalidConfigError(
                 f"compute_exact_br must be a JSON boolean, got {self.compute_exact_br!r}")
+        for key, kind in (("box", BoxConstraint), ("integrator", IntegratorConfig)):
+            if not isinstance(getattr(self, key), kind):
+                raise InvalidConfigError(
+                    f"{key} must be a {kind.__name__}, got {getattr(self, key)!r}")
         if self.n < 1:
             raise InvalidConfigError("n must be at least 1")
         if self.box.dim != self.n:

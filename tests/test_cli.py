@@ -652,6 +652,13 @@ class TestExperimentCommand:
             assert float(fields[1]) == pytest.approx(row.theo_p_bb, abs=1e-6)
             assert float(fields[4]) == pytest.approx(row.emp_p_bb.value, abs=1e-6)
 
+    def test_csv_sigma_names_its_row(self):
+        # Six decimals would print both as 0.000000; 0.05 keeps them.
+        est = McEstimate(0.5, 0.01, 100, "seed=0")
+        rows = [ExperimentRow(s, 0.5, None, est, est) for s in (1e-7, 2e-7, 0.05)]
+        sigmas = [line.split(",")[0] for line in format_rows_csv(rows).splitlines()[1:]]
+        assert sigmas == ["1e-07", "2e-07", "0.050000"]
+
     def test_chart_handles_missing_theoretical_series(self, tmp_path):
         cfg = ExperimentConfig.from_json_file(
             _config_file(tmp_path, compute_exact_br=False)

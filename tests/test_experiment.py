@@ -149,6 +149,8 @@ class TestConfig:
         ("n", lambda: _config(n=True, box=BoxConstraint.cube(0, 3, 1))),
         ("samples", lambda: IntegratorConfig(method="mc", samples=1e5)),
         ("quad_points", lambda: IntegratorConfig(method="quad", quad_points=8.0)),
+        ("box", lambda: _config(box=[0, 3])),
+        ("integrator", lambda: _config(integrator="qmc")),
     ])
     def test_constructors_reject_wrong_types(self, key, build):
         # Library callers get the checks of the JSON reader, not a TypeError

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from boxdet.gaussbox import (
     FINITE,
     FULL_LINE,
     LEFT_INFINITE,
+    QUADRATURE_MAX_POINTS,
     RIGHT_INFINITE,
     IntegratorConfig,
     IntegratorMethod,
@@ -30,7 +32,7 @@ from boxdet.gaussbox import (
 from boxdet.linalg import qr_positive, validate_upper_triangular
 from boxdet.model import BoxConstraint, parse_pattern
 from boxdet.rng import RngStream
-from boxdet.success import intervals_from_pattern, p_br_uniform, phi
+from boxdet.success import intervals_from_pattern, p_br_deterministic, p_br_uniform, phi
 
 EX1 = np.array([[2.0, -1.0], [0.0, 1.0]])
 QUAD = IntegratorConfig(method=IntegratorMethod.QUADRATURE)
@@ -398,6 +400,73 @@ class TestQuadratureBatch:
         for p, est in zip(patterns, full):
             assert abs(est.value - halves[p[:2]] * halves[p[2:]]) < 1e-12
         assert full[0].samples == QUAD.quad_points ** 3
+
+
+def _traced_peak(call):
+    """call()'s result and the peak bytes tracemalloc saw allocated during it."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingMemory:
+    """MC and quadrature work on at most gaussbox._WORK_COLUMNS samples or
+    product nodes per array (quadrature: max(cap, m^(n-2)))."""
+
+    CASES = [
+        (3, (FINITE, LEFT_INFINITE, Interval(-0.3, 1.2)), None),
+        (4, (RIGHT_INFINITE, FINITE, FULL_LINE, Interval(-2.0, -0.1)), (0.25, 0.0, 0.0, 0.5)),
+        (6, (FINITE,) * 6, (0.8, 0.0, 0.5, 0.0, 0.25, 0.0)),
+    ]
+
+    @pytest.mark.parametrize("n, ivs, floors", CASES)
+    def test_mc_cap_keeps_every_bit(self, monkeypatch, n, ivs, floors):
+        # A cap that divides neither the 2^16 block nor the last, partial one.
+        r = _random_triangular(np.random.default_rng(60 + n), n)
+        cfg = IntegratorConfig(method="mc", samples=70_001)
+        whole = box_probability(r, 0.8, ivs, cfg, RngStream(n), floors)
+        monkeypatch.setattr(gaussbox, "_WORK_COLUMNS", 1000)
+        sliced = box_probability(r, 0.8, ivs, cfg, RngStream(n), floors)
+        assert (sliced.value, sliced.stderr, sliced.samples) == (
+            whole.value, whole.stderr, whole.samples)
+
+    @pytest.mark.parametrize("n, points", [(3, 16), (3, 33), (4, 16)])
+    def test_quadrature_cap_moves_only_rounding(self, monkeypatch, n, points):
+        r = _random_triangular(np.random.default_rng(70 + n), n)
+        cfg = IntegratorConfig(method="quad", quad_points=points)
+        kinds = (FINITE, LEFT_INFINITE, RIGHT_INFINITE)
+        products = list(itertools.product(kinds, repeat=n))[::5]
+        whole = [box_probability(r, 0.9, ivs, cfg) for ivs in products]
+        floored = box_probability(r, 0.9, (FINITE,) * n, cfg, None, (0.5,) * n)
+        # Slices of 4, of 2 (the last one of 1) and of 1 first-coordinate node.
+        monkeypatch.setattr(gaussbox, "_WORK_COLUMNS", 70)
+        for ivs, ref in zip(products, whole):
+            est = box_probability(r, 0.9, ivs, cfg)
+            assert abs(est.value - ref.value) <= 2e-16
+            assert est.samples == ref.samples
+        est = box_probability(r, 0.9, (FINITE,) * n, cfg, None, (0.5,) * n)
+        assert abs(est.value - floored.value) <= 2e-16
+
+    def test_quadrature_at_128_nodes_in_4d(self):
+        # All at once, the 128^3 product nodes took 144 MiB.
+        cfg = IntegratorConfig(method="quad", quad_points=QUADRATURE_MAX_POINTS)
+        r = np.kron(np.eye(2), EX1)
+        est, peak = _traced_peak(lambda: p_br_deterministic(r, 1.0, parse_pattern("LIUL"), cfg))
+        assert peak < 8 * 2 ** 20
+        halves = [p_br_deterministic(EX1, 1.0, parse_pattern(p), cfg).value
+                  for p in ("LI", "UL")]
+        assert abs(est.value - halves[0] * halves[1]) < 1e-12
+
+    def test_mc_memory_does_not_grow_with_the_block(self, monkeypatch):
+        # One serial 2^16-sample block at n = 8: its 4 MiB normal draw, plus
+        # 8192-column solves.  Solved whole, the block took 9 MiB.
+        monkeypatch.setenv("BOXDET_THREADS", "1")
+        r = _random_triangular(np.random.default_rng(80), 8)
+        cfg = IntegratorConfig(method="mc", samples=1_000_000)
+        _, peak = _traced_peak(lambda: box_probability(r, 1.0, (FINITE,) * 8, cfg, RngStream(80)))
+        assert peak < 7 * 2 ** 20
 
 
 class TestFloorWeights:
