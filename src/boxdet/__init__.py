@@ -14,9 +14,6 @@ from .errors import (
 from .experiment import ExperimentConfig, ExperimentRow, run_experiment
 from .gaussbox import (
     FINITE,
-    FULL_LINE,
-    LEFT_INFINITE,
-    RIGHT_INFINITE,
     IntegratorConfig,
     IntegratorMethod,
     Interval,
@@ -34,7 +31,6 @@ from .model import (
 )
 from .rng import RngStream
 from .success import (
-    intervals_from_pattern,
     p_bb_bounds,
     p_bb_deterministic,
     p_bb_uniform,

@@ -5,63 +5,60 @@ with R upper triangular and positive-diagonal, i.e. the normalized integral
 
     det(R) / (2 pi sigma^2)^{n/2} * integral_I exp(-||R xi||^2 / (2 sigma^2)).
 
-sigma enters only as a scale: the probability depends on the limits only
-through lo / sigma and hi / sigma.  ``box_probability`` divides the limits
-by sigma once, and every backend integrates t = xi / sigma ~
+sigma enters only as a scale: ``box_probability`` divides the limits by
+sigma once, and every backend integrates t = xi / sigma ~
 N(0, (R^T R)^{-1}) against them; a limit past the float range becomes
 infinite, so an extreme sigma needs no special case.
 
-A coordinate may carry a floor weight a_i in [0, 1]: its indicator becomes
-g_i(t) = a_i + (1 - a_i) 1(t in I_i), and every backend computes
-E[prod_i g_i(xi_i)].  A plain box probability is the case a = 0.
+A coordinate may carry a pair of floors (a_left, a_right) in [0, 1]^2: its
+indicator becomes g_i(t) = a_left below I_i, 1 on I_i and a_right above
+it, and every backend computes E[prod_i g_i(xi_i)]; a box probability has
+floors (0, 0).  A side whose floor is 1 is first rewritten as an infinite
+limit with floor 0.  A full-line coordinate then has g_i = 1, and every
+backend integrates it out exactly, by taking the marginal of the others,
+before the quadrature dimension cap applies.  The rounding success
+probabilities of ``success`` are such integrals over [-1/2, 1/2]^n.
 
 Three interchangeable backends:
 
 * ``MONTE_CARLO`` -- draw z ~ N(0, I) and set t = R^{-1} z, which has
-  exactly the target law; average prod_i g_i(t_i).  Unbiased;
-  for a box probability the standard error is the binomial one.  Default,
-  for robustness.  Each block of 2^16 samples is drawn whole and solved
-  and tested ``_WORK_COLUMNS`` = 2^13 samples at a time into one array
-  per block, so memory does not grow with the sample count and the
-  sums are those of the whole block.
+  exactly the target law; average prod_i g_i(t_i).  Unbiased; for a box
+  probability the standard error is the binomial one.  Default, for
+  robustness.  Each block of 2^16 samples is drawn whole and solved and
+  tested ``_WORK_COLUMNS`` = 2^13 samples at a time into one array per
+  block, so memory does not grow with the sample count and the sums are
+  those of the whole block.
 * ``SEQ_QMC`` -- sequential conditioning with randomized Sobol points
-  (Genz 1992).  The coordinates are first prioritized: a greedy order puts
-  the coordinate of least conditional mass first (Gibson, Glasbey and
-  Elston 1994), and the sweep runs on ``linalg.permuted_factor``, the
-  positive-diagonal R factor of the column-permuted R, whose law is the
-  same.  The covariance factor R^{-1} is upper triangular,
-  so reversing the coordinate order makes it a lower-triangular Cholesky
-  factor and the standard one-dimensional conditional sweep applies.  At
+  (Genz 1992).  A greedy order puts the coordinate of least conditional
+  mass first (Gibson, Glasbey and Elston 1994), and the sweep runs on
+  ``linalg.permuted_factor``, the positive-diagonal R factor of the
+  column-permuted R, whose law is the same.  Reversing the coordinate
+  order makes the upper-triangular R^{-1} a lower-triangular Cholesky
+  factor, so the standard one-dimensional conditional sweep applies.  At
   each step the weight is multiplied by the conditional mass
-  a_i + (1 - a_i) (Phi(beta) - Phi(alpha)) of g_i, and the next point is
-  drawn from the density proportional to g_i phi by inverting its
-  three-piece CDF (one ``ndtri`` per step; n - 1 Sobol dimensions).  Each
-  of the 16 randomizations scrambles its own Sobol sequence (scipy's linear
-  matrix scramble plus digital shift), XORs its digits with one more
-  random digital shift, and sweeps it in blocks of at most 2^14 points, so
-  memory does not grow with the sample count.  The randomizations run on
-  the thread pool.  Standard error from the spread over the
+  a_left Phi(alpha) + (Phi(beta) - Phi(alpha)) + a_right (1 - Phi(beta))
+  of g_i, and the next point is drawn from the density proportional to
+  g_i phi by inverting its three-piece CDF (one ``ndtri`` per step; n - 1
+  Sobol dimensions).  Each of the 16 randomizations scrambles its own
+  Sobol sequence (scipy's linear matrix scramble plus digital shift), XORs
+  its digits with one more random digital shift, and sweeps it in blocks
+  of at most 2^14 points, on the thread pool.  A sample count that needs
+  more than the 2^30 points per randomization of a 30-bit sequence is
+  refused before any is built.  Standard error from the spread over the
   randomizations.
-* ``QUADRATURE`` -- the same sweep, dimension <= 4, with
-  m <= 128 Gauss-Legendre nodes in place of Sobol points on each of the
-  first n - 1 standardized conditional intervals.  These have unit
-  variance whatever R is, so each is clipped to +-``QUADRATURE_TRUNCATION``
-  = 10; the neglected mass is below erfc(10 / sqrt(2)) / 2 < 1e-23 per
-  clipped end.  The last coordinate is closed form.  A floor weight is
-  expanded into interval terms, g = a 1(t <= hi) + (1 - 2a) 1(lo <= t <= hi)
-  + a 1(t >= lo) (terms of coefficient 0 dropped), and each product of
-  terms (a row) is swept on its own, so ``samples`` = rows * m^(n-1).
-  The tensor product is swept in slices of the first coordinate's nodes,
-  so no array holds more than max(``_WORK_COLUMNS``, m^(n-2)) product
-  nodes (16 384 at m = 128 in 4-D), and the slice sums are added in node
-  order.  Reported stderr is 0.
-
-The boundary patterns of ``success`` read off the intervals [-1/2, 1/2],
-(-inf, 1/2], [-1/2, inf) and (-inf, inf); the last one arises only for
-single-point box coordinates.  The integrators accept arbitrary (lo, hi)
-intervals.  A full-line coordinate (a full-line interval or a unit floor)
-has g_i = 1; every backend integrates it out exactly, by taking the
-marginal of the others, before the quadrature dimension cap applies.
+* ``QUADRATURE`` -- the same sweep, dimension <= 4, with m <= 128
+  Gauss-Legendre nodes in place of Sobol points on each of the first
+  n - 1 standardized conditional intervals.  These have unit variance
+  whatever R is, so each is clipped to +-``QUADRATURE_TRUNCATION`` = 10;
+  the neglected mass is below erfc(10 / sqrt(2)) / 2 < 1e-23 per clipped
+  end.  The last coordinate is closed form.  A floor pair is expanded into
+  interval terms, g = a_left 1(t <= hi) + (1 - (a_left + a_right))
+  1(lo <= t <= hi) + a_right 1(t >= lo) (terms of coefficient 0 dropped),
+  and each product of terms (a row) is swept on its own, so ``samples`` =
+  rows * m^(n-1).  The tensor product is swept in slices of the first
+  coordinate's nodes, so no array holds more than
+  max(``_WORK_COLUMNS``, m^(n-2)) product nodes (16 384 at m = 128 in
+  4-D), and the slice sums are added in node order.  Reported stderr is 0.
 
 QMC and quadrature take the factor R^{-1} from numpy's LAPACK
 (``np.linalg.inv``), and ``linalg.permuted_factor`` takes the permuted
@@ -69,7 +66,6 @@ factors from its QR; at these sizes neither starts a BLAS worker.  Nothing
 here calls scipy's LAPACK: scipy bundles a second OpenBLAS whose worker
 thread busy-waits after each call and takes a core from the pool.
 """
-
 import enum
 import itertools
 import math
@@ -110,9 +106,7 @@ class Interval(NamedTuple):
 
 
 FINITE = Interval(-0.5, 0.5)
-LEFT_INFINITE = Interval(-math.inf, 0.5)
-RIGHT_INFINITE = Interval(-0.5, math.inf)
-FULL_LINE = Interval(-math.inf, math.inf)
+
 
 class IntegratorMethod(enum.Enum):
     MONTE_CARLO = "mc"
@@ -160,8 +154,8 @@ class McEstimate:
 
 
 def _validate(r, sigma, intervals, floors, cfg, stream):
-    """Checked (R, sigma, lo, hi, floor) of one interval product.  The
-    stochastic backends also need a stream."""
+    """Checked (R, sigma, lo, hi, floor) of one interval product, one floor
+    pair per row of floor.  The stochastic backends also need a stream."""
     r = validate_upper_triangular(r)
     n = r.shape[0]
     intervals = tuple(intervals)
@@ -171,9 +165,9 @@ def _validate(r, sigma, intervals, floors, cfg, stream):
     lo, hi = bounds[:, 0], bounds[:, 1]
     if not np.all(lo < hi):
         raise ValueError("each interval needs lo < hi")
-    floor = np.zeros(n) if floors is None else np.asarray(floors, dtype=float)
-    if floor.shape != (n,) or not np.all((floor >= 0.0) & (floor <= 1.0)):
-        raise ValueError(f"floors must be {n} weights in [0, 1]")
+    floor = np.zeros((n, 2)) if floors is None else np.asarray(floors, dtype=float)
+    if floor.shape != (n, 2) or not np.all((floor >= 0.0) & (floor <= 1.0)):
+        raise ValueError(f"floors must be {n} pairs of weights in [0, 1]")
     sigma = validate_sigma(sigma)
     if cfg.method is not IntegratorMethod.QUADRATURE and stream is None:
         raise InvalidConfigError("stochastic backends need an RngStream")
@@ -198,7 +192,8 @@ def _mc_probability(r, lo, hi, floor, samples, stream):
             t = back_substitute(r, z[part].T)  # one column per sample
             inside = (t >= lo[:, None]) & (t <= hi[:, None])
             if floored:
-                g[part] = np.prod(np.where(inside, 1.0, floor[:, None]), axis=0)
+                outside = np.where(t < lo[:, None], floor[:, :1], floor[:, 1:])
+                g[part] = np.prod(np.where(inside, 1.0, outside), axis=0)
             else:
                 np.all(inside, axis=0, out=g[part])
         if floored:
@@ -222,6 +217,16 @@ def _standardized(lo, hi, shift, sd):
         return (lo - shift) / sd, (hi - shift) / sd
 
 
+def _mass(floor, d, gap):
+    """Mass a_l d + gap + a_r (1 - d - gap) of g phi, with d = Phi(alpha) and
+    gap = Phi(beta) - Phi(alpha), as a_r + (1 - a_r) gap + (a_l - a_r) d:
+    the last term, 0 for equal floors, is skipped then."""
+    left, right = floor[..., 0], floor[..., 1]
+    mass = right + (1.0 - right) * gap
+    skew = left - right
+    return mass + skew * d if np.any(skew) else mass
+
+
 def _prioritized(r, lo, hi, floor):
     """The interval product with its coordinates reordered for the
     conditional sweep: (perm, R', lo, hi, floor) of the permuted problem.
@@ -229,9 +234,10 @@ def _prioritized(r, lo, hi, floor):
     Greedy variable prioritization (Gibson, Glasbey and Elston 1994; Genz
     and Bretz 2009, sec. 4.1.3): a column-by-column Cholesky factorization
     of (R^T R)^{-1} picks next the remaining coordinate of least conditional
-    mass a + (1 - a) (Phi(beta) - Phi(alpha)), with the limits shifted by
-    the conditional means (1 - a) (phi(alpha) - phi(beta)) / mass of the
-    coordinates already picked, standardized by its conditional sd,
+    mass a_l Phi(alpha) + (Phi(beta) - Phi(alpha)) + a_r (1 - Phi(beta)),
+    with the limits shifted by the conditional means
+    ((1 - a_l) phi(alpha) - (1 - a_r) phi(beta)) / mass of the coordinates
+    already picked, standardized by its conditional sd,
     and clipped to +-40, where Phi is 0 or 1 and the density 0; ties go to
     the lowest index.  The sweep conditions the last column of R' first,
     so perm is that order reversed.
@@ -251,18 +257,21 @@ def _prioritized(r, lo, hi, floor):
         sd = np.sqrt(var)
         alpha, beta = np.clip(_standardized(lo[idx], hi[idx], factor[idx, :k] @ means[:k], sd),
                               -40.0, 40.0)
-        a = floor[idx]
-        mass = a + (1.0 - a) * (ndtr(beta) - ndtr(alpha))
+        d = ndtr(alpha)
+        mass = _mass(floor[idx], d, ndtr(beta) - d)
         j = int(np.argmin(mass))
         pick = rest.pop(j)
         order.append(pick)
         factor[pick, k] = sd[j]
         others = np.array(rest, dtype=int)
         factor[others, k] = (cov[others, pick] - factor[others, :k] @ factor[pick, :k]) / sd[j]
-        phi_gap = (math.exp(-0.5 * alpha[j] ** 2)
-                   - math.exp(-0.5 * beta[j] ** 2)) / math.sqrt(2.0 * math.pi)
+        left, right = floor[pick]
+        root, exp_alpha = math.sqrt(2.0 * math.pi), math.exp(-0.5 * alpha[j] ** 2)
+        shift = (1.0 - right) * ((exp_alpha - math.exp(-0.5 * beta[j] ** 2)) / root)
+        if left != right:
+            shift -= (left - right) * exp_alpha / root
         # mass is 0 in floating point far out in a tail, beyond Phi's range.
-        means[k] = (1.0 - a[j]) * phi_gap / mass[j] if mass[j] > 0.0 else 0.0
+        means[k] = shift / mass[j] if mass[j] > 0.0 else 0.0
     perm = np.array(order[::-1])
     return perm, permuted_factor(r, perm), lo[perm], hi[perm], floor[perm]
 
@@ -277,11 +286,15 @@ def _qmc_probability(r, lo, hi, floor, samples, stream):
     chol = chol[::-1, ::-1]
     lo, hi, floor = lo[::-1], hi[::-1], floor[::-1]
     d0, e0 = map(ndtr, _standardized(lo[0], hi[0], 0.0, chol[0, 0]))
-    mass0 = floor[0] + (1.0 - floor[0]) * (e0 - d0)
+    mass0 = _mass(floor[0], d0, e0 - d0)
     if n == 1:
         return McEstimate(float(mass0), 0.0, 0, stream.label())
 
     log2_pts = max(6, math.ceil(math.log2(max(1, samples // _QMC_RANDOMIZATIONS))))
+    if log2_pts > _QMC_BITS:
+        raise InvalidConfigError(
+            f"{samples} samples need 2^{log2_pts} QMC points per randomization; "
+            f"a {_QMC_BITS}-bit Sobol sequence has at most 2^{_QMC_BITS}")
     npts = 1 << log2_pts
     block = min(npts, _SWEEP_CHUNK)
     u_top = np.nextafter(1.0, 0.0)
@@ -300,17 +313,22 @@ def _qmc_probability(r, lo, hi, floor, samples, stream):
             prob = mass
             y = np.empty((block, n - 1))
             for i in range(1, n):
-                a = floor[i - 1]
+                left, right = floor[i - 1]
                 t = (digits[:, i - 1] ^ shifts[i - 1]) * scale * mass
-                # t is a value of the CDF of g phi in u = Phi(z),
-                # F(u) = a u + (1 - a) (clip(u, d, e) - d): invert its middle
-                # piece, and where that leaves [d, e], the outer pieces.
-                u = (1.0 - a) * d + t
-                if a > 0.0:
-                    u = np.where(u < d, t / a, np.where(u > e, (t - (1.0 - a) * (e - d)) / a, u))
+                # t is a value of the CDF of g phi in u = Phi(z), F(u) = a_l min(u, d)
+                # + (clip(u, d, e) - d) + a_r max(u - e, 0): invert its middle piece,
+                # and where that leaves [d, e], the outer piece of a positive floor.
+                u = middle = (1.0 - left) * d + t
+                if right > 0.0:
+                    past = t - (1.0 - right) * (e - d)
+                    if left != right:
+                        past = past - (left - right) * d
+                    u = np.where(middle > e, past / right, u)
+                if left > 0.0:
+                    u = np.where(middle < d, t / left, u)
                 y[:, i - 1] = ndtri(np.clip(u, 1e-300, u_top))
                 d, e = map(ndtr, _standardized(lo[i], hi[i], y[:, :i] @ chol[i, :i], chol[i, i]))
-                mass = floor[i] + (1.0 - floor[i]) * np.maximum(e - d, 0.0)
+                mass = _mass(floor[i], d, np.maximum(e - d, 0.0))
                 prob = prob * mass
             total += prob.sum()
         return total / npts
@@ -322,20 +340,16 @@ def _qmc_probability(r, lo, hi, floor, samples, stream):
 
 
 def _quadrature_probability(r, lo, hi, floor, quad_points):
-    """QUADRATURE value of E[prod_i g_i(t_i)] for one interval product.
-
-    Each g_i is a sum of interval indicators, a 1(t <= hi) +
-    (1 - 2a) 1(lo <= t <= hi) + a 1(t >= lo), without the terms of
-    coefficient 0.  Every product of terms is one row of the sweep, and the
-    value is the coefficient-weighted sum of the rows.
-    """
+    """QUADRATURE value of E[prod_i g_i(t_i)] for one interval product: the
+    coefficient-weighted sum of the rows, the products of g_i's interval
+    terms, each swept on its own."""
     n = r.shape[0]
     if n > QUADRATURE_MAX_DIM:
         raise QuadratureDimensionError(
             f"quadrature supports dimension <= {QUADRATURE_MAX_DIM}, got {n}")
     terms = []
-    for l, h, a in zip(lo, hi, floor):
-        split = [(a, -math.inf, h), (1.0 - 2.0 * a, l, h), (a, l, math.inf)]
+    for l, h, (left, right) in zip(lo, hi, floor):
+        split = [(left, -math.inf, h), (1.0 - (left + right), l, h), (right, l, math.inf)]
         terms.append([term for term in split if term[0] != 0.0])
     rows = list(itertools.product(*terms))
     coef = np.array([math.prod(c for c, _, _ in row) for row in rows])
@@ -371,20 +385,22 @@ def _quadrature_probability(r, lo, hi, floor, quad_points):
 def box_probability(r, sigma, intervals, cfg: IntegratorConfig,
                     stream: RngStream | None = None, floors=None) -> McEstimate:
     """Probability that N(0, sigma^2 (R^T R)^{-1}) lands in the interval
-    product.  With ``floors`` (a weight a_i in [0, 1] per coordinate) it is
-    E[prod_i (a_i + (1 - a_i) 1(xi_i in I_i))] instead, on every backend.
-    ``stream`` is required for the stochastic backends and ignored by
-    quadrature.
+    product or, with ``floors`` (an (n, 2) array of pairs (a_left, a_right)
+    in [0, 1]), E[prod_i g_i(xi_i)], on every backend.  ``stream`` is
+    required for the stochastic backends and ignored by quadrature.
 
-    A full-line coordinate (a full-line interval or a unit floor) has
-    g_i = 1 and is integrated out exactly: with those coordinates first,
-    the trailing block of the R factor of the permuted problem is the
-    factor of the others' marginal, and the backend integrates that.
+    Once unit floors are infinite limits, the full-line coordinates are
+    integrated out exactly: with those coordinates first, the trailing
+    block of the R factor of the permuted problem is the factor of the
+    others' marginal, and the backend integrates that.
     """
     r, sigma, lo, hi, floor = _validate(r, sigma, intervals, floors, cfg, stream)
     with np.errstate(over="ignore"):  # a limit past the float range is infinite
         lo, hi = lo / sigma, hi / sigma
-    full = (floor == 1.0) | (np.isneginf(lo) & np.isposinf(hi))
+    unit = floor == 1.0
+    lo, hi = np.where(unit[:, 0], -math.inf, lo), np.where(unit[:, 1], math.inf, hi)
+    floor = np.where(unit, 0.0, floor)
+    full = np.isneginf(lo) & np.isposinf(hi)
     if full.all():
         return McEstimate(1.0, 0.0, 0, "deterministic" if cfg.method is
                           IntegratorMethod.QUADRATURE else stream.label())

@@ -1,19 +1,18 @@
 """Success probabilities of the box-clamped detectors.
 
-Closed forms exist for the Babai detector: with a deterministic true
-vector the probability is a product of per-coordinate factors that depend
-only on the diagonal of R, the noise level, and the boundary pattern; with
-a uniformly random true vector the pattern averages out into another
-product.  Single-point box coordinates contribute a factor of 1 (the clamp
-makes detection certain there).
+Each is a law of the true vector x-hat plus one shared call.  The law gives
+every coordinate a pair of floors (a_left, a_right): given the error xi_i,
+the rounding detector succeeds with g_i(xi_i) = a_left below [-1/2, 1/2],
+1 on it and a_right above it.  At a fixed x-hat the pair is read off the
+coordinate's boundary tag (``_TAGS``); for x-hat uniform over a box,
+averaging over the w_i + 1 points of a width-w_i coordinate gives both
+floors 1 / (w_i + 1), and the average factorizes because the box is a
+product.
 
-The rounding detector has no product form: its deterministic-vector
-success probability is a Gaussian box probability whose intervals are read
-off the boundary pattern.  The uniform-vector probability is the average
-over all box points, and because the box is a product that average
-factorizes per coordinate inside the expectation: it is
-E[prod_i (a_i + (1 - a_i) 1(|xi_i| <= 1/2))] with a_i = 1 / (w_i + 1),
-the same form as the Babai closed form prod_i (a_i + (1 - a_i) phi(r_ii)).
+P^BR = E[prod_i g_i(xi_i)] is one floored ``gaussbox.box_probability``.
+Given the earlier Babai decisions right, coordinate i's error has mass
+phi(r_ii) on [-1/2, 1/2] and half the rest on each side, so
+P^BB = prod_i (a_i + (1 - a_i) phi(r_ii)) with a_i = (a_left + a_right) / 2.
 """
 
 import math
@@ -25,15 +24,7 @@ from scipy.special import erf
 # Unused here, but perfbench/spans.py wraps success.ordered_map by name.
 from ._parallel import ordered_map  # noqa: F401
 from .errors import DimensionMismatchError
-from .gaussbox import (
-    FINITE,
-    FULL_LINE,
-    LEFT_INFINITE,
-    RIGHT_INFINITE,
-    IntegratorConfig,
-    McEstimate,
-    box_probability,
-)
+from .gaussbox import FINITE, IntegratorConfig, McEstimate, box_probability
 from .linalg import validate_upper_triangular
 from .model import BoundaryTag, BoxConstraint, admissible_tags, validate_sigma
 from .rng import RngStream
@@ -55,93 +46,87 @@ def phi(zeta: float, sigma: float) -> float:
     return float(erf(float(zeta) / (2.0 * math.sqrt(2.0) * sigma)))
 
 
-# Per tag: the interval of xi_i on which rounding succeeds, and the floor a
-# of the Babai factor a + (1 - a) phi(r_ii).  The clamp turns half (bound)
-# or all (singleton) of the errors into successes.
+# Per boundary tag, the floors (a_left, a_right) of g_i: the clamp turns
+# the errors beyond a bound (L, U) or all of them (S) into successes.
 _TAGS = {
-    BoundaryTag.LOWER: (LEFT_INFINITE, 0.5),
-    BoundaryTag.INTERIOR: (FINITE, 0.0),
-    BoundaryTag.UPPER: (RIGHT_INFINITE, 0.5),
-    BoundaryTag.SINGLETON: (FULL_LINE, 1.0),
+    BoundaryTag.LOWER: (1.0, 0.0),
+    BoundaryTag.INTERIOR: (0.0, 0.0),
+    BoundaryTag.UPPER: (0.0, 1.0),
+    BoundaryTag.SINGLETON: (1.0, 1.0),
 }
 
 
-def intervals_from_pattern(pattern) -> tuple:
-    """Canonical interval product for a boundary pattern: lower-bound
-    coordinates get (-inf, 1/2], interior [-1/2, 1/2], upper-bound
-    [-1/2, inf), singleton the full line."""
-    return tuple(_TAGS[tag][0] for tag in pattern)
+def _pattern_law(pattern) -> list:
+    return [_TAGS[tag] for tag in pattern]
 
 
-def _babai_product(r, sigma: float, floors) -> float:
-    """prod_i (a_i + (1 - a_i) phi(r_ii)) with floors a: the product form
-    of every Babai success probability (Chang, Wen and Xie, IEEE Trans.
-    Inf. Theory 59(8), 2013).  Factors multiply in coordinate order."""
+def _uniform_law(box: BoxConstraint) -> np.ndarray:
+    return np.repeat(1.0 / (box.widths[:, None] + 1.0), 2, axis=1)
+
+
+def _babai(r, sigma: float, law) -> float:
+    """prod_i (a_i + (1 - a_i) phi(r_ii)) with a_i = (a_left + a_right) / 2
+    (Chang, Wen and Xie, IEEE Trans. Inf. Theory 59(8), 2013); factors
+    multiply in coordinate order."""
     diag = np.diag(validate_upper_triangular(r))
-    if len(floors) != diag.size:
+    if len(law) != diag.size:
         raise DimensionMismatchError(
-            f"{len(floors)} coordinates given for matrix dimension {diag.size}"
+            f"{len(law)} coordinates given for matrix dimension {diag.size}"
         )
-    return math.prod(a + (1.0 - a) * phi(rii, sigma) for rii, a in zip(diag, floors))
+    means = [(left + right) / 2.0 for left, right in law]
+    return math.prod(a + (1.0 - a) * phi(rii, sigma) for rii, a in zip(diag, means))
+
+
+def _rounding(r, sigma: float, law, cfg: IntegratorConfig, stream) -> McEstimate:
+    return box_probability(r, sigma, (FINITE,) * len(law), cfg, stream, law)
 
 
 def p_bb_deterministic(r, sigma: float, pattern) -> float:
     """Success probability of the clamped Babai detector at a fixed true
-    vector with the given boundary pattern.
-
-    Per coordinate: (1 + phi(r_ii)) / 2 on a bound, phi(r_ii) in the
-    interior, 1 on a singleton coordinate.
-    """
-    return _babai_product(r, sigma, [_TAGS[tag][1] for tag in pattern])
+    vector with the given boundary pattern.  Per coordinate:
+    (1 + phi(r_ii)) / 2 on a bound, phi(r_ii) in the interior, 1 on a
+    singleton coordinate."""
+    return _babai(r, sigma, _pattern_law(pattern))
 
 
 def p_bb_uniform(r, sigma: float, box: BoxConstraint) -> float:
     """Success probability of the clamped Babai detector when the true
     vector is uniform over the box: the product of
     1/(w+1) + w/(w+1) * phi(r_ii) with w = upper - lower per coordinate."""
-    return _babai_product(r, sigma, 1.0 / (box.widths + 1.0))
+    return _babai(r, sigma, _uniform_law(box))
 
 
 def p_bb_bounds(r, sigma: float, box: BoxConstraint | None = None):
     """Lower and upper bounds on the deterministic Babai success probability
-    over the box's admissible patterns: the products at each coordinate's
-    lowest and highest admissible floor.  Without a box every width counts
-    as >= 2, so the bounds are the all-interior and all-boundary products."""
+    over the box's admissible patterns: each coordinate takes its admissible
+    tag of lowest, then of highest, mean floor.  Without a box every width
+    counts as >= 2: all-interior and all-boundary."""
     n = validate_upper_triangular(r).shape[0]
-    floors = [[_TAGS[tag][1] for tag in admissible_tags(w)]
-              for w in ([2] * n if box is None else box.widths)]
-    return tuple(_babai_product(r, sigma, [pick(f) for f in floors]) for pick in (min, max))
+    laws = [_pattern_law(admissible_tags(w)) for w in ([2] * n if box is None else box.widths)]
+    return tuple(_babai(r, sigma, [pick(law, key=sum) for law in laws]) for pick in (min, max))
 
 
 def p_br_deterministic(r, sigma: float, pattern, cfg: IntegratorConfig,
                        stream: RngStream | None = None) -> McEstimate:
     """Success probability of the clamped rounding detector at a fixed
-    true vector: the Gaussian box probability of the interval product read
-    off the boundary pattern."""
-    return box_probability(r, sigma, intervals_from_pattern(pattern), cfg, stream)
+    true vector: the Gaussian probability of [-1/2, 1/2]^n with each bound
+    coordinate's interval extended to infinity on its clamped side."""
+    return _rounding(r, sigma, _pattern_law(pattern), cfg, stream)
 
 
 def p_br_uniform(r, sigma: float, box: BoxConstraint, cfg: IntegratorConfig,
                  stream: RngStream | None = None) -> McEstimate:
     """Success probability of the clamped rounding detector when the true
-    vector is uniform over the box.
-
-    Of a width-w coordinate's w + 1 points, the w - 1 interior ones succeed
-    on |xi_i| <= 1/2 and the two bound points on (-inf, 1/2] and
-    [-1/2, inf), so the coordinate's average indicator is
-    g_i = a_i + (1 - a_i) 1(|xi_i| <= 1/2) with a_i = 1 / (w_i + 1); a
-    singleton has g_i = 1.  E[prod_i g_i(xi_i)] is one floor-weighted
-    ``box_probability`` of 16 n ``cfg.samples`` points (for QMC,
-    n ``cfg.samples`` per randomization, rounded up to a power of two);
-    quadrature (n <= 4) ignores the point count and sweeps each of the at
-    most 3^n products of the floors' interval terms.  ``stream`` is
-    required for the stochastic backends, as in ``box_probability``.
+    vector is uniform over the box: E[prod_i (a_i + (1 - a_i)
+    1(|xi_i| <= 1/2))] with a_i = 1 / (w_i + 1), from 16 n ``cfg.samples``
+    points (for QMC, n ``cfg.samples`` per randomization, rounded up to a
+    power of two and refused past 2^30).  Quadrature (n <= 4) ignores the
+    point count and sweeps the at most 3^n products of interval terms.
     """
-    r = validate_upper_triangular(r)
-    n = r.shape[0]
+    n = validate_upper_triangular(r).shape[0]
     if box.dim != n:
         raise DimensionMismatchError(
             f"box dimension {box.dim} does not match matrix dimension {n}"
         )
     cfg = replace(cfg, samples=_UNIFORM_POINTS * n * cfg.samples)
-    return box_probability(r, sigma, (FINITE,) * n, cfg, stream, 1.0 / (box.widths + 1.0))
+    return _rounding(r, sigma, _uniform_law(box), cfg, stream)

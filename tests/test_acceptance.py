@@ -12,11 +12,13 @@ import pytest
 import boxdet as bd
 from boxdet.detectors import babai_success_batch, rounding_success_batch
 from boxdet.experiment import ExperimentConfig, run_experiment
-from boxdet.gaussbox import FINITE, LEFT_INFINITE, RIGHT_INFINITE
+from boxdet.gaussbox import FINITE, Interval
 from boxdet.model import BoundaryTag
 from boxdet.rng import RngStream, standard_normal
 
 EX1 = np.array([[2.0, -1.0], [0.0, 1.0]])
+LEFT_INFINITE = Interval(-math.inf, 0.5)
+RIGHT_INFINITE = Interval(-0.5, math.inf)
 QUAD = bd.IntegratorConfig(method=bd.IntegratorMethod.QUADRATURE)
 QMC2048 = bd.IntegratorConfig(method=bd.IntegratorMethod.SEQ_QMC, samples=2048)
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from boxdet import cli
+from boxdet import cli, gaussbox
 from boxdet.cli import format_rows_csv, main, parse_box, read_matrix
 from boxdet.cli import InputError
 from boxdet.chart import SERIES, render_chart
@@ -413,6 +413,21 @@ class TestMcSp:
             assert code == 2
             assert time.perf_counter() - start < 1.0
             assert f"dimension <= 4, got {n}" in capsys.readouterr().err
+
+    def test_qmc_point_count_past_the_sobol_range_exits_2(self, ex1, capsys, monkeypatch):
+        # 10^11 samples need more than the 2^30 points per randomization of a
+        # 30-bit Sobol sequence; the refusal comes before any is built.
+        def built(*args, **kwargs):
+            raise AssertionError("a Sobol sequence was built")
+
+        monkeypatch.setattr(gaussbox.qmc, "Sobol", built)
+        start = time.perf_counter()
+        assert main(["mc-sp", ex1, "--box", "0..1", "--sigma", "1", "--method", "qmc",
+                     "--samples", "100000000000"]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "samples" in captured.err and "2^30" in captured.err
 
 
 class TestExperimentCommand:

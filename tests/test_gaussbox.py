@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from scipy.integrate import quad as sciquad
-from scipy.special import ndtr
+from scipy.special import ndtr, owens_t
 from scipy.stats import multivariate_normal
 
 from boxdet import gaussbox
@@ -19,10 +20,7 @@ from boxdet.errors import (
 )
 from boxdet.gaussbox import (
     FINITE,
-    FULL_LINE,
-    LEFT_INFINITE,
     QUADRATURE_MAX_POINTS,
-    RIGHT_INFINITE,
     IntegratorConfig,
     IntegratorMethod,
     Interval,
@@ -32,9 +30,12 @@ from boxdet.gaussbox import (
 from boxdet.linalg import qr_positive, validate_upper_triangular
 from boxdet.model import BoxConstraint, parse_pattern
 from boxdet.rng import RngStream
-from boxdet.success import intervals_from_pattern, p_br_deterministic, p_br_uniform, phi
+from boxdet.success import p_br_deterministic, p_br_uniform, phi
 
 EX1 = np.array([[2.0, -1.0], [0.0, 1.0]])
+LEFT_INFINITE = Interval(-math.inf, 0.5)
+RIGHT_INFINITE = Interval(-0.5, math.inf)
+FULL_LINE = Interval(-math.inf, math.inf)
 QUAD = IntegratorConfig(method=IntegratorMethod.QUADRATURE)
 MC = IntegratorConfig(method=IntegratorMethod.MONTE_CARLO, samples=200_000)
 QMC = IntegratorConfig(method=IntegratorMethod.SEQ_QMC, samples=8192)
@@ -56,8 +57,13 @@ def _mvn_oracle(r, sigma, lo, hi):
 
 class TestIntervals:
     def test_pattern_mapping(self):
-        ivs = intervals_from_pattern(parse_pattern("LIUS"))
-        assert ivs == (LEFT_INFINITE, FINITE, RIGHT_INFINITE, FULL_LINE)
+        # The tags' floor pairs reach every backend as the interval product
+        # (-inf, 1/2] x [-1/2, 1/2] x [-1/2, inf) x full line, bit for bit.
+        r = _random_triangular(np.random.default_rng(50), 4)
+        ivs = (LEFT_INFINITE, FINITE, RIGHT_INFINITE, FULL_LINE)
+        for cfg in (MC, QMC, QUAD):
+            assert (p_br_deterministic(r, 0.8, parse_pattern("LIUS"), cfg, RngStream(50))
+                    == box_probability(r, 0.8, ivs, cfg, RngStream(50)))
 
     def test_interval_count_checked(self):
         with pytest.raises(DimensionMismatchError):
@@ -108,6 +114,38 @@ class TestConfig:
     def test_quadrature_dimension_cap_after_marginalization(self):
         est = box_probability(np.eye(5), 1.0, (FINITE,) * 4 + (FULL_LINE,), QUAD)
         assert est.value == pytest.approx(phi(1.0, 1.0) ** 4, rel=1e-12)
+
+
+def _no_sobol(*args, **kwargs):
+    raise AssertionError("a Sobol sequence was built")
+
+
+class TestQmcPointRange:
+    """A 30-bit Sobol sequence has 2^30 points; scipy refuses more only
+    after drawing them, so a larger count per randomization is refused
+    before any sequence is built."""
+
+    @pytest.fixture(autouse=True)
+    def sobol_is_never_built(self, monkeypatch):
+        monkeypatch.setattr(gaussbox.qmc, "Sobol", _no_sobol)
+
+    def test_a_count_past_the_range_is_refused(self):
+        cfg = IntegratorConfig(method="qmc", samples=16 * (2 ** 30 + 1))
+        with pytest.raises(InvalidConfigError, match=r"17179869200 samples need 2\^31 "):
+            box_probability(EX1, 1.0, (FINITE, FINITE), cfg, RngStream(0))
+
+    def test_the_last_count_in_range_reaches_the_sequence(self):
+        cfg = IntegratorConfig(method="qmc", samples=16 * 2 ** 30)
+        with pytest.raises(AssertionError, match="Sobol"):
+            box_probability(EX1, 1.0, (FINITE, FINITE), cfg, RngStream(0))
+
+    def test_the_uniform_multiplier_reaches_the_check(self):
+        # 16 n cfg.samples points: n cfg.samples = 2^31 per randomization.
+        cfg = IntegratorConfig(method="qmc", samples=2 ** 29)
+        start = time.perf_counter()
+        with pytest.raises(InvalidConfigError, match="samples"):
+            p_br_uniform(np.eye(4), 1.0, BoxConstraint.cube(0, 1, 4), cfg, RngStream(0))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestBoxProbability:
@@ -163,7 +201,7 @@ class TestBoxProbability:
             (EX1, 1e-320, (FINITE,) * 2, None, 1.0),
             (r, 1e300, (FINITE,) * 4, None, 0.0),
             (EX1, 1e308, (FINITE,) * 2, None, 0.0),
-            (EX1, 1e308, (FINITE,) * 2, [0.25, 0.25], 1.0 / 16.0),  # the floors remain
+            (EX1, 1e308, (FINITE,) * 2, [(0.25, 0.25)] * 2, 1.0 / 16.0),  # the floors remain
         ]:
             value = box_probability(r_, sigma, ivs, cfg, RngStream(0), floors).value
             if limit == 0.0:
@@ -259,7 +297,7 @@ class TestInverseFactor:
 
 
 class TestQmcBatch:
-    PRODUCTS = [intervals_from_pattern(parse_pattern(p))
+    PRODUCTS = [tuple({"L": LEFT_INFINITE, "I": FINITE, "U": RIGHT_INFINITE}[c] for c in p)
                 for p in ("LLI", "III", "LUI", "ILU", "UIL")]
 
     def _r(self):
@@ -299,7 +337,7 @@ class TestPrioritizedSweep:
                     if spread:
                         r[np.diag_indices(n)] = 10.0 ** rng.uniform(-6.0, 6.0, n)
                     ivs = [self.KINDS[k] for k in rng.integers(0, len(self.KINDS), n)]
-                    floor = np.where(rng.random(n) < 0.5, 0.0, rng.random(n))
+                    floor = np.where(rng.random((n, 2)) < 0.5, 0.0, rng.random((n, 2)))
                     sigma = float(10.0 ** rng.uniform(-2.0, 1.0))
                     lo = np.array([iv.lo for iv in ivs]) / sigma  # limits in units of sigma
                     hi = np.array([iv.hi for iv in ivs]) / sigma
@@ -317,10 +355,10 @@ class TestPrioritizedSweep:
         # The sweep conditions the last column first, so perm is the
         # greedy order (least mass first) reversed; ties keep index order.
         ivs = np.array([0.9, 0.2, 0.5])
-        perm = gaussbox._prioritized(np.eye(3), -ivs, ivs, np.zeros(3))[0]
+        perm = gaussbox._prioritized(np.eye(3), -ivs, ivs, np.zeros((3, 2)))[0]
         assert perm.tolist() == [0, 2, 1]
         same = np.full(3, 0.5)
-        perm = gaussbox._prioritized(np.eye(3), -same, same, np.zeros(3))[0]
+        perm = gaussbox._prioritized(np.eye(3), -same, same, np.zeros((3, 2)))[0]
         assert perm.tolist() == [2, 1, 0]
 
     def test_column_permuted_twin_agrees(self):
@@ -333,10 +371,10 @@ class TestPrioritizedSweep:
             if case % 2:  # an L/I/U pattern
                 ivs = [(LEFT_INFINITE, FINITE, RIGHT_INFINITE)[k]
                        for k in rng.integers(0, 3, n)]
-                floors = np.zeros(n)
+                floors = np.zeros((n, 2))
             else:  # a floor-weighted uniform cell
                 ivs = [FINITE] * n
-                floors = 1.0 / (rng.integers(1, 4, n) + 1.0)
+                floors = np.repeat(1.0 / (rng.integers(1, 4, n) + 1.0)[:, None], 2, axis=1)
             est = box_probability(r, sigma, ivs, QMC, RngStream(58, (case, 0)), floors)
             twin = box_probability(qr_positive(r[:, perm])[1], sigma, [ivs[p] for p in perm], QMC,
                                    RngStream(58, (case, 1)), floors[perm])
@@ -358,15 +396,17 @@ class TestPrioritizedSweep:
 
 class TestQuadratureBatch:
     IVS = (FINITE, LEFT_INFINITE, Interval(-0.8, 0.8))
-    FLOORS = (0.75, 0.1, 0.0)
+    FLOORS = ((0.75, 0.75), (0.1, 0.1), (0.0, 0.0))
 
     def test_rows_equal_single_products(self):
         # Floors expand into one batch of interval terms per coordinate,
-        # g = a 1(t <= hi) + (1 - 2a) 1(lo <= t <= hi) + a 1(t >= lo); with
-        # a = 0.75 the middle coefficient is negative.
+        # g = a_l 1(t <= hi) + (1 - (a_l + a_r)) 1(lo <= t <= hi) +
+        # a_r 1(t >= lo); with 0.75 on both sides the middle coefficient is
+        # negative.
         r = _random_triangular(np.random.default_rng(52), 3)
-        terms = [[(a, Interval(-math.inf, iv.hi)), (1 - 2 * a, iv), (a, Interval(iv.lo, math.inf))]
-                 for iv, a in zip(self.IVS, self.FLOORS)]
+        terms = [[(left, Interval(-math.inf, iv.hi)), (1 - (left + right), iv),
+                  (right, Interval(iv.lo, math.inf))]
+                 for iv, (left, right) in zip(self.IVS, self.FLOORS)]
         expected = sum(
             math.prod(c for c, _ in row)
             * box_probability(r, 0.7, tuple(iv for _, iv in row), QUAD).value
@@ -383,7 +423,7 @@ class TestQuadratureBatch:
         exact = sum(sciquad(lambda v: math.exp(-0.5 * v * v) / math.sqrt(2 * math.pi)
                             * ndtr(0.5 + 100 * v), a, b, epsabs=1e-13)[0]
                     for a, b in ((-0.005, 0.1), (0.1, math.inf)))
-        est = box_probability(r, 1.0, intervals_from_pattern(parse_pattern("LU")), QUAD)
+        est = p_br_deterministic(r, 1.0, parse_pattern("LU"), QUAD)
         assert abs(est.value - exact) < 1e-4
         assert est.stderr == 0.0
 
@@ -392,10 +432,8 @@ class TestQuadratureBatch:
         # the product of the two 2-D integrals.
         r = np.kron(np.eye(2), EX1)
         patterns = ["".join(p) for p in itertools.product("LIU", repeat=4)]
-        full = [box_probability(r, 1.0, intervals_from_pattern(parse_pattern(p)), QUAD)
-                for p in patterns]
-        halves = {p: box_probability(EX1, 1.0, intervals_from_pattern(parse_pattern(p)),
-                                     QUAD).value
+        full = [p_br_deterministic(r, 1.0, parse_pattern(p), QUAD) for p in patterns]
+        halves = {p: p_br_deterministic(EX1, 1.0, parse_pattern(p), QUAD).value
                   for p in ("".join(q) for q in itertools.product("LIU", repeat=2))}
         for p, est in zip(patterns, full):
             assert abs(est.value - halves[p[:2]] * halves[p[2:]]) < 1e-12
@@ -417,8 +455,9 @@ class TestWorkingMemory:
 
     CASES = [
         (3, (FINITE, LEFT_INFINITE, Interval(-0.3, 1.2)), None),
-        (4, (RIGHT_INFINITE, FINITE, FULL_LINE, Interval(-2.0, -0.1)), (0.25, 0.0, 0.0, 0.5)),
-        (6, (FINITE,) * 6, (0.8, 0.0, 0.5, 0.0, 0.25, 0.0)),
+        (4, (RIGHT_INFINITE, FINITE, FULL_LINE, Interval(-2.0, -0.1)),
+         ((0.25, 0.25), (0.0, 0.0), (0.0, 0.0), (0.5, 0.5))),
+        (6, (FINITE,) * 6, ((0.8, 0.8), (0.0, 0.0), (0.5, 0.1), (0.0, 0.0), (0.0, 0.25), (0.0, 0.0))),
     ]
 
     @pytest.mark.parametrize("n, ivs, floors", CASES)
@@ -439,14 +478,14 @@ class TestWorkingMemory:
         kinds = (FINITE, LEFT_INFINITE, RIGHT_INFINITE)
         products = list(itertools.product(kinds, repeat=n))[::5]
         whole = [box_probability(r, 0.9, ivs, cfg) for ivs in products]
-        floored = box_probability(r, 0.9, (FINITE,) * n, cfg, None, (0.5,) * n)
+        floored = box_probability(r, 0.9, (FINITE,) * n, cfg, None, ((0.5, 0.5),) * n)
         # Slices of 4, of 2 (the last one of 1) and of 1 first-coordinate node.
         monkeypatch.setattr(gaussbox, "_WORK_COLUMNS", 70)
         for ivs, ref in zip(products, whole):
             est = box_probability(r, 0.9, ivs, cfg)
             assert abs(est.value - ref.value) <= 2e-16
             assert est.samples == ref.samples
-        est = box_probability(r, 0.9, (FINITE,) * n, cfg, None, (0.5,) * n)
+        est = box_probability(r, 0.9, (FINITE,) * n, cfg, None, ((0.5, 0.5),) * n)
         assert abs(est.value - floored.value) <= 2e-16
 
     def test_quadrature_at_128_nodes_in_4d(self):
@@ -471,15 +510,16 @@ class TestWorkingMemory:
 
 class TestFloorWeights:
     IVS = TestQuadratureBatch.IVS
-    FLOORS = ((0.25, 0.5, 0.0), (0.75, 0.1, 1.0))
+    FLOORS = (((0.25, 0.25), (0.5, 0.5), (0.0, 0.0)), ((0.75, 0.75), (0.1, 0.1), (1.0, 1.0)))
 
     def _expanded(self, r, sigma, floors):
-        """E[prod_i (a_i + (1 - a_i) 1_i)] expanded over the subsets S of
-        coordinates held to their intervals, each a scipy probability with
-        the other coordinates on the full line."""
+        """E[prod_i (a_i + (1 - a_i) 1_i)] for equal floors a_i on both sides,
+        expanded over the subsets S of coordinates held to their intervals,
+        each a scipy probability with the other coordinates on the full
+        line."""
         total = 0.0
         for held in itertools.product((False, True), repeat=3):
-            coef = math.prod((1 - a) if h else a for a, h in zip(floors, held))
+            coef = math.prod((1 - a) if h else a for (a, _), h in zip(floors, held))
             lo = np.array([iv.lo if h else -math.inf for iv, h in zip(self.IVS, held)])
             hi = np.array([iv.hi if h else math.inf for iv, h in zip(self.IVS, held)])
             total += coef * (_mvn_oracle(r, sigma, lo, hi) if any(held) else 1.0)
@@ -496,14 +536,14 @@ class TestFloorWeights:
     def test_zero_floors_keep_the_box_probability(self):
         r = _random_triangular(np.random.default_rng(55), 3)
         for cfg in (MC, QMC, QUAD):
-            assert (box_probability(r, 0.7, self.IVS, cfg, RngStream(9), np.zeros(3))
+            assert (box_probability(r, 0.7, self.IVS, cfg, RngStream(9), np.zeros((3, 2)))
                     == box_probability(r, 0.7, self.IVS, cfg, RngStream(9)))
 
     def test_unit_floors_give_one(self):
         # Quadrature integrates a unit floor as the full line; the default
         # 64-node rule resolves it to 1 after clipping.
         for cfg in (MC, QMC, QUAD):
-            est = box_probability(EX1, 0.7, (FINITE, FINITE), cfg, RngStream(9), (1.0, 1.0))
+            est = box_probability(EX1, 0.7, (FINITE, FINITE), cfg, RngStream(9), ((1.0, 1.0),) * 2)
             assert est.value == 1.0 and est.stderr == 0.0
 
     def test_unit_floors_give_one_on_a_coarse_rule(self):
@@ -511,7 +551,7 @@ class TestFloorWeights:
         # sees them (8 Gauss-Legendre nodes on +-10 sd once read 0.538).
         coarse = IntegratorConfig(method=IntegratorMethod.QUADRATURE, quad_points=8)
         for cfg in (MC, QMC, coarse):
-            est = box_probability(EX1, 0.7, (FINITE, FINITE), cfg, RngStream(9), (1.0, 1.0))
+            est = box_probability(EX1, 0.7, (FINITE, FINITE), cfg, RngStream(9), ((1.0, 1.0),) * 2)
             assert est.value == 1.0 and est.stderr == 0.0
 
     def test_full_line_coordinates_are_marginalized(self):
@@ -521,7 +561,7 @@ class TestFloorWeights:
         sd = 0.7 * np.sqrt(np.diag(np.linalg.inv(r.T @ r)))
         for i in range(4):
             ivs = tuple(FINITE if j == i else LEFT_INFINITE for j in range(4))
-            floors = tuple(0.0 if j == i else 1.0 for j in range(4))
+            floors = tuple((0.0, 0.0) if j == i else (1.0, 1.0) for j in range(4))
             expected = math.erf(0.5 / (math.sqrt(2.0) * sd[i]))
             coarse = IntegratorConfig(method=IntegratorMethod.QUADRATURE, quad_points=8)
             for cfg in (coarse, QMC):
@@ -531,7 +571,10 @@ class TestFloorWeights:
             assert abs(est.value - expected) <= 3 * est.stderr
 
     def test_validation(self):
-        for floors in ((0.5,), (0.5, 1.5), (-0.1, 0.0), (math.nan, 0.0)):
+        # One pair per coordinate, each weight in [0, 1]; (0.5, 0.5) is one
+        # weight per coordinate, which no longer reads as two pairs.
+        for floors in (((0.5, 0.5),), (0.5, 0.5), ((0.5, 0.5), (0.0, 1.5)),
+                       ((-0.1, 0.0), (0.0, 0.0)), ((0.0, math.nan), (0.0, 0.0))):
             for cfg in (QMC, QUAD):
                 with pytest.raises(ValueError, match="floors"):
                     box_probability(EX1, 0.7, (FINITE, FINITE), cfg, RngStream(9), floors)
@@ -573,3 +616,96 @@ class TestMcEstimate:
             McEstimate(0.5, -1.0, 10, "s")
         with pytest.raises(ValueError):
             McEstimate(0.5, 0.1, -1, "s")
+
+
+def _bvn_below(h, k, rho):
+    """P(X <= h, Y <= k) for standard normals of correlation rho, from
+    Owen's T function (Owen, Ann. Math. Stat. 27, 1956); h, k nonzero."""
+    if h == -math.inf or k == -math.inf:
+        return 0.0
+    if h == math.inf or k == math.inf:
+        return float(ndtr(min(h, k)))
+    root = math.sqrt(1.0 - rho * rho)
+    beta = 0.5 if h * k < 0.0 else 0.0
+    return float(0.5 * (ndtr(h) + ndtr(k)) - owens_t(h, (k - rho * h) / (h * root))
+                 - owens_t(k, (h - rho * k) / (k * root)) - beta)
+
+
+def _owen_probability(r, sigma, floors):
+    """Exact E[g_1(xi_1) g_2(xi_2)] in 2-D for the interval [-1/2, 1/2] on
+    both coordinates: the nine products of the regions below, on and above
+    it, each a rectangle by inclusion-exclusion, weighted by the floors."""
+    cov = sigma ** 2 * np.linalg.inv(r.T @ r)
+    sd = np.sqrt(np.diag(cov))
+    rho = cov[0, 1] / (sd[0] * sd[1])
+
+    def below(h, k):
+        return _bvn_below(h / sd[0], k / sd[1], rho)
+
+    def regions(left, right):
+        return ((left, -math.inf, -0.5), (1.0, -0.5, 0.5), (right, 0.5, math.inf))
+
+    return sum(c1 * c2 * (below(b1, b2) - below(a1, b2) - below(b1, a2) + below(a1, a2))
+               for (c1, a1, b1), (c2, a2, b2) in itertools.product(*map(regions, *zip(*floors))))
+
+
+def _floor_pairs(rng, n):
+    """n pairs from [0, 1]^2, one-sided (0, a) and (a, 0) among them."""
+    pairs = rng.random((n, 2))
+    side = rng.integers(0, 3, n)  # 0: both sides, 1: (0, a), 2: (a, 0)
+    pairs[side == 1, 0] = 0.0
+    pairs[side == 2, 1] = 0.0
+    return pairs
+
+
+class TestAsymmetricFloors:
+    """g_i is a_left below [-1/2, 1/2], 1 on it and a_right above it: each
+    backend against the exact 2-D value, and against each other in 3-D and
+    4-D."""
+
+    QMC = IntegratorConfig(method=IntegratorMethod.SEQ_QMC, samples=4096)
+
+    def _cases(self):
+        yield EX1, 1.0, np.array([[1.0, 0.0], [1.0, 0.0]])  # the example's LL pattern
+        yield EX1, 1.0, np.array([[0.3, 0.0], [0.0, 0.8]])
+        rng = np.random.default_rng(90)
+        for _ in range(20):
+            r = np.array([[rng.uniform(0.5, 2.0), rng.standard_normal()],
+                          [0.0, rng.uniform(0.5, 2.0)]])
+            yield r, float(rng.uniform(0.3, 1.5)), _floor_pairs(rng, 2)
+
+    def test_oracle_reads_the_example(self):
+        # 0.61918513712882 agrees with an adaptive 1-D quadrature to 9 digits.
+        exact = _owen_probability(EX1, 1.0, [(1.0, 0.0), (1.0, 0.0)])
+        assert exact == pytest.approx(0.61918513712882, abs=1e-13)
+
+    def test_two_dimensions_match_the_owen_oracle(self, monkeypatch):
+        # One thread, so the sweeps run under this thread's errstate: no
+        # floating-point flag may be raised, one-sided pairs included.
+        monkeypatch.setenv("BOXDET_THREADS", "1")
+        for case, (r, sigma, pairs) in enumerate(self._cases()):
+            exact = _owen_probability(r, sigma, pairs)
+            with np.errstate(all="raise"):
+                quad = box_probability(r, sigma, (FINITE, FINITE), QUAD, None, pairs)
+                qmc = box_probability(r, sigma, (FINITE, FINITE), self.QMC,
+                                      RngStream(90, (case,)), pairs)
+            assert abs(quad.value - exact) <= 1e-9, (case, pairs)
+            assert abs(qmc.value - exact) <= 3 * qmc.stderr + 1e-12, (case, pairs)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_backends_agree(self, monkeypatch, n):
+        monkeypatch.setenv("BOXDET_THREADS", "1")
+        rng = np.random.default_rng(91 + n)
+        mc_cfg = IntegratorConfig(method=IntegratorMethod.MONTE_CARLO, samples=100_000)
+        quad = IntegratorConfig(method=IntegratorMethod.QUADRATURE, quad_points=32)
+        for case in range(4):
+            r = np.triu(rng.uniform(-0.5, 0.5, (n, n)))
+            r[np.diag_indices(n)] = rng.uniform(0.5, 2.0, n)
+            sigma = float(rng.uniform(0.3, 1.5))
+            pairs = _floor_pairs(rng, n)
+            with np.errstate(all="raise"):
+                ests = [box_probability(r, sigma, (FINITE,) * n, cfg, RngStream(91, (n, case)),
+                                        pairs) for cfg in (mc_cfg, self.QMC, quad)]
+            for one, other in itertools.combinations(ests, 2):
+                assert (abs(one.value - other.value)
+                        <= 3 * math.hypot(one.stderr, other.stderr)), (n, case, pairs)

@@ -376,6 +376,22 @@ class TestPinnedOutputs:
         assert self._digest(ests) == (
             "c636bc8df0c6a463bf3228db78cd42ae06fda5cf32134d3cc0ac4306c39c6688")
 
+    def test_every_tag_and_floored_integral_digest(self):
+        # One pattern per tag and one mixed pattern at a fixed true vector,
+        # then one floored integral (p_br_uniform over mixed widths, a
+        # width-0 coordinate among them), each on all three backends.
+        quad = IntegratorConfig(method=IntegratorMethod.QUADRATURE)
+        ests = []
+        for cfg in (self.QMC, self.MC, quad):
+            for seed, pattern in enumerate(("LLL", "III", "UUU", "SSI", "LISU"), start=64):
+                r = _random_r(seed, len(pattern))
+                ests.append(p_br_deterministic(r, 0.7, parse_pattern(pattern), cfg,
+                                               RngStream(seed)))
+            ests.append(p_br_uniform(_random_r(69, 3), 0.7, BoxConstraint([0, 0, 2], [1, 0, 5]),
+                                     cfg, RngStream(69)))
+        assert self._digest(ests) == (
+            "2bfca448e6237d7c1c32c61f2db90a44534934f2371e6744e1ee58e9545ec6f3")
+
 
 def _well_conditioned(rng, n):
     r = np.triu(rng.uniform(-0.3, 0.3, (n, n)))
