@@ -43,7 +43,7 @@ from .errors import InvalidConfigError, RankDeficientError, require_int
 from .gaussbox import QUADRATURE_MAX_DIM, IntegratorConfig, IntegratorMethod, McEstimate
 from .linalg import qr_positive
 from .model import BoxConstraint, boundary_masks, sample_noise, sample_uniform_x  # noqa: F401
-from .success import p_bb_uniform, p_br_uniform
+from .success import p_bb_uniform, p_br_uniform, uniform_integrator
 
 _TRIAL_BLOCK = 4096
 # Trial blocks per batch.  On 2 cores the n = 8, 8-sigma, 10 x 32768-trial sweep
@@ -110,6 +110,13 @@ class ExperimentConfig:
                 and wide > QUADRATURE_MAX_DIM):
             raise InvalidConfigError(f"quadrature supports dimension <= {QUADRATURE_MAX_DIM}, "
                                      f"got {wide} coordinates of width >= 1")
+        if self.compute_exact_br:  # the theory cells' integrator, checked before any trial
+            try:
+                uniform_integrator(self.integrator, self.n)
+            except InvalidConfigError as exc:
+                raise InvalidConfigError(
+                    f"integrator.samples {self.integrator.samples} is too many for the "
+                    f"theory curve at n = {self.n}: {exc}") from None
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":

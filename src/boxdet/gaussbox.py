@@ -22,12 +22,12 @@ probabilities of ``success`` are such integrals over [-1/2, 1/2]^n.
 Three interchangeable backends:
 
 * ``MONTE_CARLO`` -- draw z ~ N(0, I) and set t = R^{-1} z, which has
-  exactly the target law; average prod_i g_i(t_i).  Unbiased; for a box
-  probability the standard error is the binomial one.  Default, for
-  robustness.  Each block of 2^16 samples is drawn whole and solved and
-  tested ``_WORK_COLUMNS`` = 2^13 samples at a time into one array per
-  block, so memory does not grow with the sample count and the sums are
-  those of the whole block.
+  exactly the target law; average prod_i g_i(t_i), with the zero-floor
+  coordinates reduced as booleans to an exact 0 or 1 and the floored ones
+  multiplied in.  Unbiased; default, for robustness.  Each block of 2^16
+  samples is drawn whole and solved and tested ``_WORK_COLUMNS`` = 2^13
+  samples at a time into one array per block, so memory does not grow
+  with the sample count and the sums are those of the whole block.
 * ``SEQ_QMC`` -- sequential conditioning with randomized Sobol points
   (Genz 1992).  A greedy order puts the coordinate of least conditional
   mass first (Gibson, Glasbey and Elston 1994), and the sweep runs on
@@ -62,9 +62,10 @@ Three interchangeable backends:
 
 QMC and quadrature take the factor R^{-1} from numpy's LAPACK
 (``np.linalg.inv``), and ``linalg.permuted_factor`` takes the permuted
-factors from its QR; at these sizes neither starts a BLAS worker.  Nothing
-here calls scipy's LAPACK: scipy bundles a second OpenBLAS whose worker
-thread busy-waits after each call and takes a core from the pool.
+factors from its QR; at these sizes neither starts a BLAS worker.  MC sums
+its squares pairwise, with no BLAS call (``g @ g`` would wake a worker).
+Nothing here calls scipy's LAPACK: scipy bundles a second OpenBLAS whose
+worker thread busy-waits after each call and takes a core from the pool.
 """
 import enum
 import itertools
@@ -131,6 +132,11 @@ class IntegratorConfig:
             raise InvalidConfigError(
                 f"quad_points must be between 2 and {QUADRATURE_MAX_POINTS}, "
                 f"got {self.quad_points}")
+        per_sweep = self.samples // _QMC_RANDOMIZATIONS  # before rounding up to a power of two
+        if self.method is IntegratorMethod.SEQ_QMC and per_sweep > 1 << _QMC_BITS:
+            raise InvalidConfigError(
+                f"{self.samples} samples need 2^{math.ceil(math.log2(per_sweep))} QMC points per "
+                f"randomization; a {_QMC_BITS}-bit Sobol sequence has at most 2^{_QMC_BITS}")
 
 
 @dataclass(frozen=True)
@@ -175,31 +181,25 @@ def _validate(r, sigma, intervals, floors, cfg, stream):
 
 
 def _mc_probability(r, lo, hi, floor, samples, stream):
-    n = r.shape[0]
     blocks = [(index, min(_MC_BLOCK, samples - start))
               for index, start in enumerate(range(0, samples, _MC_BLOCK))]
-
-    floored = floor.any()
+    floored = floor.any(axis=1)  # the coordinates multiplied in as floats
+    left, right = floor[floored, :1], floor[floored, 1:]
 
     def sum_block(block):
         idx, size = block
-        z = standard_normal(stream.child(idx), (size, n))
+        z = standard_normal(stream.child(idx), (size, r.shape[0]))
         # Solved and tested _WORK_COLUMNS samples at a time, into one array
         # per block, so the sums are those of the whole block.
-        g = np.empty(size, dtype=float if floored else bool)
+        g = np.empty(size)
         for start in range(0, size, _WORK_COLUMNS):
             part = slice(start, start + _WORK_COLUMNS)
             t = back_substitute(r, z[part].T)  # one column per sample
             inside = (t >= lo[:, None]) & (t <= hi[:, None])
-            if floored:
-                outside = np.where(t < lo[:, None], floor[:, :1], floor[:, 1:])
-                g[part] = np.prod(np.where(inside, 1.0, outside), axis=0)
-            else:
-                np.all(inside, axis=0, out=g[part])
-        if floored:
-            return float(g.sum()), float(g @ g)
-        hits = float(np.count_nonzero(g))
-        return hits, hits  # an indicator is its own square
+            g[part] = np.all(inside[~floored], axis=0)  # an exact 0 or 1
+            outside = np.where(t[floored] < lo[floored, None], left, right)
+            g[part] *= np.prod(np.where(inside[floored], 1.0, outside), axis=0)
+        return float(g.sum()), float((g * g).sum())  # pairwise sums; g @ g would wake BLAS
 
     sums = ordered_map(sum_block, blocks)
     p = sum(total for total, _ in sums) / samples
@@ -219,12 +219,10 @@ def _standardized(lo, hi, shift, sd):
 
 def _mass(floor, d, gap):
     """Mass a_l d + gap + a_r (1 - d - gap) of g phi, with d = Phi(alpha) and
-    gap = Phi(beta) - Phi(alpha), as a_r + (1 - a_r) gap + (a_l - a_r) d:
-    the last term, 0 for equal floors, is skipped then."""
+    gap = Phi(beta) - Phi(alpha), as a_r + (1 - a_r) gap + (a_l - a_r) d;
+    for equal floors the last term adds an exact 0."""
     left, right = floor[..., 0], floor[..., 1]
-    mass = right + (1.0 - right) * gap
-    skew = left - right
-    return mass + skew * d if np.any(skew) else mass
+    return right + (1.0 - right) * gap + (left - right) * d
 
 
 def _prioritized(r, lo, hi, floor):
@@ -267,9 +265,8 @@ def _prioritized(r, lo, hi, floor):
         factor[others, k] = (cov[others, pick] - factor[others, :k] @ factor[pick, :k]) / sd[j]
         left, right = floor[pick]
         root, exp_alpha = math.sqrt(2.0 * math.pi), math.exp(-0.5 * alpha[j] ** 2)
-        shift = (1.0 - right) * ((exp_alpha - math.exp(-0.5 * beta[j] ** 2)) / root)
-        if left != right:
-            shift -= (left - right) * exp_alpha / root
+        shift = ((1.0 - right) * ((exp_alpha - math.exp(-0.5 * beta[j] ** 2)) / root)
+                 - (left - right) * exp_alpha / root)
         # mass is 0 in floating point far out in a tail, beyond Phi's range.
         means[k] = shift / mass[j] if mass[j] > 0.0 else 0.0
     perm = np.array(order[::-1])
@@ -290,12 +287,7 @@ def _qmc_probability(r, lo, hi, floor, samples, stream):
     if n == 1:
         return McEstimate(float(mass0), 0.0, 0, stream.label())
 
-    log2_pts = max(6, math.ceil(math.log2(max(1, samples // _QMC_RANDOMIZATIONS))))
-    if log2_pts > _QMC_BITS:
-        raise InvalidConfigError(
-            f"{samples} samples need 2^{log2_pts} QMC points per randomization; "
-            f"a {_QMC_BITS}-bit Sobol sequence has at most 2^{_QMC_BITS}")
-    npts = 1 << log2_pts
+    npts = 1 << max(6, math.ceil(math.log2(max(1, samples // _QMC_RANDOMIZATIONS))))
     block = min(npts, _SWEEP_CHUNK)
     u_top = np.nextafter(1.0, 0.0)
     scale = 2.0 ** -_QMC_BITS
@@ -320,9 +312,7 @@ def _qmc_probability(r, lo, hi, floor, samples, stream):
                 # and where that leaves [d, e], the outer piece of a positive floor.
                 u = middle = (1.0 - left) * d + t
                 if right > 0.0:
-                    past = t - (1.0 - right) * (e - d)
-                    if left != right:
-                        past = past - (left - right) * d
+                    past = t - (1.0 - right) * (e - d) - (left - right) * d
                     u = np.where(middle > e, past / right, u)
                 if left > 0.0:
                     u = np.where(middle < d, t / left, u)

@@ -39,19 +39,17 @@ class BoundaryTag(enum.Enum):
     SINGLETON = "S"
 
 
-def _bounds(values, name: str) -> np.ndarray:
-    """Box bounds as int64, each checked to be integral and within
+def _integers(values, name: str) -> np.ndarray:
+    """Values as int64, each checked to be integral, not a bool, and within
     +-MAX_BOUND while it is still a Python number, so none is truncated and
-    an oversized one cannot overflow."""
+    an oversized one cannot overflow.  An error names the entry as ``name``."""
     values = np.asarray(values, dtype=object).reshape(-1)
     for value in values:
         if isinstance(value, (bool, np.bool_)) or not (
                 isinstance(value, (int, np.integer)) or float(value).is_integer()):
-            raise ValueError(f"box {name} bound {value} is not an integer")
+            raise ValueError(f"{name} {value} is not an integer")
         if not -MAX_BOUND <= value <= MAX_BOUND:
-            raise ValueError(
-                f"box {name} bound {value} is outside [-2^52, 2^52]"
-            )
+            raise ValueError(f"{name} {value} is outside [-2^52, 2^52]")
     return values.astype(np.int64)
 
 
@@ -67,7 +65,7 @@ class BoxConstraint:
     upper: np.ndarray
 
     def __init__(self, lower, upper):
-        lower, upper = _bounds(lower, "lower"), _bounds(upper, "upper")
+        lower, upper = _integers(lower, "box lower bound"), _integers(upper, "box upper bound")
         if lower.size != upper.size:
             raise DimensionMismatchError("lower and upper bounds differ in length")
         if lower.size == 0:
@@ -115,7 +113,7 @@ def classify(xhat, box: BoxConstraint) -> tuple:
     Per coordinate: SINGLETON when lower == upper, else LOWER / UPPER when
     the value sits on the respective bound, INTERIOR otherwise.
     """
-    xhat = np.asarray(xhat, dtype=np.int64).reshape(-1)
+    xhat = _integers(xhat, "vector entry")
     if xhat.size != box.dim:
         raise DimensionMismatchError(
             f"vector length {xhat.size} does not match box dimension {box.dim}"

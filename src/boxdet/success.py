@@ -38,7 +38,7 @@ def phi(zeta: float, sigma: float) -> float:
 
     Monotone increasing in zeta with range [0, 1).
     """
-    if zeta < 0.0:
+    if not zeta >= 0.0:  # NaN too
         raise ValueError("zeta must be nonnegative")
     sigma = validate_sigma(sigma)
     # In Python floats: a numpy scalar zeta would warn on overflow at a
@@ -75,6 +75,11 @@ def _babai(r, sigma: float, law) -> float:
         )
     means = [(left + right) / 2.0 for left, right in law]
     return math.prod(a + (1.0 - a) * phi(rii, sigma) for rii, a in zip(diag, means))
+
+
+def uniform_integrator(cfg: IntegratorConfig, n: int) -> IntegratorConfig:
+    """``cfg`` with the 16 n ``cfg.samples`` points of a uniform cell at dimension n."""
+    return replace(cfg, samples=_UNIFORM_POINTS * n * cfg.samples)
 
 
 def _rounding(r, sigma: float, law, cfg: IntegratorConfig, stream) -> McEstimate:
@@ -128,5 +133,4 @@ def p_br_uniform(r, sigma: float, box: BoxConstraint, cfg: IntegratorConfig,
         raise DimensionMismatchError(
             f"box dimension {box.dim} does not match matrix dimension {n}"
         )
-    cfg = replace(cfg, samples=_UNIFORM_POINTS * n * cfg.samples)
-    return _rounding(r, sigma, _uniform_law(box), cfg, stream)
+    return _rounding(r, sigma, _uniform_law(box), uniform_integrator(cfg, n), stream)

@@ -541,6 +541,21 @@ class TestExperimentCommand:
                      str(tmp_path / "x.csv")]) == 2
         assert "quadrature supports dimension <= 4, got 5" in capsys.readouterr().err
 
+    def test_unusable_qmc_sample_count_exits_2_before_trials(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # The theory curve integrates 16 n samples: 3.2e10 at n = 2 need 2^31
+        # QMC points per randomization, past a 30-bit Sobol sequence.
+        def never(*args):
+            raise AssertionError("trials ran before the QMC sample count was checked")
+
+        monkeypatch.setattr("boxdet.experiment._count_successes", never)
+        cfg = _config_file(tmp_path, integrator={"method": "qmc", "samples": 10 ** 9})
+        out = tmp_path / "x.csv"
+        assert main(["experiment", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "integrator.samples 1000000000" in err and "2^30" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("overrides", [
         {"box": {"lower": [0, 0, 0, 0, 2], "upper": [3, 3, 3, 3, 2]}},
         {"compute_exact_br": False},

@@ -29,7 +29,7 @@ from boxdet.gaussbox import (
 )
 from boxdet.linalg import qr_positive, validate_upper_triangular
 from boxdet.model import BoxConstraint, parse_pattern
-from boxdet.rng import RngStream
+from boxdet.rng import RngStream, standard_normal
 from boxdet.success import p_br_deterministic, p_br_uniform, phi
 
 EX1 = np.array([[2.0, -1.0], [0.0, 1.0]])
@@ -130,8 +130,8 @@ class TestQmcPointRange:
         monkeypatch.setattr(gaussbox.qmc, "Sobol", _no_sobol)
 
     def test_a_count_past_the_range_is_refused(self):
-        cfg = IntegratorConfig(method="qmc", samples=16 * (2 ** 30 + 1))
         with pytest.raises(InvalidConfigError, match=r"17179869200 samples need 2\^31 "):
+            cfg = IntegratorConfig(method="qmc", samples=16 * (2 ** 30 + 1))
             box_probability(EX1, 1.0, (FINITE, FINITE), cfg, RngStream(0))
 
     def test_the_last_count_in_range_reaches_the_sequence(self):
@@ -709,3 +709,32 @@ class TestAsymmetricFloors:
             for one, other in itertools.combinations(ests, 2):
                 assert (abs(one.value - other.value)
                         <= 3 * math.hypot(one.stderr, other.stderr)), (n, case, pairs)
+
+
+class TestMcReference:
+    """Floored MC against a plain per-sample product over coordinates,
+    recomputed from the same ``standard_normal(stream.child(k), ...)`` draws
+    of the 2^16-sample blocks."""
+
+    FLOORS = np.array([[0.0, 0.0], [0.25, 0.25], [1.0 / 3.0, 1.0 / 3.0], [0.5, 0.1]])
+    IVS = (LEFT_INFINITE, FINITE, Interval(-0.3, 1.2), FINITE)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_value_and_stderr(self, monkeypatch, threads):
+        monkeypatch.setenv("BOXDET_THREADS", threads)
+        n, sigma, samples, block = 4, 0.8, 3 * 2 ** 16 + 1234, 2 ** 16  # a partial last block
+        r = _random_triangular(np.random.default_rng(95), n)
+        stream = RngStream(95)
+        est = box_probability(r, sigma, self.IVS, IntegratorConfig(method="mc", samples=samples),
+                              stream, self.FLOORS)
+        g = []
+        for k, start in enumerate(range(0, samples, block)):
+            z = standard_normal(stream.child(k), (min(block, samples - start), n))
+            xi = sigma * np.linalg.solve(r, z.T)  # one column per sample
+            factors = [np.select([x < iv.lo, x > iv.hi], [left, right], 1.0)
+                       for x, iv, (left, right) in zip(xi, self.IVS, self.FLOORS)]
+            g.append(np.prod(factors, axis=0))
+        g = np.concatenate(g)
+        assert est.value == pytest.approx(np.mean(g), rel=1e-13, abs=0.0)
+        assert est.stderr == pytest.approx(math.sqrt(np.var(g) / samples), rel=1e-13, abs=0.0)
+        assert est.samples == samples

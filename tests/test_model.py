@@ -103,6 +103,24 @@ class TestClassify:
         with pytest.raises(DimensionMismatchError, match="does not match box dimension 2"):
             classify(xhat, BoxConstraint([0, 0], [3, 3]))
 
+    @pytest.mark.parametrize("xhat, message", [
+        ([2.7, 0.2], "2.7 is not an integer"),
+        ([-0.5, 0], "-0.5 is not an integer"),
+        ([1e30, 0], r"1e\+30 is outside \[-2\^52, 2\^52\]"),
+        ([True, 0], "True is not an integer"),
+        ([0, math.nan], "nan is not an integer"),
+    ])
+    def test_non_integral_entry_named(self, xhat, message):
+        # The entries pass the integer rule of the box bounds, not a cast
+        # that would truncate 2.7 to 2 or -0.5 into the box.
+        with pytest.raises(ValueError, match=message):
+            classify(xhat, BoxConstraint.cube(0, 3, 2))
+
+    def test_integral_floats_are_accepted(self):
+        box = BoxConstraint.cube(0, 3, 2)
+        assert classify([3.0, np.float64(1.0)], box) == (BoundaryTag.UPPER, BoundaryTag.INTERIOR)
+        assert classify(np.array([0, 3]), box) == (BoundaryTag.LOWER, BoundaryTag.UPPER)
+
     def test_total_on_box(self):
         box = BoxConstraint([0, 0], [3, 2])
         for pt in itertools.product(range(4), range(3)):

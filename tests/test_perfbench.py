@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -27,6 +29,16 @@ def test_selftest_passes():
 def test_traced_sweep_run_is_correct():
     done = _run("perfbench/run.py", "--workload", "sweep_empirical",
                 "--seconds", "1", "--trace", "1")
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["attempted"] > 0 and result["failed"] == 0
+
+
+@pytest.mark.parametrize("workload", ["theory_uniform", "fixed_patterns"])
+def test_traced_integral_run_is_correct(workload):
+    # These two run the QMC and MC integrals that the tracer wraps.
+    done = _run("perfbench/run.py", "--workload", workload, "--seconds", "1", "--trace", "1")
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert result["correct"] is True

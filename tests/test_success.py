@@ -81,6 +81,11 @@ class TestPhi:
             with pytest.raises(ValueError, match="finite"):
                 phi(1.0, sigma)
 
+    def test_nan_zeta_is_refused_and_infinite_zeta_gives_one(self):
+        with pytest.raises(ValueError, match="zeta must be nonnegative"):
+            phi(math.nan, 1.0)
+        assert phi(math.inf, 1.0) == 1.0
+
 
 class TestBabaiDeterministic:
     def test_example_all_lower(self):
