@@ -8,13 +8,12 @@ and one box, returning the detected x:
 * ``babai_batch``: back-substitution from the last coordinate with
   per-coordinate rounding (and clamping) before moving on.
 
-The sweep takes a second path, ``failure_scales``: one solve of a trial's
-unit noise gives the k with which each detector is right iff sigma k <= 1/2.
-
-The single-instance functions ``box_rounding`` and ``box_babai`` take one
-reduced observation (R, ytilde) and a box, validate them, and run a kernel
-on a batch of one.  The kernels with bounds of +-inf are the ordinary
-(unclamped) detectors.
+The sweep does not call them: ``failure_scales`` gives, from one solve of
+a trial's unit noise, the k with which each detector is right iff
+sigma k <= 1/2.  The kernels serve ``box_rounding`` and ``box_babai`` (the
+CLI's ``detect``), which validate one reduced observation (R, ytilde) and a
+box and run a kernel on a batch of one, and the tests, as the sweep's
+reference.  With bounds of +-inf they are the ordinary (unclamped) detectors.
 
 Rounding uses the smaller-magnitude tie rule: exact half-integers round
 toward zero.  Round-then-clamp is literally equivalent to the three-way
@@ -30,13 +29,9 @@ from .model import BoxConstraint
 
 
 def _round_and_clamp(t: np.ndarray, lower, upper) -> np.ndarray:
-    """Round t under the tie rule, then clamp it into [lower, upper]."""
-    out = np.abs(t)
-    out -= 0.5  # exact at half-integers, so ceil sends ties toward zero
-    np.ceil(out, out=out)
-    np.copysign(out, t, out=out)
-    np.maximum(out, lower, out=out)
-    return np.minimum(out, upper, out=out)
+    """Round t under the tie rule, then clamp it into [lower, upper].
+    |t| - 1/2 is exact at half-integers, so ceil sends ties toward zero."""
+    return np.minimum(np.maximum(np.copysign(np.ceil(np.abs(t) - 0.5), t), lower), upper)
 
 
 def rounding_batch(r, ytilde_batch, lower, upper) -> np.ndarray:
@@ -62,19 +57,14 @@ def babai_batch(r, ytilde_batch, lower, upper) -> np.ndarray:
     return x.T
 
 
-# The kernels return transposed views of (n, count) arrays.  Comparing in
-# that layout lets np.all combine n long rows instead of reducing count
-# rows of length n.
 def rounding_success_batch(r, ytilde_batch, xhat_batch, lower, upper) -> np.ndarray:
     """Per-trial success flags of the clamped rounding detector."""
-    x = rounding_batch(r, ytilde_batch, lower, upper)
-    return np.all(x.T == xhat_batch.T, axis=0)
+    return np.all(rounding_batch(r, ytilde_batch, lower, upper) == xhat_batch, axis=1)
 
 
 def babai_success_batch(r, ytilde_batch, xhat_batch, lower, upper) -> np.ndarray:
     """Per-trial success flags of the clamped Babai detector."""
-    x = babai_batch(r, ytilde_batch, lower, upper)
-    return np.all(x.T == xhat_batch.T, axis=0)
+    return np.all(babai_batch(r, ytilde_batch, lower, upper) == xhat_batch, axis=1)
 
 
 def failure_scales(r, v, up, down):
@@ -96,7 +86,8 @@ def _detect_one(kernel, r, ytilde, box: BoxConstraint) -> np.ndarray:
 
     R must be square, exactly zero below the diagonal, finite and positive
     on the diagonal (``validate_upper_triangular``); ytilde and the box
-    must match it.
+    must match it.  A coordinate that overflows to +-inf clamps exactly; a
+    NaN (0 * inf in rounding, inf - inf in either) raises ``ValueError``.
     """
     r = validate_upper_triangular(r)
     ytilde = as_vector(ytilde, r.shape[0])
@@ -104,7 +95,11 @@ def _detect_one(kernel, r, ytilde, box: BoxConstraint) -> np.ndarray:
         raise DimensionMismatchError(
             f"box dimension {box.dim} does not match model dimension {ytilde.size}"
         )
-    return kernel(r, ytilde[None, :], box.lower, box.upper)[0].astype(np.int64)
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite t clamps exactly
+        x = kernel(r, ytilde[None, :], box.lower, box.upper)[0]
+    if np.isnan(x).any():
+        raise ValueError("the detector overflowed float64 to NaN")
+    return x.astype(np.int64)
 
 
 def box_rounding(r, ytilde, box: BoxConstraint) -> np.ndarray:

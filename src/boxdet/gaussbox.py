@@ -82,6 +82,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidConfigError,
     QuadratureDimensionError,
+    RankDeficientError,
     require_int,
 )
 from .linalg import back_substitute, permuted_factor, validate_upper_triangular
@@ -166,7 +167,7 @@ def _validate(r, sigma, intervals, floors, cfg, stream):
     n = r.shape[0]
     intervals = tuple(intervals)
     if len(intervals) != n:
-        raise DimensionMismatchError(f"{len(intervals)} intervals given for dimension {n}")
+        raise DimensionMismatchError(f"{len(intervals)} coordinates given for matrix dimension {n}")
     bounds = np.array(intervals, dtype=float).reshape(n, 2)
     lo, hi = bounds[:, 0], bounds[:, 1]
     if not np.all(lo < hi):
@@ -382,7 +383,8 @@ def box_probability(r, sigma, intervals, cfg: IntegratorConfig,
     Once unit floors are infinite limits, the full-line coordinates are
     integrated out exactly: with those coordinates first, the trailing
     block of the R factor of the permuted problem is the factor of the
-    others' marginal, and the backend integrates that.
+    others' marginal, and the backend integrates that.  Every backend
+    refuses a factor whose (R^T R)^{-1} overflows (``RankDeficientError``).
     """
     r, sigma, lo, hi, floor = _validate(r, sigma, intervals, floors, cfg, stream)
     with np.errstate(over="ignore"):  # a limit past the float range is infinite
@@ -399,6 +401,10 @@ def box_probability(r, sigma, intervals, cfg: IntegratorConfig,
         r = permuted_factor(r, np.concatenate((np.flatnonzero(full), keep)))
         r = r[-keep.size:, -keep.size:]
         lo, hi, floor = lo[keep], hi[keep], floor[keep]
+    inv = np.linalg.inv(r)  # QMC orders the coordinates by (R^T R)^{-1}: all refuse its overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(inv @ inv.T).all():
+            raise RankDeficientError("the error covariance (R^T R)^{-1} overflows float64")
     if cfg.method is IntegratorMethod.QUADRATURE:
         return _quadrature_probability(r, lo, hi, floor, cfg.quad_points)
     kernel = _qmc_probability if cfg.method is IntegratorMethod.SEQ_QMC else _mc_probability

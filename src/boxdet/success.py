@@ -128,9 +128,4 @@ def p_br_uniform(r, sigma: float, box: BoxConstraint, cfg: IntegratorConfig,
     power of two and refused past 2^30).  Quadrature (n <= 4) ignores the
     point count and sweeps the at most 3^n products of interval terms.
     """
-    n = validate_upper_triangular(r).shape[0]
-    if box.dim != n:
-        raise DimensionMismatchError(
-            f"box dimension {box.dim} does not match matrix dimension {n}"
-        )
-    return _rounding(r, sigma, _uniform_law(box), uniform_integrator(cfg, n), stream)
+    return _rounding(r, sigma, _uniform_law(box), uniform_integrator(cfg, box.dim), stream)

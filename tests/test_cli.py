@@ -154,6 +154,19 @@ class TestDetect:
         assert main(["detect", str(bad), y_zero, "--box", "0..3"]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("matrix, y", [
+        ("1e-300 0\n0 1e-300\n", "1e10\n1e10\n"),
+        ("1e-300 1 1\n0 1e-300 0\n0 0 1e-300\n", "0\n1e10\n-1e10\n"),
+    ], ids=["diagonal", "triangular"])
+    def test_detector_overflow_to_nan_exits_2(self, tmp_path, capsys, matrix, y):
+        a, y_path = tmp_path / "a.txt", tmp_path / "y.txt"
+        a.write_text(matrix)
+        y_path.write_text(y)
+        assert main(["detect", str(a), str(y_path), "--box", "0..3"]) == 2
+        captured = capsys.readouterr()
+        assert "overflowed float64 to NaN" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("text, box, message", [
         ("\n \n", "0..3", "holds no numeric rows"),
         (EX1_TEXT, "0..2.5", "bounds must be integers"),
@@ -309,6 +322,16 @@ class TestMcSp:
         first = capsys.readouterr().out
         assert main(argv) == 0
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("method", ["mc", "qmc", "quad"])
+    def test_overflowing_covariance_exits_2(self, tmp_path, capsys, method):
+        a = tmp_path / "a.txt"
+        a.write_text("1e-155 1\n0 1e-155\n")
+        assert main(["mc-sp", str(a), "--sigma", "1", "--box", "0..3", "--pattern", "LI",
+                     "--samples", "1000", "--method", method]) == 2
+        captured = capsys.readouterr()
+        assert "covariance (R^T R)^{-1} overflows float64" in captured.err
+        assert captured.out == ""
 
     def test_uniform_quadrature_matches_exact_for_diagonal(self, tmp_path, capsys):
         a = tmp_path / "diag.txt"

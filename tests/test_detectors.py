@@ -93,6 +93,26 @@ class TestBoxRounding:
             box_rounding(np.eye(3), [1.0, 2.0, 3.0], BOX03)
 
 
+class TestOverflow:
+    def test_infinite_coordinate_clamps_exactly(self):
+        # 1e10 / 1e-300 overflows to +inf, which clamps to the upper bound.
+        box = BoxConstraint([0], [3])
+        for detector in (box_rounding, box_babai):
+            np.testing.assert_array_equal(detector([[1e-300]], [1e10], box), [3])
+
+    def test_nan_coordinate_is_refused(self):
+        # Rounding: d_2 = +inf, then d_1 = (1e10 - 0 * inf) / 1e-300 is NaN.
+        # Babai multiplies the clamped x_2 = 3 and stays finite.
+        r = np.diag([1e-300, 1e-300])
+        with pytest.raises(ValueError, match="overflowed float64 to NaN"):
+            box_rounding(r, [1e10, 1e10], BOX03)
+        np.testing.assert_array_equal(box_babai(r, [1e10, 1e10], BOX03), [3, 3])
+        # Babai: c_1 = 0 - (1e308 * 3 - 1e308 * 3) is inf - inf.
+        r = np.array([[1.0, 1e308, -1e308], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(ValueError, match="overflowed float64 to NaN"):
+            box_babai(r, [0.0, 3.0, 3.0], BoxConstraint.cube(0, 3, 3))
+
+
 class TestBoxBabai:
     def test_noiseless_recovery_with_trace(self):
         xhat = np.array([2, 1])

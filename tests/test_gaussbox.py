@@ -17,6 +17,7 @@ from boxdet.errors import (
     DimensionMismatchError,
     InvalidConfigError,
     QuadratureDimensionError,
+    RankDeficientError,
 )
 from boxdet.gaussbox import (
     FINITE,
@@ -266,6 +267,33 @@ class TestBackendAgreement:
                     gap = abs(ests[i].value - ests[j].value)
                     tol = 3 * math.hypot(ests[i].stderr, ests[j].stderr) + 1e-6
                     assert gap <= tol
+
+
+class TestOverflowingCovariance:
+    """[[t, 1], [0, t]] passes ``validate_upper_triangular`` at any t > 0, but
+    its covariance (R^T R)^{-1} holds 1/t^4, past float64 below t = 1e-77."""
+
+    CONFIGS = [IntegratorConfig(method=method, samples=1000) for method in IntegratorMethod]
+
+    @staticmethod
+    def _factor(t):
+        return np.array([[t, 1.0], [0.0, t]])
+
+    @pytest.mark.parametrize("t", [1e-78, 1e-155, 1e-300])
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda cfg: cfg.method.value)
+    def test_refused_on_every_backend(self, cfg, t):
+        r, box = self._factor(t), BoxConstraint.cube(0, 3, 2)
+        with pytest.raises(RankDeficientError, match="covariance"):
+            p_br_uniform(r, 1.0, box, cfg, RngStream(0))
+        with pytest.raises(RankDeficientError, match="covariance"):
+            p_br_deterministic(r, 1.0, parse_pattern("LI"), cfg, RngStream(0))
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda cfg: cfg.method.value)
+    def test_finite_covariance_still_integrates(self, cfg):
+        # The error's spread is about 1e150, so only the floors 1/4 remain.
+        est = p_br_uniform(self._factor(1e-75), 1.0, BoxConstraint.cube(0, 3, 2), cfg,
+                           RngStream(0))
+        assert est.value == pytest.approx(0.0625, abs=1e-12)
 
 
 class TestInverseFactor:

@@ -239,9 +239,28 @@ class TestRoundingDeterministic:
                 assert abs(est.value - p_bb_deterministic(r, sigma, (tag,))) <= 1e-12, tag
 
 
+_CUBE3 = BoxConstraint.cube(0, 3, 3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: p_bb_deterministic(EX1, 1.0, parse_pattern("LIU")),
+    lambda: p_br_deterministic(EX1, 1.0, parse_pattern("LIU"), QUAD),
+    lambda: p_bb_uniform(EX1, 1.0, _CUBE3),
+    lambda: p_br_uniform(EX1, 1.0, _CUBE3, QUAD),
+    lambda: p_bb_bounds(EX1, 1.0, _CUBE3),
+    lambda: box_probability(EX1, 1.0, (FINITE,) * 3, QUAD),
+], ids=["p_bb_deterministic", "p_br_deterministic", "p_bb_uniform", "p_br_uniform",
+        "p_bb_bounds", "box_probability"])
+def test_one_wording_for_a_wrong_length_law(call):
+    with pytest.raises(DimensionMismatchError,
+                       match="^3 coordinates given for matrix dimension 2$"):
+        call()
+
+
 class TestRoundingUniform:
     def test_box_dimension_checked(self):
-        with pytest.raises(DimensionMismatchError, match="box dimension 3"):
+        with pytest.raises(DimensionMismatchError,
+                           match="3 coordinates given for matrix dimension 2"):
             p_br_uniform(EX1, 1.0, BoxConstraint.cube(0, 3, 3), QUAD)
 
     def test_scalar_matches_babai(self):
