@@ -163,7 +163,7 @@ def _draw_full_rank_matrix(n: int, stream: _rng.RngStream):
     """i.i.d. standard normal square matrix, redrawn on the (measure-zero)
     event that it is rank deficient at working precision."""
     for attempt in range(64):
-        a = _rng.standard_normal(stream.child(attempt), (n, n))
+        a = _rng.inverse_cdf_normal(stream.child(attempt), (n, n))
         try:
             q1, r = qr_positive(a)
         except RankDeficientError:

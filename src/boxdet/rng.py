@@ -2,11 +2,16 @@
 
 Every stochastic quantity in the package is driven by an :class:`RngStream`,
 a (seed, substream-path) value.  Streams are split, never advanced in place,
-so parallel and serial evaluation orders draw identical numbers.  Uniform
-deviates come from the counter-based Philox generator; normal deviates are
-produced by applying the inverse normal CDF to that uniform stream, which
-keeps the draw sequence bit-reproducible across platforms (the inverse CDF
-is a fixed rational approximation with relative error far below 1e-9).
+so parallel and serial evaluation orders draw identical numbers.
+
+The sweep's trials, Monte Carlo's samples and the ``model`` samplers draw
+``uniform`` and ``standard_normal`` from SFC64, normals by numpy's ziggurat
+(Marsaglia and Tsang, J. Stat. Softw. 5(8), 2000): the cheapest bits and
+normals numpy offers.  Two draws stay on Philox, so that their numbers
+stay as they were: ``RngStream.generator`` (QMC's Sobol scrambles) and
+``inverse_cdf_normal`` (the sweep's model matrices).  Reruns are
+bit-identical for a fixed numpy and scipy; numpy pins the raw streams of
+its bit generators (NEP 19), not the ziggurat's use of them.
 """
 
 from dataclasses import dataclass
@@ -40,9 +45,13 @@ class RngStream:
     def child(self, *indices: int) -> "RngStream":
         return RngStream(self.seed, self.path + tuple(int(i) for i in indices))
 
+    def _seeds(self) -> np.random.SeedSequence:
+        return np.random.SeedSequence(self.seed, spawn_key=self.path)
+
     def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(self.seed, spawn_key=self.path)
-        return np.random.Generator(np.random.Philox(ss))
+        """A Philox generator: scipy's Sobol scrambles draw from it, so the
+        QMC values stay those of every earlier release."""
+        return np.random.Generator(np.random.Philox(self._seeds()))
 
     def label(self) -> str:
         if not self.path:
@@ -51,13 +60,20 @@ class RngStream:
 
 
 def uniform(stream: RngStream, size=None, out=None) -> np.ndarray:
-    """Uniform deviates in [0, 1) from the stream's Philox counter, of shape
+    """Uniform deviates in [0, 1) from the stream's SFC64 generator, of shape
     ``size`` or into a C-contiguous ``out``, with the bits of its shape."""
-    return stream.generator().random(size, out=out)
+    return np.random.Generator(np.random.SFC64(stream._seeds())).random(size, out=out)
 
 
 def standard_normal(stream: RngStream, size=None, out=None) -> np.ndarray:
-    """Standard normal deviates via inverse CDF of the uniform stream, made
-    in place (in ``out`` when given)."""
-    u = uniform(stream, size, out)
+    """Standard normal deviates by the ziggurat on the stream's SFC64
+    generator, of shape ``size`` or into a C-contiguous ``out``."""
+    return np.random.Generator(np.random.SFC64(stream._seeds())).standard_normal(size, out=out)
+
+
+def inverse_cdf_normal(stream: RngStream, size) -> np.ndarray:
+    """Standard normal deviates as the inverse CDF of the stream's Philox
+    uniforms: the sweep's model matrices keep the draws of every earlier
+    release, so the matrices of a config never change."""
+    u = stream.generator().random(size)
     return ndtri(np.maximum(u, _U_MIN, out=u), out=u)

@@ -693,7 +693,7 @@ class TestExperimentCommand:
         out = tmp_path / "reduced.csv"
         assert main(["experiment", "--config", str(REDUCED_CONFIG), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "aecf029755885e287f310cacdd52dd7b9991e3c9ece422925e5bb8a88b72f05e")
+            "10d8c95f32f56d722072b44449e3221b442ab0e308664db26fde5c17403354e2")
 
     def test_csv_round_trip(self, tmp_path):
         cfg = ExperimentConfig.from_json_file(_config_file(tmp_path))

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import threading
@@ -20,7 +21,7 @@ from boxdet.gaussbox import IntegratorConfig, IntegratorMethod
 from boxdet.linalg import qr_positive
 from boxdet.model import BoxConstraint, sample_noise, sample_uniform_x
 from boxdet.rng import RngStream
-from boxdet.success import p_bb_uniform
+from boxdet.success import p_bb_uniform, p_br_uniform
 
 BOX3 = BoxConstraint.cube(0, 3, 3)
 FAST_QMC = IntegratorConfig(method=IntegratorMethod.SEQ_QMC, samples=1024)
@@ -224,18 +225,18 @@ class TestDrawFullRankMatrix:
     def _singular_draws(monkeypatch, singular):
         """Patch the matrix draw so that its first ``singular`` calls return
         a rank-deficient matrix; return the list of the streams drawn."""
-        real, streams = experiment._rng.standard_normal, []
+        real, streams = experiment._rng.inverse_cdf_normal, []
 
         def draw(stream, shape):
             streams.append(stream)
             return np.ones(shape) if len(streams) <= singular else real(stream, shape)
 
-        monkeypatch.setattr(experiment._rng, "standard_normal", draw)
+        monkeypatch.setattr(experiment._rng, "inverse_cdf_normal", draw)
         return streams
 
     def test_redraws_after_a_rank_deficient_draw(self, monkeypatch):
         stream = RngStream(5)
-        second = experiment._rng.standard_normal(stream.child(1), (3, 3))
+        second = experiment._rng.inverse_cdf_normal(stream.child(1), (3, 3))
         streams = self._singular_draws(monkeypatch, 1)
         q1, r = experiment._draw_full_rank_matrix(3, stream)
         assert streams == [stream.child(0), stream.child(1)]
@@ -246,6 +247,26 @@ class TestDrawFullRankMatrix:
         with pytest.raises(RankDeficientError, match="64 attempts"):
             experiment._draw_full_rank_matrix(3, RngStream(5))
         assert len(streams) == 64
+
+
+class TestPhiloxDraws:
+    """The model matrices and QMC's scrambles draw from Philox, so a change
+    of the trial and sample generator moves neither."""
+
+    def test_model_matrices_digest(self):
+        digest = hashlib.sha256()
+        for m in range(10):
+            q1, r = experiment._draw_full_rank_matrix(8, RngStream(6).child(0, m))
+            digest.update(q1.tobytes() + r.tobytes())
+        assert digest.hexdigest() == (
+            "4654a26872615b9dac4526f6f013419ca6a818a5b6e7ce72384c146f24298d10")
+
+    def test_uniform_qmc_digest(self):
+        _, r = experiment._draw_full_rank_matrix(5, RngStream(6).child(0, 0))
+        est = p_br_uniform(r, 0.4, BoxConstraint.cube(0, 3, 5), FAST_QMC,
+                           RngStream(6).child(2, 0, 0))
+        assert hashlib.sha256(repr((est.value, est.stderr, est.samples)).encode()).hexdigest() == (
+            "63bc2ff5bf08b851a2166916e6eb9d22c4c535eb15a31a92064f1156551d9d44")
 
 
 class TestRunExperiment:

@@ -36,13 +36,14 @@ class TestOut:
             [standard_normal(s.child(1), (size, 8)) for s, size in zip(streams, sizes)]))
 
     def test_zero_uniform_stays_finite_in_place(self, monkeypatch):
-        # An exact 0 from random() is clipped to 2^-53 before the inverse CDF.
-        def zeros(stream, size=None, out=None):
-            out[...] = 0.0
-            return out
+        # The matrix draw clips an exact 0 from random() to 2^-53 before the
+        # inverse CDF.
+        class Zeros:
+            def random(self, size):
+                return np.zeros(size)
 
-        monkeypatch.setattr(rng, "uniform", zeros)
-        out = standard_normal(RngStream(1), out=np.empty(5))
+        monkeypatch.setattr(RngStream, "generator", lambda self: Zeros())
+        out = rng.inverse_cdf_normal(RngStream(1), 5)
         np.testing.assert_array_equal(out, np.full(5, ndtri(2.0 ** -53)))
 
 
