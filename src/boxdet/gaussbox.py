@@ -41,8 +41,9 @@ Three interchangeable backends:
   g_i phi by inverting its three-piece CDF (one ``ndtri`` per step; n - 1
   Sobol dimensions).  Each of the 16 randomizations scrambles its own
   Sobol sequence (scipy's linear matrix scramble plus digital shift), XORs
-  its digits with one more random digital shift, and sweeps it in blocks
-  of at most 2^14 points, on the thread pool.  A sample count that needs
+  its digits with one more random digital shift, takes each point at the
+  centre of its 2^-30 cell, and sweeps it in blocks of at most 2^14
+  points, on the thread pool.  A sample count that needs
   more than the 2^30 points per randomization of a 30-bit sequence is
   refused before any is built.  Standard error from the spread over the
   randomizations.
@@ -307,7 +308,8 @@ def _qmc_probability(r, lo, hi, floor, samples, stream):
             y = np.empty((block, n - 1))
             for i in range(1, n):
                 left, right = floor[i - 1]
-                t = (digits[:, i - 1] ^ shifts[i - 1]) * scale * mass
+                # Each point at its 2^-bits cell's centre; the corner biases by -2^-(bits+1).
+                t = ((digits[:, i - 1] ^ shifts[i - 1]) + 0.5) * scale * mass
                 # t is a value of the CDF of g phi in u = Phi(z), F(u) = a_l min(u, d)
                 # + (clip(u, d, e) - d) + a_r max(u - e, 0): invert its middle piece,
                 # and where that leaves [d, e], the outer piece of a positive floor.

@@ -720,6 +720,18 @@ class TestAsymmetricFloors:
             assert abs(quad.value - exact) <= 1e-9, (case, pairs)
             assert abs(qmc.value - exact) <= 3 * qmc.stderr + 1e-12, (case, pairs)
 
+    def test_qmc_is_unbiased_at_many_points(self):
+        # A Sobol point read as its cell's corner biases the estimate by about
+        # 2^-31 per coordinate, which outruns the stderr at 2^20 samples.  With
+        # 15 degrees of freedom |value - exact| > 3 se has probability 0.009,
+        # so 3 or more of 30 seeds would have probability 0.002.
+        floors = [(1.0, 0.0), (1.0, 0.0)]  # the example's LL pattern
+        exact = _owen_probability(EX1, 1.0, floors)
+        cfg = IntegratorConfig(method=IntegratorMethod.SEQ_QMC, samples=1 << 20)
+        ests = [box_probability(EX1, 1.0, (FINITE, FINITE), cfg, RngStream(seed), floors)
+                for seed in range(30)]
+        assert sum(abs(e.value - exact) > 3 * e.stderr for e in ests) <= 2
+
     @pytest.mark.parametrize("n", [3, 4])
     def test_backends_agree(self, monkeypatch, n):
         monkeypatch.setenv("BOXDET_THREADS", "1")
