@@ -2,16 +2,13 @@
 
 Every stochastic quantity in the package is driven by an :class:`RngStream`,
 a (seed, substream-path) value.  Streams are split, never advanced in place,
-so parallel and serial evaluation orders draw identical numbers.
-
-The sweep's trials, Monte Carlo's samples and the ``model`` samplers draw
-``uniform`` and ``standard_normal`` from SFC64, normals by numpy's ziggurat
-(Marsaglia and Tsang, J. Stat. Softw. 5(8), 2000): the cheapest bits and
-normals numpy offers.  Two draws stay on Philox, so that their numbers
-stay as they were: ``RngStream.generator`` (QMC's Sobol scrambles) and
-``inverse_cdf_normal`` (the sweep's model matrices).  Reruns are
-bit-identical for a fixed numpy and scipy; numpy pins the raw streams of
-its bit generators (NEP 19), not the ziggurat's use of them.
+so parallel and serial evaluation orders draw identical numbers.  Trials,
+Monte Carlo samples and the ``model`` samplers draw from SFC64, normals by
+numpy's ziggurat (Marsaglia and Tsang, J. Stat. Softw. 5(8), 2000): the
+cheapest numpy offers.  QMC's Sobol scrambles (``RngStream.generator``) and
+the sweep's model matrices (``inverse_cdf_normal``) stay on Philox, so that
+their numbers do not move.  Reruns are bit-identical for a fixed numpy and
+scipy: numpy pins its bit generators' raw streams (NEP 19), not the ziggurat.
 """
 
 from dataclasses import dataclass
@@ -45,13 +42,10 @@ class RngStream:
     def child(self, *indices: int) -> "RngStream":
         return RngStream(self.seed, self.path + tuple(int(i) for i in indices))
 
-    def _seeds(self) -> np.random.SeedSequence:
-        return np.random.SeedSequence(self.seed, spawn_key=self.path)
-
-    def generator(self) -> np.random.Generator:
-        """A Philox generator: scipy's Sobol scrambles draw from it, so the
-        QMC values stay those of every earlier release."""
-        return np.random.Generator(np.random.Philox(self._seeds()))
+    def generator(self, bits=np.random.Philox) -> np.random.Generator:
+        """A generator on the stream's seed sequence.  Philox by default:
+        scipy's Sobol scrambles draw from it, so QMC keeps its numbers."""
+        return np.random.Generator(bits(np.random.SeedSequence(self.seed, spawn_key=self.path)))
 
     def label(self) -> str:
         if not self.path:
@@ -62,18 +56,17 @@ class RngStream:
 def uniform(stream: RngStream, size=None, out=None) -> np.ndarray:
     """Uniform deviates in [0, 1) from the stream's SFC64 generator, of shape
     ``size`` or into a C-contiguous ``out``, with the bits of its shape."""
-    return np.random.Generator(np.random.SFC64(stream._seeds())).random(size, out=out)
+    return stream.generator(np.random.SFC64).random(size, out=out)
 
 
 def standard_normal(stream: RngStream, size=None, out=None) -> np.ndarray:
     """Standard normal deviates by the ziggurat on the stream's SFC64
     generator, of shape ``size`` or into a C-contiguous ``out``."""
-    return np.random.Generator(np.random.SFC64(stream._seeds())).standard_normal(size, out=out)
+    return stream.generator(np.random.SFC64).standard_normal(size, out=out)
 
 
 def inverse_cdf_normal(stream: RngStream, size) -> np.ndarray:
     """Standard normal deviates as the inverse CDF of the stream's Philox
-    uniforms: the sweep's model matrices keep the draws of every earlier
-    release, so the matrices of a config never change."""
+    uniforms: the draw of the sweep's model matrices, kept as it was."""
     u = stream.generator().random(size)
     return ndtri(np.maximum(u, _U_MIN, out=u), out=u)

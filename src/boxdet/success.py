@@ -64,15 +64,19 @@ def _uniform_law(box: BoxConstraint) -> np.ndarray:
     return np.repeat(1.0 / (box.widths[:, None] + 1.0), 2, axis=1)
 
 
+def _checked(r, law) -> np.ndarray:
+    """R, checked, with one floor pair of ``law`` per coordinate."""
+    r = validate_upper_triangular(r)
+    if len(law) != r.shape[0]:
+        raise DimensionMismatchError(f"{len(law)} coordinates given for matrix dimension {len(r)}")
+    return r
+
+
 def _babai(r, sigma: float, law) -> float:
     """prod_i (a_i + (1 - a_i) phi(r_ii)) with a_i = (a_left + a_right) / 2
     (Chang, Wen and Xie, IEEE Trans. Inf. Theory 59(8), 2013); factors
     multiply in coordinate order."""
-    diag = np.diag(validate_upper_triangular(r))
-    if len(law) != diag.size:
-        raise DimensionMismatchError(
-            f"{len(law)} coordinates given for matrix dimension {diag.size}"
-        )
+    diag = np.diag(_checked(r, law))
     means = [(left + right) / 2.0 for left, right in law]
     return math.prod(a + (1.0 - a) * phi(rii, sigma) for rii, a in zip(diag, means))
 
@@ -128,4 +132,5 @@ def p_br_uniform(r, sigma: float, box: BoxConstraint, cfg: IntegratorConfig,
     power of two and refused past 2^30).  Quadrature (n <= 4) ignores the
     point count and sweeps the at most 3^n products of interval terms.
     """
-    return _rounding(r, sigma, _uniform_law(box), uniform_integrator(cfg, box.dim), stream)
+    law = _uniform_law(box)  # checked before the point count scales with its length
+    return _rounding(_checked(r, law), sigma, law, uniform_integrator(cfg, len(law)), stream)

@@ -43,3 +43,13 @@ def test_traced_integral_run_is_correct(workload):
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["attempted"] > 0 and result["failed"] == 0
+
+
+def test_untraced_run_is_correct():
+    # An untraced run also times the four fresh-process set-ups, which the
+    # traced runs skip.
+    done = _run("perfbench/run.py", "--workload", "fixed_patterns", "--seconds", "1")
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["attempted"] > 0 and result["failed"] == 0

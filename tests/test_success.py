@@ -263,6 +263,13 @@ class TestRoundingUniform:
                            match="3 coordinates given for matrix dimension 2"):
             p_br_uniform(EX1, 1.0, BoxConstraint.cube(0, 3, 3), QUAD)
 
+    def test_box_dimension_checked_before_the_point_count(self):
+        # 16 * 11 * 10^8 QMC samples would exceed the Sobol range; 16 * 2 * 10^8 would not.
+        cfg = IntegratorConfig(method=IntegratorMethod.SEQ_QMC, samples=100_000_000)
+        with pytest.raises(DimensionMismatchError,
+                           match="^11 coordinates given for matrix dimension 2$"):
+            p_br_uniform(EX1, 1.0, BoxConstraint.cube(0, 3, 11), cfg, RngStream(1))
+
     def test_scalar_matches_babai(self):
         box = BoxConstraint([0], [3])
         est = p_br_uniform(np.eye(1), 1.0, box, QUAD)
