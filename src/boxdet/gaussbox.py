@@ -43,10 +43,9 @@ Three interchangeable backends:
   Sobol sequence (scipy's linear matrix scramble plus digital shift), XORs
   its digits with one more random digital shift, takes each point at the
   centre of its 2^-30 cell, and sweeps it in blocks of at most 2^14
-  points, on the thread pool.  A sample count that needs
-  more than the 2^30 points per randomization of a 30-bit sequence is
-  refused before any is built.  Standard error from the spread over the
-  randomizations.
+  points, on the thread pool.  A sample count that needs more than the
+  2^30 points per randomization of a 30-bit sequence is refused before
+  any is built.  Standard error from the spread over the randomizations.
 * ``QUADRATURE`` -- the same sweep, dimension <= 4, with m <= 128
   Gauss-Legendre nodes in place of Sobol points on each of the first
   n - 1 standardized conditional intervals.  These have unit variance
