@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import re
@@ -466,6 +467,33 @@ class TestQuadratureBatch:
         for p, est in zip(patterns, full):
             assert abs(est.value - halves[p[:2]] * halves[p[2:]]) < 1e-12
         assert full[0].samples == QUAD.quad_points ** 3
+
+    def test_zero_and_unit_floor_digest(self):
+        # Pins the value bits and node counts of integrals whose floors are
+        # all 0 or 1 at n = 1-4 and 2, 8, 33 and 64 nodes: finite,
+        # half-infinite and full-line intervals, a 4-D product swept in
+        # slices, and a last product that marginalizes two coordinates.
+        kinds = (FINITE, LEFT_INFINITE, RIGHT_INFINITE, Interval(-0.3, 1.2), FULL_LINE)
+        pairs = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
+        rng = np.random.default_rng(57)
+        ests = []
+        for n in range(1, 5):
+            for points in (2, 8, 33, 64):
+                cfg = IntegratorConfig(method="quad", quad_points=points)
+                r = _random_triangular(rng, n)
+                sigma = float(rng.uniform(0.3, 1.5))
+                ivs = tuple(kinds[k] for k in rng.integers(0, 5, n))
+                floors = tuple(pairs[k] for k in rng.integers(0, 4, n))
+                ests += [box_probability(r, sigma, ivs, cfg),
+                         box_probability(r, sigma, ivs, cfg, None, floors)]
+        r = _random_triangular(rng, 4)
+        ests.append(box_probability(r, 0.8, kinds[:4], QUAD))
+        ests.append(box_probability(r, 0.8, (FULL_LINE, FINITE, LEFT_INFINITE, RIGHT_INFINITE),
+                                    QUAD, None, ((0.0, 0.0), (0.0, 0.0), (1.0, 1.0), (0.0, 1.0))))
+        assert [e.samples for e in ests[-2:]] == [QUAD.quad_points ** 3, QUAD.quad_points]
+        outputs = repr([(e.value, e.stderr, e.samples) for e in ests])
+        assert hashlib.sha256(outputs.encode()).hexdigest() == (
+            "438927ae880dc1370c355c2639678623711225913bab3378e40c9d611d22e18b")
 
 
 def _traced_peak(call):
