@@ -47,18 +47,19 @@ Three interchangeable backends:
   2^30 points per randomization of a 30-bit sequence is refused before
   any is built.  Standard error from the spread over the randomizations.
 * ``QUADRATURE`` -- the same sweep, dimension <= 4, with m <= 128
-  Gauss-Legendre nodes in place of Sobol points on each of the first
-  n - 1 standardized conditional intervals.  These have unit variance
-  whatever R is, so each is clipped to +-``QUADRATURE_TRUNCATION`` = 10;
-  the neglected mass is below erfc(10 / sqrt(2)) / 2 < 1e-23 per clipped
-  end.  The last coordinate is closed form.  A floor pair is expanded into
-  interval terms, g = a_left 1(t <= hi) + (1 - (a_left + a_right))
-  1(lo <= t <= hi) + a_right 1(t >= lo) (terms of coefficient 0 dropped),
-  and each product of terms (a row) is swept on its own, so ``samples`` =
-  rows * m^(n-1).  The tensor product is swept in slices of the first
-  coordinate's nodes, so no array holds more than
-  max(``_WORK_COLUMNS``, m^(n-2)) product nodes (16 384 at m = 128 in
-  4-D), and the slice sums are added in node order.  Reported stderr is 0.
+  Gauss-Legendre nodes in place of Sobol points.  Each of the first n - 1
+  coordinates splits g into k <= 3 interval terms, a_left 1(t <= hi) +
+  (1 - (a_left + a_right)) 1(lo <= t <= hi) + a_right 1(t >= lo) (those
+  of coefficient 0 dropped; a pattern integral has the same intervals),
+  and takes m nodes on each term's standardized conditional interval, the
+  coefficient in their weights; ``samples`` counts the product nodes.
+  These intervals have unit variance whatever R is, so each is clipped to
+  +-``QUADRATURE_TRUNCATION`` = 10; the neglected mass is below
+  erfc(10 / sqrt(2)) / 2 < 1e-23 per clipped end.  The last coordinate is
+  closed form, as in QMC.  The sweep runs in slices of the first
+  coordinate's nodes, so no array holds more than max(``_WORK_COLUMNS``,
+  the middle coordinates' product nodes): m^(n-2) (16 384 at m = 128 in
+  4-D), up to 3^(n-2) times that with floors.  Reported stderr is 0.
 
 QMC and quadrature take the factor R^{-1} from numpy's LAPACK
 (``np.linalg.inv``), and ``linalg.permuted_factor`` takes the permuted
@@ -68,7 +69,6 @@ Nothing here calls scipy's LAPACK: scipy bundles a second OpenBLAS whose
 worker thread busy-waits after each call and takes a core from the pool.
 """
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -332,46 +332,43 @@ def _qmc_probability(r, lo, hi, floor, samples, stream):
 
 
 def _quadrature_probability(r, lo, hi, floor, quad_points):
-    """QUADRATURE value of E[prod_i g_i(t_i)] for one interval product: the
-    coefficient-weighted sum of the rows, the products of g_i's interval
-    terms, each swept on its own."""
+    """QUADRATURE value of E[prod_i g_i(t_i)] for one interval product: each
+    swept coordinate takes nodes on every interval term of g_i, with the
+    term's coefficient in the node weights, and the last one is closed form."""
     n = r.shape[0]
     if n > QUADRATURE_MAX_DIM:
         raise QuadratureDimensionError(
             f"quadrature supports dimension <= {QUADRATURE_MAX_DIM}, got {n}")
-    terms = []
-    for l, h, (left, right) in zip(lo, hi, floor):
-        split = [(left, -math.inf, h), (1.0 - (left + right), l, h), (right, l, math.inf)]
-        terms.append([term for term in split if term[0] != 0.0])
-    rows = list(itertools.product(*terms))
-    coef = np.array([math.prod(c for c, _, _ in row) for row in rows])
     chol = np.linalg.inv(r)[::-1, ::-1]
+    lo, hi, floor = lo[::-1], hi[::-1], floor[::-1]
+    terms = []  # per swept coordinate: the coefficients and limits of its terms
+    for l, h, (left, right) in zip(lo[:-1], hi[:-1], floor[:-1]):
+        coef = np.array([left, 1.0 - (left + right), right])
+        keep = coef != 0.0
+        terms.append((coef[keep], *np.array([[-math.inf, l, l], [h, h, math.inf]])[:, keep]))
     base_nodes, base_weights = np.polynomial.legendre.leggauss(quad_points)
+    sizes = [coef.size * quad_points for coef, _, _ in terms]  # nodes per swept coordinate
     # The sweep runs over slices of the first coordinate's nodes, so an array
-    # holds at most max(_WORK_COLUMNS, m^(n-2)) product nodes.
-    step = quad_points if n < 3 else max(1, _WORK_COLUMNS // quad_points ** (n - 2))
-    values = np.zeros(len(rows))
-    for k, row in enumerate(rows):
-        lo_k, hi_k = np.array([(l, h) for _, l, h in row[::-1]]).T
-        for first in range(0, quad_points, step):
-            weight, z = np.ones(1), np.empty((1, 0))
-            for i in range(n):
-                a, b = _standardized(lo_k[i], hi_k[i], z @ chol[i, :i], chol[i, i])
-                if i == n - 1:
-                    break  # the last coordinate is closed form
-                part = slice(first, first + step) if i == 0 else slice(None)
-                nodes, node_weights = base_nodes[part], base_weights[part]
-                a = np.clip(a, -QUADRATURE_TRUNCATION, QUADRATURE_TRUNCATION)
-                b = np.clip(b, -QUADRATURE_TRUNCATION, QUADRATURE_TRUNCATION)
-                half = 0.5 * np.maximum(b - a, 0.0)
-                zi = (0.5 * (a + b))[:, None] + half[:, None] * nodes
-                weight = (weight * half)[:, None] * node_weights * np.exp(-0.5 * zi * zi)
-                weight = weight.reshape(-1) / math.sqrt(2.0 * math.pi)
-                z = np.concatenate((np.repeat(z, nodes.size, axis=0), zi.reshape(-1, 1)), axis=1)
-            values[k] += np.sum(weight * (ndtr(b) - ndtr(a)))
-    value = float(coef @ np.clip(values, 0.0, 1.0))
-    return McEstimate(min(max(value, 0.0), 1.0), 0.0, len(rows) * quad_points ** (n - 1),
-                      "deterministic")
+    # holds at most max(_WORK_COLUMNS, the middle coordinates' product) nodes.
+    step = max(1, _WORK_COLUMNS // math.prod(sizes[1:]))
+    total = 0.0
+    for first in range(0, sizes[0] if sizes else 1, step):
+        weight, z = np.ones(1), np.empty((1, 0))
+        for i, (coef, term_lo, term_hi) in enumerate(terms):
+            a, b = _standardized(term_lo, term_hi, (z @ chol[i, :i])[:, None], chol[i, i])
+            a = np.clip(a, -QUADRATURE_TRUNCATION, QUADRATURE_TRUNCATION)
+            b = np.clip(b, -QUADRATURE_TRUNCATION, QUADRATURE_TRUNCATION)
+            half = 0.5 * np.maximum(b - a, 0.0)
+            zi = (0.5 * (a + b))[..., None] + half[..., None] * base_nodes
+            weight = (weight[:, None] * half)[..., None] * (coef[:, None] * base_weights)
+            weight = (weight * np.exp(-0.5 * zi * zi)).reshape(-1) / math.sqrt(2.0 * math.pi)
+            zi = zi.reshape(-1)
+            if i == 0:
+                weight, zi = weight[first:first + step], zi[first:first + step]
+            z = np.concatenate((np.repeat(z, zi.size // len(z), axis=0), zi[:, None]), axis=1)
+        d, e = map(ndtr, _standardized(lo[-1], hi[-1], z @ chol[-1, :-1], chol[-1, -1]))
+        total += np.sum(weight * _mass(floor[-1], d, e - d))
+    return McEstimate(min(max(float(total), 0.0), 1.0), 0.0, math.prod(sizes), "deterministic")
 
 
 def box_probability(r, sigma, intervals, cfg: IntegratorConfig,

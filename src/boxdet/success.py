@@ -130,7 +130,7 @@ def p_br_uniform(r, sigma: float, box: BoxConstraint, cfg: IntegratorConfig,
     1(|xi_i| <= 1/2))] with a_i = 1 / (w_i + 1), from 16 n ``cfg.samples``
     points (for QMC, n ``cfg.samples`` per randomization, rounded up to a
     power of two and refused past 2^30).  Quadrature (n <= 4) ignores the
-    point count and sweeps the at most 3^n products of interval terms.
+    point count and takes its nodes on each coordinate's interval terms.
     """
     law = _uniform_law(box)  # checked before the point count scales with its length
     return _rounding(_checked(r, law), sigma, law, uniform_integrator(cfg, len(law)), stream)

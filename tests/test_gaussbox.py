@@ -428,10 +428,10 @@ class TestQuadratureBatch:
     FLOORS = ((0.75, 0.75), (0.1, 0.1), (0.0, 0.0))
 
     def test_rows_equal_single_products(self):
-        # Floors expand into one batch of interval terms per coordinate,
-        # g = a_l 1(t <= hi) + (1 - (a_l + a_r)) 1(lo <= t <= hi) +
-        # a_r 1(t >= lo); with 0.75 on both sides the middle coefficient is
-        # negative.
+        # The sweep equals the coefficient-weighted sum over the products of
+        # interval terms, g = a_l 1(t <= hi) + (1 - (a_l + a_r))
+        # 1(lo <= t <= hi) + a_r 1(t >= lo); with 0.75 on both sides the
+        # middle coefficient is negative.
         r = _random_triangular(np.random.default_rng(52), 3)
         terms = [[(left, Interval(-math.inf, iv.hi)), (1 - (left + right), iv),
                   (right, Interval(iv.lo, math.inf))]
@@ -442,7 +442,8 @@ class TestQuadratureBatch:
             for row in itertools.product(*terms) if all(c for c, _ in row))
         est = box_probability(r, 0.7, self.IVS, QUAD, None, self.FLOORS)
         assert est.value == pytest.approx(expected, rel=1e-14)
-        assert est.samples == 9 * QUAD.quad_points ** 2
+        # The swept coordinates, the last two, carry one and three terms.
+        assert est.samples == 3 * QUAD.quad_points ** 2
 
     def test_ill_conditioned_factor(self):
         # R = [[1, 1], [0, 0.01]] puts the density on a narrow ridge.  With
@@ -507,7 +508,8 @@ def _traced_peak(call):
 
 class TestWorkingMemory:
     """MC and quadrature work on at most gaussbox._WORK_COLUMNS samples or
-    product nodes per array (quadrature: max(cap, m^(n-2)))."""
+    product nodes per array (quadrature: max(cap, the product nodes of the
+    middle coordinates), m^(n-2) on zero floors)."""
 
     CASES = [
         (3, (FINITE, LEFT_INFINITE, Interval(-0.3, 1.2)), None),
@@ -553,6 +555,16 @@ class TestWorkingMemory:
         halves = [p_br_deterministic(EX1, 1.0, parse_pattern(p), cfg).value
                   for p in ("LI", "UL")]
         assert abs(est.value - halves[0] * halves[1]) < 1e-12
+
+    def test_floored_quadrature_at_64_nodes_in_4d(self):
+        # The uniform law on box 0..3 gives every coordinate three terms, so
+        # a slice holds the (3 m)^2 product nodes of the two middle
+        # coordinates; about 11 doubles each were seen, 3.1 MiB.
+        cfg = IntegratorConfig(method="quad", quad_points=64)
+        r = _random_triangular(np.random.default_rng(81), 4)
+        est, peak = _traced_peak(lambda: p_br_uniform(r, 0.7, BoxConstraint.cube(0, 3, 4), cfg))
+        assert peak < 16 * 8 * (3 * 64) ** 2
+        assert est.samples == (3 * 64) ** 3
 
     def test_mc_memory_does_not_grow_with_the_block(self, monkeypatch):
         # One serial 2^16-sample block at n = 8: its 4 MiB normal draw, plus

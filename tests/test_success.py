@@ -315,6 +315,22 @@ class TestRoundingUniform:
                 total += p_br_deterministic(r, sigma, pat, QUAD).value
             assert est.value == pytest.approx(total / 9.0, rel=1e-12)
 
+    @pytest.mark.parametrize("widths", [(2, 1, 3), (2, 0, 1, 2)])
+    def test_matches_point_sum_on_mixed_widths(self, widths):
+        # Criterion 6's check (n = 2, box [0, 2]^2) on three and four
+        # coordinates of mixed widths, a singleton among them.
+        n = len(widths)
+        rng = np.random.default_rng([16, n])
+        box = BoxConstraint(np.zeros(n, dtype=int), widths)
+        for _ in range(3):
+            r = _random_triangular(rng, n)
+            sigma = float(rng.uniform(0.2, 1.2))
+            grouped = p_br_uniform(r, sigma, box, QUAD).value
+            points = itertools.product(*(range(w + 1) for w in widths))
+            direct = sum(p_br_deterministic(r, sigma, classify(np.array(pt), box), QUAD).value
+                         for pt in points) / box.num_points()
+            assert grouped == pytest.approx(direct, rel=1e-12)
+
     def test_honours_quad_points(self):
         # Scaling a uniform cell's point count keeps the caller's rule.
         r = _well_conditioned(np.random.default_rng(15), 2)
@@ -330,7 +346,7 @@ class TestRoundingUniform:
         est = p_br_uniform(r, 0.6, box, coarse)
         assert est.value == pytest.approx(pattern_sum(coarse), rel=1e-12)
         assert abs(est.value - pattern_sum(QUAD)) > 1e-6
-        assert est.samples == 9 * 8
+        assert est.samples == 3 * 8  # the three terms of the swept width-3 coordinate
 
     def test_pattern_budget(self):
         # No pattern budget: the stochastic backends integrate one weighted
@@ -421,7 +437,7 @@ class TestPinnedOutputs:
             ests.append(p_br_uniform(_random_r(69, 3), 0.7, BoxConstraint([0, 0, 2], [1, 0, 5]),
                                      cfg, RngStream(69)))
         assert self._digest(ests) == (
-            "196e4d31a36b6cdc34f9340ea0acc04f5a61a121d53a6e7f8bc8d41c37d59a90")
+            "0a4d57cae6362a5074adcccb50a626d47ea6f6f89e27e62745211b0484968f96")
 
 
 def _well_conditioned(rng, n):
