@@ -8,7 +8,11 @@ pool for the worker count, so renaming any of them would crash
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from boxdet import _parallel, cli, detectors, experiment, gaussbox, success
+from boxdet.model import parse_pattern
+from boxdet.rng import RngStream
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -24,11 +28,15 @@ WRAPPED = {
 }
 
 
-def test_tracer_installs_and_restores(monkeypatch):
+def _spans(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
     import spans
+    return spans
 
+
+def test_tracer_installs_and_restores(monkeypatch):
+    spans = _spans(monkeypatch)
     before = {(module, attr): getattr(module, attr)
               for module, attrs in WRAPPED.items() for attr in attrs}
     tracer = spans.Tracer()
@@ -39,6 +47,24 @@ def test_tracer_installs_and_restores(monkeypatch):
         tracer.restore()
     assert len(replaced) == len(before)
     assert all(getattr(*key) is value for key, value in before.items())
+
+
+def test_tracer_sees_every_backend(monkeypatch):
+    # A dispatch that took the kernels or the Sobol class at import time
+    # would pass the test above and still read 0 in these metrics.
+    spans = _spans(monkeypatch)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for method in ("qmc", "mc", "quad"):
+            cfg = gaussbox.IntegratorConfig(method=method, samples=1024, quad_points=8)
+            success.p_br_deterministic(np.array([[2.0, -1.0], [0.0, 1.0]]), 1.0,
+                                       parse_pattern("LL"), cfg, RngStream(0))
+    finally:
+        tracer.restore()
+    names = {span[0] for span in tracer.spans}
+    assert {"gaussbox.qmc", "gaussbox.mc", "gaussbox.quad", "gaussbox.sobol_init"} <= names
+    assert tracer.counts["gaussbox.integrand_samples"] > 0
 
 
 def test_worker_count_is_positive_int():

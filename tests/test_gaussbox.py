@@ -497,6 +497,43 @@ class TestQuadratureBatch:
             "438927ae880dc1370c355c2639678623711225913bab3378e40c9d611d22e18b")
 
 
+def test_every_backend_output_digest():
+    # Pins value, stderr, sample count and stream label of 100 seeded
+    # problems on all three backends, quadrature's refusal above n = 4 by
+    # its message: n = 1-8, finite, half-infinite, shifted and full-line
+    # intervals, diagonals from 1e-3 to 1e3, and by turns zero floors,
+    # floors of 0, 1 or a fraction per side, and equal fractional pairs.
+    kinds = (FINITE, LEFT_INFINITE, RIGHT_INFINITE, Interval(-0.3, 1.2), FULL_LINE)
+    mc = IntegratorConfig(method="mc", samples=2000)
+    qmc = IntegratorConfig(method="qmc", samples=1024)
+    rng = np.random.default_rng(83)
+    outputs = []
+    for case in range(100):
+        n = 1 + case % 8
+        r = _random_triangular(rng, n)
+        r[np.diag_indices(n)] = 10.0 ** rng.uniform(-3.0, 3.0, n)
+        sigma = float(10.0 ** rng.uniform(-1.0, 0.5))
+        ivs = tuple(kinds[k] for k in rng.integers(0, len(kinds), n))
+        if case % 3 == 0:
+            floors = np.zeros((n, 2))
+        elif case % 3 == 1:
+            floors = np.where(rng.random((n, 2)) < 0.5, rng.integers(0, 2, (n, 2)),
+                              rng.random((n, 2)))
+        else:
+            floors = np.repeat(1.0 / (rng.integers(1, 4, n) + 1.0)[:, None], 2, axis=1)
+        quad = IntegratorConfig(method="quad", quad_points=(8, 16, 33)[case % 3])
+        for cfg in (mc, qmc, quad):
+            try:
+                e = box_probability(r, sigma, ivs, cfg, RngStream(83, (case,)), floors)
+            except QuadratureDimensionError as exc:
+                outputs.append(str(exc))
+            else:
+                outputs.append((e.value, e.stderr, e.samples, e.seed))
+    assert sum(isinstance(out, str) for out in outputs) == 32
+    assert hashlib.sha256(repr(outputs).encode()).hexdigest() == (
+        "374e067b63184607079d9fc2f5d42a06d3a4ff6f010e96a110be22944f49478c")
+
+
 def _traced_peak(call):
     """call()'s result and the peak bytes tracemalloc saw allocated during it."""
     tracemalloc.start()
