@@ -29,12 +29,12 @@ Three interchangeable backends:
   samples at a time into one array per block, so memory does not grow
   with the sample count and the sums are those of the whole block.
 * ``SEQ_QMC`` -- sequential conditioning with randomized Sobol points
-  (Genz 1992).  A greedy order puts the coordinate of least conditional
-  mass first (Gibson, Glasbey and Elston 1994), and the sweep runs on
-  ``linalg.permuted_factor``, the positive-diagonal R factor of the
-  column-permuted R, whose law is the same.  Reversing the coordinate
-  order makes the upper-triangular R^{-1} a lower-triangular Cholesky
-  factor, so the standard one-dimensional conditional sweep applies.  At
+  (Genz 1992).  A greedy order, read off the covariance (R^T R)^{-1} of
+  ``box_probability``'s one inverse of R, puts the coordinate of least
+  conditional mass first (Gibson, Glasbey and Elston 1994).  The sweep
+  runs on R', the ``linalg.permuted_factor`` of R's columns in that order
+  reversed (the same law), whose inverse reversed is a lower-triangular
+  Cholesky factor, so the standard one-dimensional sweep applies.  At
   each step the weight is multiplied by the conditional mass
   a_left Phi(alpha) + (Phi(beta) - Phi(alpha)) + a_right (1 - Phi(beta))
   of g_i, and the next point is drawn from the density proportional to
@@ -61,10 +61,11 @@ Three interchangeable backends:
   the middle coordinates' product nodes): m^(n-2) (16 384 at m = 128 in
   4-D), up to 3^(n-2) times that with floors.  Reported stderr is 0.
 
-QMC and quadrature take the factor R^{-1} from numpy's LAPACK
-(``np.linalg.inv``), and ``linalg.permuted_factor`` takes the permuted
-factors from its QR; at these sizes neither starts a BLAS worker.  MC sums
-its squares pairwise, with no BLAS call (``g @ g`` would wake a worker).
+``box_probability`` inverts R once per integral, for the overflow check,
+QMC's order and quadrature's sweep, and QMC inverts its R'.  Both calls use
+numpy's LAPACK (``np.linalg.inv``), as ``linalg.permuted_factor``'s QR does;
+at these sizes none starts a BLAS worker.  MC sums its squares pairwise,
+with no BLAS call (``g @ g`` would wake a worker).
 Nothing here calls scipy's LAPACK: scipy bundles a second OpenBLAS whose
 worker thread busy-waits after each call and takes a core from the pool.
 """
@@ -218,32 +219,31 @@ def _standardized(lo, hi, shift, sd):
         return (lo - shift) / sd, (hi - shift) / sd
 
 
-def _mass(floor, d, gap):
-    """Mass a_l d + gap + a_r (1 - d - gap) of g phi, with d = Phi(alpha) and
-    gap = Phi(beta) - Phi(alpha), as a_r + (1 - a_r) gap + (a_l - a_r) d;
+def _mass(floor, alpha, beta):
+    """d = Phi(alpha), e = Phi(beta) and the mass a_l d + gap + a_r (1 - d - gap)
+    of g phi, gap = max(e - d, 0), as a_r + (1 - a_r) gap + (a_l - a_r) d;
     for equal floors the last term adds an exact 0."""
+    d, e = ndtr(alpha), ndtr(beta)
     left, right = floor[..., 0], floor[..., 1]
-    return right + (1.0 - right) * gap + (left - right) * d
+    return d, e, right + (1.0 - right) * np.maximum(e - d, 0.0) + (left - right) * d
 
 
-def _prioritized(r, lo, hi, floor):
-    """The interval product with its coordinates reordered for the
-    conditional sweep: (perm, R', lo, hi, floor) of the permuted problem.
+def _prioritized(r, cov, lo, hi, floor):
+    """The interval product in sweep order: the greedy order, the R factor
+    R' of R's columns in that order reversed, and the limits and floors in
+    that order, so R'^{-1} reversed in both axes is the sweep's Cholesky factor.
 
     Greedy variable prioritization (Gibson, Glasbey and Elston 1994; Genz
     and Bretz 2009, sec. 4.1.3): a column-by-column Cholesky factorization
-    of (R^T R)^{-1} picks next the remaining coordinate of least conditional
-    mass a_l Phi(alpha) + (Phi(beta) - Phi(alpha)) + a_r (1 - Phi(beta)),
+    of cov = (R^T R)^{-1} picks next the remaining coordinate of least
+    conditional mass a_l Phi(alpha) + (Phi(beta) - Phi(alpha)) + a_r (1 - Phi(beta)),
     with the limits shifted by the conditional means
     ((1 - a_l) phi(alpha) - (1 - a_r) phi(beta)) / mass of the coordinates
     already picked, standardized by its conditional sd,
     and clipped to +-40, where Phi is 0 or 1 and the density 0; ties go to
-    the lowest index.  The sweep conditions the last column of R' first,
-    so perm is that order reversed.
+    the lowest index.
     """
     n = r.shape[0]
-    inv = np.linalg.inv(r)
-    cov = inv @ inv.T
     var0 = np.diag(cov)
     factor = np.zeros((n, n))  # row: coordinate, column: step
     means = np.zeros(n)  # mean of each picked standardized coordinate
@@ -256,8 +256,7 @@ def _prioritized(r, lo, hi, floor):
         sd = np.sqrt(var)
         alpha, beta = np.clip(_standardized(lo[idx], hi[idx], factor[idx, :k] @ means[:k], sd),
                               -40.0, 40.0)
-        d = ndtr(alpha)
-        mass = _mass(floor[idx], d, ndtr(beta) - d)
+        mass = _mass(floor[idx], alpha, beta)[2]
         j = int(np.argmin(mass))
         pick = rest.pop(j)
         order.append(pick)
@@ -270,21 +269,17 @@ def _prioritized(r, lo, hi, floor):
                  - (left - right) * exp_alpha / root)
         # mass is 0 in floating point far out in a tail, beyond Phi's range.
         means[k] = shift / mass[j] if mass[j] > 0.0 else 0.0
-    perm = np.array(order[::-1])
-    return perm, permuted_factor(r, perm), lo[perm], hi[perm], floor[perm]
+    return np.array(order), permuted_factor(r, order[::-1]), lo[order], hi[order], floor[order]
 
 
-def _qmc_probability(r, lo, hi, floor, samples, stream):
+def _qmc_probability(r, cov, lo, hi, floor, samples, stream):
     """SEQ_QMC estimate of E[prod_i g_i(t_i)] for one interval product."""
     n = r.shape[0]
-    _, r, lo, hi, floor = _prioritized(r, lo, hi, floor)
-    chol = np.linalg.inv(r)
+    _, r, lo, hi, floor = _prioritized(r, cov, lo, hi, floor)
     # Reversing coordinates turns the upper-triangular factor into a
     # lower-triangular Cholesky factor for the standard conditional sweep.
-    chol = chol[::-1, ::-1]
-    lo, hi, floor = lo[::-1], hi[::-1], floor[::-1]
-    d0, e0 = map(ndtr, _standardized(lo[0], hi[0], 0.0, chol[0, 0]))
-    mass0 = _mass(floor[0], d0, e0 - d0)
+    chol = np.linalg.inv(r)[::-1, ::-1]
+    d0, e0, mass0 = _mass(floor[0], *_standardized(lo[0], hi[0], 0.0, chol[0, 0]))
     if n == 1:
         return McEstimate(float(mass0), 0.0, 0, stream.label())
 
@@ -319,8 +314,8 @@ def _qmc_probability(r, lo, hi, floor, samples, stream):
                 if left > 0.0:
                     u = np.where(middle < d, t / left, u)
                 y[:, i - 1] = ndtri(np.clip(u, 1e-300, u_top))
-                d, e = map(ndtr, _standardized(lo[i], hi[i], y[:, :i] @ chol[i, :i], chol[i, i]))
-                mass = _mass(floor[i], d, np.maximum(e - d, 0.0))
+                d, e, mass = _mass(floor[i], *_standardized(lo[i], hi[i], y[:, :i] @ chol[i, :i],
+                                                            chol[i, i]))
                 prob = prob * mass
             total += prob.sum()
         return total / npts
@@ -331,15 +326,15 @@ def _qmc_probability(r, lo, hi, floor, samples, stream):
                       npts * _QMC_RANDOMIZATIONS, stream.label())
 
 
-def _quadrature_probability(r, lo, hi, floor, quad_points):
-    """QUADRATURE value of E[prod_i g_i(t_i)] for one interval product: each
-    swept coordinate takes nodes on every interval term of g_i, with the
-    term's coefficient in the node weights, and the last one is closed form."""
-    n = r.shape[0]
+def _quadrature_probability(inv, lo, hi, floor, quad_points):
+    """QUADRATURE value of E[prod_i g_i(t_i)] for one interval product and
+    R^{-1}: each swept coordinate takes nodes on every interval term of g_i,
+    with the term's coefficient in the node weights; the last is closed form."""
+    n = inv.shape[0]
     if n > QUADRATURE_MAX_DIM:
         raise QuadratureDimensionError(
             f"quadrature supports dimension <= {QUADRATURE_MAX_DIM}, got {n}")
-    chol = np.linalg.inv(r)[::-1, ::-1]
+    chol = inv[::-1, ::-1]
     lo, hi, floor = lo[::-1], hi[::-1], floor[::-1]
     terms = []  # per swept coordinate: the coefficients and limits of its terms
     for l, h, (left, right) in zip(lo[:-1], hi[:-1], floor[:-1]):
@@ -355,9 +350,8 @@ def _quadrature_probability(r, lo, hi, floor, quad_points):
     for first in range(0, sizes[0] if sizes else 1, step):
         weight, z = np.ones(1), np.empty((1, 0))
         for i, (coef, term_lo, term_hi) in enumerate(terms):
-            a, b = _standardized(term_lo, term_hi, (z @ chol[i, :i])[:, None], chol[i, i])
-            a = np.clip(a, -QUADRATURE_TRUNCATION, QUADRATURE_TRUNCATION)
-            b = np.clip(b, -QUADRATURE_TRUNCATION, QUADRATURE_TRUNCATION)
+            a, b = np.clip(_standardized(term_lo, term_hi, (z @ chol[i, :i])[:, None], chol[i, i]),
+                           -QUADRATURE_TRUNCATION, QUADRATURE_TRUNCATION)
             half = 0.5 * np.maximum(b - a, 0.0)
             zi = (0.5 * (a + b))[..., None] + half[..., None] * base_nodes
             weight = (weight[:, None] * half)[..., None] * (coef[:, None] * base_weights)
@@ -366,8 +360,8 @@ def _quadrature_probability(r, lo, hi, floor, quad_points):
             if i == 0:
                 weight, zi = weight[first:first + step], zi[first:first + step]
             z = np.concatenate((np.repeat(z, zi.size // len(z), axis=0), zi[:, None]), axis=1)
-        d, e = map(ndtr, _standardized(lo[-1], hi[-1], z @ chol[-1, :-1], chol[-1, -1]))
-        total += np.sum(weight * _mass(floor[-1], d, e - d))
+        last = _standardized(lo[-1], hi[-1], z @ chol[-1, :-1], chol[-1, -1])
+        total += np.sum(weight * _mass(floor[-1], *last)[2])
     return McEstimate(min(max(float(total), 0.0), 1.0), 0.0, math.prod(sizes), "deterministic")
 
 
@@ -385,8 +379,7 @@ def box_probability(r, sigma, intervals, cfg: IntegratorConfig,
     refuses a factor whose (R^T R)^{-1} overflows (``RankDeficientError``).
     """
     r, sigma, lo, hi, floor = _validate(r, sigma, intervals, floors, cfg, stream)
-    with np.errstate(over="ignore"):  # a limit past the float range is infinite
-        lo, hi = lo / sigma, hi / sigma
+    lo, hi = _standardized(lo, hi, 0.0, sigma)
     unit = floor == 1.0
     lo, hi = np.where(unit[:, 0], -math.inf, lo), np.where(unit[:, 1], math.inf, hi)
     floor = np.where(unit, 0.0, floor)
@@ -399,11 +392,13 @@ def box_probability(r, sigma, intervals, cfg: IntegratorConfig,
         r = permuted_factor(r, np.concatenate((np.flatnonzero(full), keep)))
         r = r[-keep.size:, -keep.size:]
         lo, hi, floor = lo[keep], hi[keep], floor[keep]
-    inv = np.linalg.inv(r)  # QMC orders the coordinates by (R^T R)^{-1}: all refuse its overflow
+    inv = np.linalg.inv(r)  # the only inversion of R per integral
     with np.errstate(over="ignore", invalid="ignore"):
-        if not np.isfinite(inv @ inv.T).all():
-            raise RankDeficientError("the error covariance (R^T R)^{-1} overflows float64")
+        cov = inv @ inv.T  # QMC orders the coordinates by it: all refuse its overflow
+    if not np.isfinite(cov).all():
+        raise RankDeficientError("the error covariance (R^T R)^{-1} overflows float64")
     if cfg.method is IntegratorMethod.QUADRATURE:
-        return _quadrature_probability(r, lo, hi, floor, cfg.quad_points)
-    kernel = _qmc_probability if cfg.method is IntegratorMethod.SEQ_QMC else _mc_probability
-    return kernel(r, lo, hi, floor, cfg.samples, stream)
+        return _quadrature_probability(inv, lo, hi, floor, cfg.quad_points)
+    if cfg.method is IntegratorMethod.SEQ_QMC:
+        return _qmc_probability(r, cov, lo, hi, floor, cfg.samples, stream)
+    return _mc_probability(r, lo, hi, floor, cfg.samples, stream)

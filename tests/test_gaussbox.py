@@ -370,25 +370,28 @@ class TestPrioritizedSweep:
                     sigma = float(10.0 ** rng.uniform(-2.0, 1.0))
                     lo = np.array([iv.lo for iv in ivs]) / sigma  # limits in units of sigma
                     hi = np.array([iv.hi for iv in ivs]) / sigma
-                    perm, rp, lo_p, hi_p, floor_p = gaussbox._prioritized(r, lo, hi, floor)
-                    assert sorted(perm.tolist()) == list(range(n))
+                    inv = np.linalg.inv(r)
+                    order, rp, lo_p, hi_p, floor_p = gaussbox._prioritized(
+                        r, inv @ inv.T, lo, hi, floor)
+                    assert sorted(order.tolist()) == list(range(n))
                     validate_upper_triangular(rp)
-                    gram = r[:, perm].T @ r[:, perm]
+                    # The sweep conditions the last column of R' first.
+                    columns = r[:, order[::-1]]
+                    gram = columns.T @ columns
                     assert (np.linalg.norm(rp.T @ rp - gram)
                             <= 1e-12 * np.linalg.norm(gram))
-                    assert np.array_equal(lo_p, lo[perm])
-                    assert np.array_equal(hi_p, hi[perm])
-                    assert np.array_equal(floor_p, floor[perm])
+                    assert np.array_equal(lo_p, lo[order])
+                    assert np.array_equal(hi_p, hi[order])
+                    assert np.array_equal(floor_p, floor[order])
 
     def test_most_constrained_coordinate_is_swept_first(self):
-        # The sweep conditions the last column first, so perm is the
-        # greedy order (least mass first) reversed; ties keep index order.
+        # The greedy order puts the least mass first; ties keep index order.
         ivs = np.array([0.9, 0.2, 0.5])
-        perm = gaussbox._prioritized(np.eye(3), -ivs, ivs, np.zeros((3, 2)))[0]
-        assert perm.tolist() == [0, 2, 1]
+        order = gaussbox._prioritized(np.eye(3), np.eye(3), -ivs, ivs, np.zeros((3, 2)))[0]
+        assert order.tolist() == [1, 2, 0]
         same = np.full(3, 0.5)
-        perm = gaussbox._prioritized(np.eye(3), -same, same, np.zeros((3, 2)))[0]
-        assert perm.tolist() == [2, 1, 0]
+        order = gaussbox._prioritized(np.eye(3), np.eye(3), -same, same, np.zeros((3, 2)))[0]
+        assert order.tolist() == [0, 1, 2]
 
     def test_column_permuted_twin_agrees(self):
         rng = np.random.default_rng(58)
