@@ -151,7 +151,8 @@ def cmd_mc_sp(args) -> int:
     else:
         est = p_br_uniform(r, args.sigma, box, cfg, stream)
         label = "P_R^BR"
-    print(f"{label} = {est.value:.6f} +/- {est.stderr:.6f} ({est.seed})")
+    # The stderr in scientific notation, so that a nonzero one never prints as 0.
+    print(f"{label} = {est.value:.6f} +/- {est.stderr:.2e} ({est.seed})")
     return 0
 
 

@@ -315,6 +315,15 @@ class TestMcSp:
         stderr = float(out.split("+/-")[1].split("(")[0])
         assert abs(value - 0.6192) <= 3 * stderr + 1e-3
 
+    def test_qmc_stderr_is_printed_nonzero(self, ex1, capsys):
+        # QMC's stderr here is about 2e-10: printed to six decimals it read
+        # 0.000000, as quadrature's exact 0 does.
+        assert main(["mc-sp", ex1, "--sigma", "1", "--box", "0..3",
+                     "--method", "qmc", "--pattern", "LL"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("P_D^BR = 0.619185 +/- ")
+        assert float(out.split("+/-")[1].split("(")[0]) > 0.0
+
     def test_same_seed_same_output(self, ex1, capsys):
         argv = ["mc-sp", ex1, "--sigma", "0.5", "--box", "0..3",
                 "--samples", "20000", "--seed", "7"]
@@ -364,7 +373,7 @@ class TestMcSp:
         # the answer (certain detection) still comes out.
         assert main(["mc-sp", ex1, "--sigma", "1e-300", "--box", "0..3",
                      "--pattern", "LL", "--method", "quad"]) == 0
-        assert capsys.readouterr().out.startswith("P_D^BR = 1.000000 +/- 0.000000")
+        assert capsys.readouterr().out.startswith("P_D^BR = 1.000000 +/- 0.00e+00")
 
     @pytest.mark.parametrize("argv, line", [
         (["mc-sp", "--sigma", "1e308", "--method", "mc", "--pattern", "II"], "P_D^BR = 0.000000"),
@@ -412,7 +421,7 @@ class TestMcSp:
         a.write_text("0.541 2.446\n0 0.627\n")
         assert main(["mc-sp", str(a), "--sigma", "0.475", "--box", "0..1,0..0",
                      "--pattern", "LS", "--method", "quad"]) == 0
-        assert capsys.readouterr().out.startswith("P_D^BR = 0.556225 +/- 0.000000")
+        assert capsys.readouterr().out.startswith("P_D^BR = 0.556225 +/- 0.00e+00")
 
     def test_pattern_budget_exits_3(self, tmp_path, capsys):
         # No pattern budget any more: an 11-D uniform cell runs on QMC,
