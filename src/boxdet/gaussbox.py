@@ -235,13 +235,13 @@ def _prioritized(r, cov, lo, hi, floor):
 
     Greedy variable prioritization (Gibson, Glasbey and Elston 1994; Genz
     and Bretz 2009, sec. 4.1.3): a column-by-column Cholesky factorization
-    of cov = (R^T R)^{-1} picks next the remaining coordinate of least
-    conditional mass a_l Phi(alpha) + (Phi(beta) - Phi(alpha)) + a_r (1 - Phi(beta)),
-    with the limits shifted by the conditional means
-    ((1 - a_l) phi(alpha) - (1 - a_r) phi(beta)) / mass of the coordinates
-    already picked, standardized by its conditional sd,
-    and clipped to +-40, where Phi is 0 or 1 and the density 0; ties go to
-    the lowest index.
+    of cov = (R^T R)^{-1}, formed by ``box_probability`` from its one inverse
+    of R, picks next the remaining coordinate of least conditional mass
+    a_l Phi(alpha) + (Phi(beta) - Phi(alpha)) + a_r (1 - Phi(beta)), with the
+    limits shifted by the conditional means ((1 - a_l) phi(alpha) - (1 - a_r)
+    phi(beta)) / mass of the coordinates already picked, standardized by its
+    conditional sd, and clipped to +-40, where Phi is 0 or 1 and the density
+    0; ties go to the lowest index.
     """
     n = r.shape[0]
     var0 = np.diag(cov)
