@@ -25,9 +25,9 @@ Three interchangeable backends:
   exactly the target law; average prod_i g_i(t_i), with the zero-floor
   coordinates reduced as booleans to an exact 0 or 1 and the floored ones
   multiplied in.  Unbiased; default, for robustness.  Each block of 2^16
-  samples is drawn whole and solved and tested ``_WORK_COLUMNS`` = 2^13
-  samples at a time into one array per block, so memory does not grow
-  with the sample count and the sums are those of the whole block.
+  samples is drawn, solved and tested ``_WORK_COLUMNS`` = 2^13 samples
+  at a time from one generator into one array per block, so memory does
+  not grow with the sample count and the sums are those of the whole block.
 * ``SEQ_QMC`` -- sequential conditioning with randomized Sobol points
   (Genz 1992).  A greedy order, read off the covariance (R^T R)^{-1} of
   ``box_probability``'s one inverse of R, puts the coordinate of least
@@ -88,7 +88,7 @@ from .errors import (
 )
 from .linalg import back_substitute, permuted_factor, validate_upper_triangular
 from .model import validate_sigma
-from .rng import RngStream, standard_normal
+from .rng import RngStream, sample_generator
 
 QUADRATURE_MAX_DIM = 4
 QUADRATURE_MAX_POINTS = 128  # leggauss(m) builds an m x m matrix
@@ -190,17 +190,17 @@ def _mc_probability(r, lo, hi, floor, samples, stream):
 
     def sum_block(block):
         idx, size = block
-        z = standard_normal(stream.child(idx), (size, r.shape[0]))
-        # Solved and tested _WORK_COLUMNS samples at a time, into one array
-        # per block, so the sums are those of the whole block.
+        gen = sample_generator(stream.child(idx))
+        # In parts of _WORK_COLUMNS samples, a column each in t.  The generator
+        # fills in sequence, so g and its sums are those of the whole block.
         g = np.empty(size)
         for start in range(0, size, _WORK_COLUMNS):
-            part = slice(start, start + _WORK_COLUMNS)
-            t = back_substitute(r, z[part].T)  # one column per sample
+            part = g[start:start + _WORK_COLUMNS]  # a view of g
+            t = back_substitute(r, gen.standard_normal((part.size, r.shape[0])).T)
             inside = (t >= lo[:, None]) & (t <= hi[:, None])
-            g[part] = np.all(inside[~floored], axis=0)  # an exact 0 or 1
+            part[:] = np.all(inside[~floored], axis=0)  # an exact 0 or 1
             outside = np.where(t[floored] < lo[floored, None], left, right)
-            g[part] *= np.prod(np.where(inside[floored], 1.0, outside), axis=0)
+            part *= np.prod(np.where(inside[floored], 1.0, outside), axis=0)
         return float(g.sum()), float((g * g).sum())  # pairwise sums; g @ g would wake BLAS
 
     sums = ordered_map(sum_block, blocks)

@@ -53,16 +53,21 @@ class RngStream:
         return f"seed={self.seed} stream={'/'.join(str(i) for i in self.path)}"
 
 
+def sample_generator(stream: RngStream) -> np.random.Generator:
+    """The stream's SFC64 generator, which trials and Monte Carlo draw from."""
+    return stream.generator(np.random.SFC64)
+
+
 def uniform(stream: RngStream, size=None, out=None) -> np.ndarray:
     """Uniform deviates in [0, 1) from the stream's SFC64 generator, of shape
     ``size`` or into a C-contiguous ``out``, with the bits of its shape."""
-    return stream.generator(np.random.SFC64).random(size, out=out)
+    return sample_generator(stream).random(size, out=out)
 
 
 def standard_normal(stream: RngStream, size=None, out=None) -> np.ndarray:
     """Standard normal deviates by the ziggurat on the stream's SFC64
     generator, of shape ``size`` or into a C-contiguous ``out``."""
-    return stream.generator(np.random.SFC64).standard_normal(size, out=out)
+    return sample_generator(stream).standard_normal(size, out=out)
 
 
 def inverse_cdf_normal(stream: RngStream, size) -> np.ndarray:

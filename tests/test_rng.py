@@ -47,6 +47,17 @@ class TestOut:
         np.testing.assert_array_equal(out, np.full(5, ndtri(2.0 ** -53)))
 
 
+def test_normals_drawn_in_parts_equal_one_draw():
+    # Monte Carlo draws each 2^16-sample block in parts from one generator;
+    # its bits rest on numpy filling consecutive draws in sequence.
+    gen = rng.sample_generator(RngStream(33, (5,)))
+    rows = [8192] * 7 + [1000] * 8 + [192]  # the last part partial
+    assert sum(rows) == 65536
+    parts = [gen.standard_normal((k, 8)) for k in rows]
+    np.testing.assert_array_equal(np.concatenate(parts),
+                                  standard_normal(RngStream(33, (5,)), (65536, 8)))
+
+
 class TestSeed:
     @pytest.mark.parametrize("seed", [1.5, 2.0, "3", True, False, -1, None])
     def test_refused_before_any_draw(self, seed):
