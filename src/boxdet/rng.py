@@ -54,7 +54,7 @@ class RngStream:
 
 
 def sample_generator(stream: RngStream) -> np.random.Generator:
-    """The stream's SFC64 generator, which trials and Monte Carlo draw from."""
+    """The stream's SFC64 generator: trials, Monte Carlo and ``model`` draw from it."""
     return stream.generator(np.random.SFC64)
 
 
