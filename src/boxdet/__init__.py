@@ -2,6 +2,8 @@
 Monte Carlo success probabilities, and a reproducible simulation harness.
 """
 
+from types import ModuleType as _ModuleType
+
 from .detectors import box_babai, box_rounding
 from .errors import (
     BoxdetError,
@@ -21,14 +23,7 @@ from .gaussbox import (
     box_probability,
 )
 from .linalg import back_substitute, qr_positive
-from .model import (
-    BoundaryTag,
-    BoxConstraint,
-    classify,
-    parse_pattern,
-    sample_noise,
-    sample_uniform_x,
-)
+from .model import BoundaryTag, BoxConstraint, classify, parse_pattern
 from .rng import RngStream
 from .success import (
     p_bb_bounds,
@@ -39,5 +34,7 @@ from .success import (
     phi,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Library names only: the submodules stay reachable as ``boxdet.<module>``.
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
 __version__ = "0.1.0"

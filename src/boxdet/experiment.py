@@ -40,7 +40,7 @@ from ._parallel import ordered_map
 # The success_batch kernels and samplers are unused, but perfbench/spans.py wraps them by name.
 from .detectors import babai_success_batch, failure_scales, rounding_success_batch  # noqa: F401
 from .errors import InvalidConfigError, RankDeficientError, require_int
-from .gaussbox import QUADRATURE_MAX_DIM, IntegratorConfig, IntegratorMethod, McEstimate
+from .gaussbox import IntegratorConfig, IntegratorMethod, McEstimate
 from .linalg import qr_positive
 from .model import BoxConstraint, boundary_masks, sample_noise, sample_uniform_x  # noqa: F401
 from .success import p_bb_uniform, p_br_uniform, uniform_integrator
@@ -104,15 +104,9 @@ class ExperimentConfig:
             raise InvalidConfigError("counts must be at least 1")
         if self.seed < 0:
             raise InvalidConfigError(f"seed must be a non-negative integer, got {self.seed}")
-        # Width-0 coordinates are integrated out, so only the others count.
-        wide = int(np.count_nonzero(self.box.widths))
-        if (self.compute_exact_br and self.integrator.method is IntegratorMethod.QUADRATURE
-                and wide > QUADRATURE_MAX_DIM):
-            raise InvalidConfigError(f"quadrature supports dimension <= {QUADRATURE_MAX_DIM}, "
-                                     f"got {wide} coordinates of width >= 1")
         if self.compute_exact_br:  # the theory cells' integrator, checked before any trial
             try:
-                uniform_integrator(self.integrator, self.n)
+                uniform_integrator(self.integrator, self.box)
             except InvalidConfigError as exc:
                 raise InvalidConfigError(
                     f"integrator.samples {self.integrator.samples} is too many for the "

@@ -128,6 +128,8 @@ class IntegratorConfig:
             object.__setattr__(self, "method", IntegratorMethod(self.method))
         require_int(self.samples, "samples")
         require_int(self.quad_points, "quad_points")
+        if self.samples < 1:
+            raise InvalidConfigError(f"samples must be at least 1, got {self.samples}")
         if self.method is not IntegratorMethod.QUADRATURE and self.samples < 1000:
             raise InvalidConfigError("stochastic methods need samples >= 1000")
         if not 2 <= self.quad_points <= QUADRATURE_MAX_POINTS:

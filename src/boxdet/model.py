@@ -97,9 +97,6 @@ class BoxConstraint:
     def widths(self) -> np.ndarray:
         return self.upper - self.lower
 
-    def num_points(self) -> int:
-        return int(np.prod(self.widths.astype(object) + 1))
-
     def contains(self, x) -> bool:
         x = np.asarray(x).reshape(-1)
         return x.size == self.dim and bool(

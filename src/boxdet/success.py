@@ -23,8 +23,9 @@ from scipy.special import erf
 
 # Unused here, but perfbench/spans.py wraps success.ordered_map by name.
 from ._parallel import ordered_map  # noqa: F401
-from .errors import DimensionMismatchError
-from .gaussbox import FINITE, IntegratorConfig, McEstimate, box_probability
+from .errors import DimensionMismatchError, QuadratureDimensionError
+from .gaussbox import (FINITE, QUADRATURE_MAX_DIM, IntegratorConfig, IntegratorMethod,
+                       McEstimate, box_probability)
 from .linalg import validate_upper_triangular
 from .model import BoundaryTag, BoxConstraint, admissible_tags, validate_sigma
 from .rng import RngStream
@@ -81,9 +82,16 @@ def _babai(r, sigma: float, law) -> float:
     return math.prod(a + (1.0 - a) * phi(rii, sigma) for rii, a in zip(diag, means))
 
 
-def uniform_integrator(cfg: IntegratorConfig, n: int) -> IntegratorConfig:
-    """``cfg`` with the 16 n ``cfg.samples`` points of a uniform cell at dimension n."""
-    return replace(cfg, samples=_UNIFORM_POINTS * n * cfg.samples)
+def uniform_integrator(cfg: IntegratorConfig, box: BoxConstraint) -> IntegratorConfig:
+    """``cfg`` with the 16 n ``cfg.samples`` points of a uniform cell on the
+    n-coordinate box.  Quadrature is refused past ``QUADRATURE_MAX_DIM``
+    coordinates of width >= 1: width 0 gives floors (1, 1), which
+    ``box_probability`` integrates out before the cap applies."""
+    wide = int(np.count_nonzero(box.widths))
+    if cfg.method is IntegratorMethod.QUADRATURE and wide > QUADRATURE_MAX_DIM:
+        raise QuadratureDimensionError(f"quadrature supports dimension <= {QUADRATURE_MAX_DIM}, "
+                                       f"got {wide} coordinates of width >= 1")
+    return replace(cfg, samples=_UNIFORM_POINTS * box.dim * cfg.samples)
 
 
 def _rounding(r, sigma: float, law, cfg: IntegratorConfig, stream) -> McEstimate:
@@ -129,8 +137,9 @@ def p_br_uniform(r, sigma: float, box: BoxConstraint, cfg: IntegratorConfig,
     vector is uniform over the box: E[prod_i (a_i + (1 - a_i)
     1(|xi_i| <= 1/2))] with a_i = 1 / (w_i + 1), from 16 n ``cfg.samples``
     points (for QMC, n ``cfg.samples`` per randomization, rounded up to a
-    power of two and refused past 2^30).  Quadrature (n <= 4) ignores the
-    point count and takes its nodes on each coordinate's interval terms.
+    power of two and refused past 2^30).  Quadrature (at most 4 coordinates
+    of width >= 1) ignores the point count and takes its nodes on each
+    coordinate's interval terms.
     """
-    law = _uniform_law(box)  # checked before the point count scales with its length
-    return _rounding(_checked(r, law), sigma, law, uniform_integrator(cfg, len(law)), stream)
+    law = _uniform_law(box)  # checked before the integrator reads the box
+    return _rounding(_checked(r, law), sigma, law, uniform_integrator(cfg, box), stream)

@@ -154,7 +154,7 @@ def _enumerated_average_bb(r, sigma, box):
         total += weight * bd.p_bb_deterministic(
             r, sigma, tuple(tag for tag, _ in combo)
         )
-    return total / box.num_points()
+    return total / math.prod(int(w) + 1 for w in box.widths)
 
 
 def test_criterion_5_uniform_is_pattern_weighted_average():
@@ -187,7 +187,7 @@ def test_criterion_6_pattern_enumeration_equals_point_sum():
         for pt in itertools.product(range(3), repeat=2):
             pattern = bd.classify(np.array(pt), box)
             total += bd.p_br_deterministic(r, sigma, pattern, QUAD).value
-        direct = total / box.num_points()
+        direct = total / math.prod(int(w) + 1 for w in box.widths)
         worst = max(worst, abs(grouped - direct) / max(direct, 1e-300))
     ok = worst <= 1e-12
     _report(6, "pattern enumeration = direct sum", ok,

@@ -94,7 +94,7 @@ class TestFileParsing:
 
     def test_parse_box(self):
         box = parse_box("0..3", 2)
-        assert box.num_points() == 16
+        assert list(box.widths) == [3, 3]
         box = parse_box("0..1,-2..2", 2)
         assert list(box.lower) == [0, -2]
         with pytest.raises(InputError):
@@ -423,7 +423,7 @@ class TestMcSp:
                      "--pattern", "LS", "--method", "quad"]) == 0
         assert capsys.readouterr().out.startswith("P_D^BR = 0.556225 +/- 0.00e+00")
 
-    def test_pattern_budget_exits_3(self, tmp_path, capsys):
+    def test_uniform_cell_above_4d_runs_on_qmc_and_exits_2_on_quad(self, tmp_path, capsys):
         # No pattern budget any more: an 11-D uniform cell runs on QMC,
         # and quadrature refuses n > 4 before it enumerates any pattern.
         def identity(n):
@@ -445,6 +445,12 @@ class TestMcSp:
             assert code == 2
             assert time.perf_counter() - start < 1.0
             assert f"dimension <= 4, got {n}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", ["-5", "0"])
+    def test_quadrature_sample_count_below_one_exits_2(self, ex1, capsys, samples):
+        assert main(["mc-sp", ex1, "--sigma", "1", "--box", "0..3", "--method", "quad",
+                     "--samples", samples]) == 2
+        assert f"samples must be at least 1, got {samples}" in capsys.readouterr().err
 
     def test_qmc_point_count_past_the_sobol_range_exits_2(self, ex1, capsys, monkeypatch):
         # 10^11 samples need more than the 2^30 points per randomization of a
@@ -572,6 +578,13 @@ class TestExperimentCommand:
         assert main(["experiment", "--config", cfg, "--out",
                      str(tmp_path / "x.csv")]) == 2
         assert "quadrature supports dimension <= 4, got 5" in capsys.readouterr().err
+
+    def test_quadrature_sample_count_below_one_exits_2(self, tmp_path, capsys):
+        cfg = _config_file(tmp_path, integrator={"method": "quad", "samples": 0})
+        out = tmp_path / "x.csv"
+        assert main(["experiment", "--config", cfg, "--out", str(out)]) == 2
+        assert "samples must be at least 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unusable_qmc_sample_count_exits_2_before_trials(self, tmp_path, capsys,
                                                               monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 
 from boxdet import _parallel, detectors, experiment
 from boxdet.detectors import babai_success_batch, rounding_success_batch
-from boxdet.errors import InvalidConfigError, RankDeficientError
+from boxdet.errors import InvalidConfigError, QuadratureDimensionError, RankDeficientError
 from boxdet.experiment import (
     DEFAULT_EXPERIMENT_INTEGRATOR,
     ExperimentConfig,
@@ -81,7 +81,7 @@ class TestConfig:
         }
         cfg = ExperimentConfig.from_dict(doc)
         assert cfg.n == 2
-        assert cfg.box.num_points() == 16
+        assert list(cfg.box.widths) == [3, 3]
         assert cfg.integrator.method is IntegratorMethod.SEQ_QMC
         assert not cfg.compute_exact_br
 
@@ -100,6 +100,19 @@ class TestConfig:
         cfg = ExperimentConfig.from_dict({**doc, "integrator": {"method": "quad"}})
         assert cfg.integrator == replace(DEFAULT_EXPERIMENT_INTEGRATOR,
                                          method=IntegratorMethod.QUADRATURE)
+
+    def test_quadrature_cap_is_the_theory_cells_own(self):
+        # The refusal comes from the uniform cell's integrator; from_dict
+        # wraps it as a config error.
+        quad = IntegratorConfig(method=IntegratorMethod.QUADRATURE)
+        box = BoxConstraint.cube(0, 3, 5)
+        with pytest.raises(QuadratureDimensionError, match="got 5 coordinates of width >= 1"):
+            _config(n=5, box=box, integrator=quad)
+        assert _config(n=5, box=box, integrator=quad, compute_exact_br=False)
+        doc = {"n": 5, "box": {"lower": 0, "upper": 3}, "sigma_grid": [0.1],
+               "num_matrices": 1, "trials_per_matrix": 10, "integrator": {"method": "quad"}}
+        with pytest.raises(InvalidConfigError, match="got 5 coordinates of width >= 1"):
+            ExperimentConfig.from_dict(doc)
 
     def test_from_dict_rejects_unknown_keys(self):
         doc = {

@@ -82,6 +82,9 @@ class TestConfig:
         with pytest.raises(InvalidConfigError):
             IntegratorConfig(method=IntegratorMethod.MONTE_CARLO, samples=10)
         IntegratorConfig(method=IntegratorMethod.QUADRATURE, samples=10)
+        for method in IntegratorMethod:  # quadrature ignores the count, but not a bad one
+            with pytest.raises(InvalidConfigError, match="^samples must be at least 1, got -5$"):
+                IntegratorConfig(method=method, samples=-5)
 
     def test_method_may_be_given_by_value(self):
         # The benchmark workloads build their configs this way.

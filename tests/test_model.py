@@ -26,7 +26,7 @@ class TestBoxConstraint:
     def test_basic(self):
         box = BoxConstraint([0, 0], [3, 3])
         assert box.dim == 2
-        assert box.num_points() == 16
+        assert list(box.widths) == [3, 3]
         assert box.contains([1, 2])
         assert not box.contains([4, 0])
 

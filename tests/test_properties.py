@@ -6,6 +6,7 @@ box, and equal to the ordinary detector, bounds of +-inf, when the clamp
 never acts)."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -73,7 +74,7 @@ def _pattern_average(r, sigma, box):
         if weight:
             pattern = tuple(tag for tag, _ in combo)
             total += weight * p_br_deterministic(r, sigma, pattern, QUAD).value
-    return total / box.num_points()
+    return total / math.prod(int(w) + 1 for w in box.widths)
 
 
 @settings(max_examples=25, deadline=None)

@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from boxdet.errors import DimensionMismatchError
+from boxdet import gaussbox
+from boxdet.errors import DimensionMismatchError, QuadratureDimensionError
 from boxdet.gaussbox import (
     FINITE,
     IntegratorConfig,
@@ -43,7 +44,7 @@ def _point_average_bb(r, sigma, box):
     total = 0.0
     for pt in itertools.product(*ranges):
         total += p_bb_deterministic(r, sigma, classify(np.array(pt), box))
-    return total / box.num_points()
+    return total / math.prod(int(w) + 1 for w in box.widths)
 
 
 class TestPhi:
@@ -270,6 +271,21 @@ class TestRoundingUniform:
                            match="^11 coordinates given for matrix dimension 2$"):
             p_br_uniform(EX1, 1.0, BoxConstraint.cube(0, 3, 11), cfg, RngStream(1))
 
+    def test_quadrature_cap_is_checked_on_the_box_before_integrating(self, monkeypatch):
+        # Width 0 gives floors (1, 1), which box_probability integrates out,
+        # so only the coordinates of width >= 1 count against the cap.
+        r = _random_triangular(np.random.default_rng(14), 5)
+        est = p_br_uniform(r, 0.7, BoxConstraint([0] * 5, [3, 1, 0, 2, 1]), QUAD)
+        assert 0.0 < est.value < 1.0
+
+        def never(*args):
+            raise AssertionError("the quadrature ran past its cap")
+
+        monkeypatch.setattr(gaussbox, "_quadrature_probability", never)
+        with pytest.raises(QuadratureDimensionError, match="^quadrature supports dimension "
+                           "<= 4, got 5 coordinates of width >= 1$"):
+            p_br_uniform(r, 0.7, BoxConstraint.cube(0, 1, 5), QUAD)
+
     def test_scalar_matches_babai(self):
         box = BoxConstraint([0], [3])
         est = p_br_uniform(np.eye(1), 1.0, box, QUAD)
@@ -328,7 +344,7 @@ class TestRoundingUniform:
             grouped = p_br_uniform(r, sigma, box, QUAD).value
             points = itertools.product(*(range(w + 1) for w in widths))
             direct = sum(p_br_deterministic(r, sigma, classify(np.array(pt), box), QUAD).value
-                         for pt in points) / box.num_points()
+                         for pt in points) / math.prod(w + 1 for w in widths)
             assert grouped == pytest.approx(direct, rel=1e-12)
 
     def test_honours_quad_points(self):
